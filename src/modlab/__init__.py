@@ -15,6 +15,7 @@ from .geometry import (
     Polyline,
     ScalarField,
     arclength_parametrize,
+    cell_length_rows,
     cell_lengths,
     curve_integral,
     length,

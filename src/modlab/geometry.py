@@ -5,6 +5,11 @@ one value per cell (cell-centered, C order) and are treated as piecewise
 constant. Curves are polylines, for which the length supremum over partitions
 is attained by the vertex chain, so lengths and per-cell traversal lengths
 are computed in closed form.
+
+Per-cell traversal lengths are computed in one place, ``cell_length_rows``,
+which splits every segment of a whole family at its cell-plane crossings in
+one vectorized pass. ``cell_lengths`` is its one-curve case, and a line
+integral of a cell field is such a row times the cell values.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "box_min", np.atleast_1d(np.asarray(self.box_min, dtype=float)))
         object.__setattr__(self, "box_max", np.atleast_1d(np.asarray(self.box_max, dtype=float)))
-        object.__setattr__(self, "resolution", np.atleast_1d(np.asarray(self.resolution, dtype=int)))
+        resolution = np.atleast_1d(np.asarray(self.resolution, dtype=float))
+        if not np.all(np.isfinite(resolution)) or np.any(resolution != np.floor(resolution)):
+            raise ValueError("resolution must be integral per axis")
+        object.__setattr__(self, "resolution", resolution.astype(int))
         if not (self.box_min.shape == self.box_max.shape == self.resolution.shape):
             raise ValueError("box_min, box_max and resolution must have matching length")
         if not np.all(np.isfinite(self.box_min)) or not np.all(np.isfinite(self.box_max)):
@@ -98,6 +106,8 @@ class Grid:
 
     @classmethod
     def from_json(cls, record: dict) -> "Grid":
+        if not isinstance(record, dict):
+            raise ValueError(f"grid record must be a JSON object, got {type(record).__name__}")
         return cls(record["box_min"], record["box_max"], record["resolution"])
 
     def save(self, path) -> None:
@@ -231,87 +241,99 @@ class ScalarField:
         return self.values[self.grid.locate(points)]
 
 
-def _require_inside(c: Polyline, g: Grid) -> None:
-    if c.ndim != g.ndim:
-        raise ValueError("curve dimension does not match grid dimension")
-    if not g.contains(c.vertices):
-        raise DomainError("curve exits the grid box")
+def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior cell-plane crossings of the segments p[s] -> q[s], all at once.
+
+    Returns the segment index and the parameter t in (0, 1) of every
+    crossing, sorted by segment and then by t. A crossing of several planes
+    at one point (a grid vertex or edge) appears once per plane.
+    """
+    d = q - p
+    h = g.spacing
+    kmin = np.maximum(1, np.floor((np.minimum(p, q) - g.box_min) / h).astype(np.int64) + 1)
+    kmax = np.minimum(g.resolution - 1, np.ceil((np.maximum(p, q) - g.box_min) / h).astype(np.int64) - 1)
+    count = np.where(d != 0.0, np.maximum(kmax - kmin + 1, 0), 0).ravel()
+    # one entry per (segment, axis, plane k), enumerating k = kmin..kmax
+    owner = np.repeat(np.arange(count.size), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    k = kmin.ravel()[owner] + (np.arange(owner.size) - first)
+    seg, axis = np.divmod(owner, g.ndim)
+    planes = g.box_min[axis] + k * h[axis]
+    t = (planes - p[seg, axis]) / d[seg, axis]
+    inside = (t > 0.0) & (t < 1.0)
+    seg, t = seg[inside], t[inside]
+    order = np.lexsort((t, seg))
+    return seg[order], t[order]
 
 
 def _segment_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Parameters t in (0, 1) where the segment p->q crosses interior cell planes."""
+    return _plane_crossings(g, p[None, :], q[None, :])[1]
+
+
+def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
+    """Arc length of each curve inside each cell, as a len(curves) x num_cells matrix.
+
+    Every segment of every curve is split at the interior cell planes it
+    crosses; the cell owning each piece is the one holding the piece
+    midpoint, so row j sums to the length of curve j (up to roundoff). The
+    pieces a row gathers in one cell are summed in curve order, and cells
+    the curve only touches (zero-width pieces at grid vertices) hold no
+    entry. A constant curve gives an all-zero row.
+    """
+    curves = list(curves)
+    n = g.num_cells
+    if any(c.ndim != g.ndim for c in curves):
+        raise ValueError("curve dimension does not match grid dimension")
+    if not curves:
+        return sp.csr_matrix((0, n))
+    verts = np.concatenate([c.vertices for c in curves])
+    if not g.contains(verts):
+        raise DomainError("curve exits the grid box")
+    owner = np.repeat(np.arange(len(curves)), [c.vertices.shape[0] for c in curves])
+    p, q = verts[:-1], verts[1:]
     d = q - p
-    ts = []
-    for i in range(g.ndim):
-        if d[i] == 0.0:
-            continue
-        lo, hi = (p[i], q[i]) if d[i] > 0 else (q[i], p[i])
-        h = g.spacing[i]
-        kmin = max(1, int(np.floor((lo - g.box_min[i]) / h)) + 1)
-        kmax = min(int(g.resolution[i]) - 1, int(np.ceil((hi - g.box_min[i]) / h)) - 1)
-        if kmax < kmin:
-            continue
-        planes = g.box_min[i] + np.arange(kmin, kmax + 1) * h
-        ts.append((planes - p[i]) / d[i])
-    if not ts:
-        return np.empty(0)
-    t = np.concatenate(ts)
-    return np.sort(t[(t > 0.0) & (t < 1.0)])
+    seg_len = np.sqrt(np.sum(d * d, axis=1))
+    live = (owner[:-1] == owner[1:]) & (seg_len > 0.0)
+    p, q, d, seg_len, seg_curve = p[live], q[live], d[live], seg_len[live], owner[:-1][live]
+
+    # breakpoints of segment s: 0, its sorted crossings, 1, laid out in blocks
+    cseg, ct = _plane_crossings(g, p, q)
+    ncross = np.bincount(cseg, minlength=len(p))
+    ends = np.cumsum(ncross + 2) - 1
+    t = np.empty(len(ct) + 2 * len(p))
+    t[ends - ncross - 1] = 0.0
+    t[ends] = 1.0
+    t[np.arange(len(ct)) + 2 * cseg + 1] = ct
+    left = np.delete(np.arange(t.size), ends)
+    piece_seg = np.repeat(np.arange(len(p)), ncross + 1)
+    a, b = t[left], t[left + 1]
+    widths = (b - a) * seg_len[piece_seg]
+    mids = p[piece_seg] + (0.5 * (a + b))[:, None] * d[piece_seg]
+
+    # sum each (row, cell) in piece order and drop cells with zero total
+    keys, slot = np.unique(seg_curve[piece_seg] * n + g.locate(mids), return_inverse=True)
+    data = np.bincount(slot, weights=widths, minlength=keys.size)
+    keys, data = keys[data != 0.0], data[data != 0.0]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=len(curves)))])
+    return sp.csr_matrix((data, keys % n, indptr), shape=(len(curves), n))
 
 
 def cell_lengths(c: Polyline, g: Grid) -> sp.csr_matrix:
-    """Arc length of ``c`` inside each cell, as a sparse 1 x num_cells row.
-
-    Each segment is split at the interior cell planes it crosses; the cell
-    owning each piece is identified by the piece midpoint, so entries sum to
-    the curve length exactly (up to roundoff).
-    """
-    _require_inside(c, g)
-    row = np.zeros(g.num_cells)
-    for p, q, seg_len in zip(c.vertices[:-1], c.vertices[1:], c.segment_lengths):
-        if seg_len == 0.0:
-            continue
-        t = np.concatenate([[0.0], _segment_crossings(g, p, q), [1.0]])
-        widths = np.diff(t) * seg_len
-        mids = p + (0.5 * (t[:-1] + t[1:]))[:, None] * (q - p)
-        np.add.at(row, g.locate(mids), widths)
-    return sp.csr_matrix(row[None, :])
+    """Arc length of ``c`` inside each cell, as a sparse 1 x num_cells row."""
+    return cell_length_rows([c], g)
 
 
-def curve_integral(rho: ScalarField, c: Polyline, step: float | None = None) -> float:
+def curve_integral(rho: ScalarField, c: Polyline) -> float:
     """Integral of ``rho`` along the arc-length parametrized curve ``c``.
 
-    Composite midpoint quadrature. The partition refines both the requested
-    step (default: half the minimum grid spacing) and the cell-plane
-    crossings, so the quadrature is exact for the piecewise-constant field
-    model and agrees with the constraint-row discretization.
+    Exact for the piecewise-constant field model: the cell-length row of
+    ``c`` times the cell values, the same row a modulus constraint uses.
     """
-    g = rho.grid
-    _require_inside(c, g)
+    row = cell_lengths(c, rho.grid)
     if np.any(rho.values < 0.0):
         raise ValueError("curve_integral expects a nonnegative density")
-    if step is None:
-        step = float(np.min(g.spacing)) / 2.0
-    if step <= 0.0:
-        raise ValueError("quadrature step must be positive")
-    total = 0.0
-    for p, q, seg_len in zip(c.vertices[:-1], c.vertices[1:], c.segment_lengths):
-        if seg_len == 0.0:
-            continue
-        t = np.concatenate([[0.0], _segment_crossings(g, p, q), [1.0]])
-        pieces = []
-        for a, b in zip(t[:-1], t[1:]):
-            if b <= a:
-                continue
-            n = max(1, int(np.ceil((b - a) * seg_len / step)))
-            pieces.append(np.linspace(a, b, n + 1))
-        if not pieces:
-            continue
-        tt = np.unique(np.concatenate(pieces))
-        widths = np.diff(tt) * seg_len
-        mids = p + (0.5 * (tt[:-1] + tt[1:]))[:, None] * (q - p)
-        total += float(np.dot(rho.value_at(mids), widths))
-    return total
+    return float((row @ rho.values)[0])
 
 
 # ---------------------------------------------------------------------------

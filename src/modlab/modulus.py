@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog, minimize
 
 from .errors import ScheduleError
-from .geometry import CurveFamily, Grid, ScalarField, cell_lengths
+from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
 
 
@@ -63,18 +63,17 @@ class ModulusResult:
 
 
 def assemble_problem(fam: CurveFamily, g: Grid, p: float) -> ModulusProblem:
-    """Build the constraint matrix for a family: row j = cell_lengths(curve j).
+    """Build the modulus program of a family on a grid.
 
-    A density rho is admissible for the family exactly when A rho >= 1
-    componentwise, matching the quadrature admissibility of curve_integral.
+    The constraint matrix A comes from one ``cell_length_rows`` pass over the
+    whole family: row j holds the arc length curve j spends in each cell. A
+    density rho is admissible for the family exactly when A rho >= 1
+    componentwise, and row j times rho is ``curve_integral(rho, curve j)``.
+    The weights are the Lebesgue cell volumes.
     """
     if p < 1.0:
         raise ValueError("modulus exponent requires p >= 1")
-    rows = [cell_lengths(c, g) for c in fam]
-    if rows:
-        A = sp.vstack(rows, format="csr")
-    else:
-        A = sp.csr_matrix((0, g.num_cells))
+    A = cell_length_rows(fam.curves, g)
     w = np.full(g.num_cells, g.cell_volume)
     return ModulusProblem(constraint_rows=A, weights=w, exponent=p, grid=g)
 
@@ -91,6 +90,16 @@ def _dual_rho_slope(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = base ** ((2.0 - p) / (p - 1.0)) / ((p - 1.0) * p * w)
     return np.where(np.isfinite(out), out, 0.0)
+
+
+def _unconverged(prob: ModulusProblem, iterations: int, dual_value: float, diagnostics: dict) -> ModulusResult:
+    """A result that certifies nothing: zero density, infinite violation and gap."""
+    zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
+    return ModulusResult(
+        value=float("nan"), rho_star=zero, max_constraint_violation=float("inf"),
+        iterations=iterations, converged=False, gap=float("inf"),
+        dual_value=dual_value, diagnostics=diagnostics,
+    )
 
 
 def _certify(A, w, p, rho_raw, dual_value):
@@ -202,12 +211,7 @@ def _solve_power(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResu
     iterations = int(res.nit) + polish_rounds
     cert = _certify(A, w, p, _dual_rho(At @ lam, w, p), dual_value)
     if cert is None:
-        zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
-        return ModulusResult(
-            value=float("nan"), rho_star=zero, max_constraint_violation=float("inf"),
-            iterations=iterations, converged=False, gap=float("inf"),
-            dual_value=dual_value, diagnostics={"message": "dual iterate left a constraint at zero"},
-        )
+        return _unconverged(prob, iterations, dual_value, {"message": "dual iterate left a constraint at zero"})
     rho, value, violation, gap = cert
     converged = gap <= tol * (1.0 + value) and violation <= tol
     return ModulusResult(
@@ -233,13 +237,9 @@ def _solve_lp(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResult:
         bounds=(0.0, None),
         method="highs",
     )
+    iterations = int(getattr(res, "nit", 0))
     if res.x is None:
-        zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
-        return ModulusResult(
-            value=float("nan"), rho_star=zero, max_constraint_violation=float("inf"),
-            iterations=int(getattr(res, "nit", 0)), converged=False, gap=float("inf"),
-            dual_value=float("nan"), diagnostics={"message": str(res.message)},
-        )
+        return _unconverged(prob, iterations, float("nan"), {"message": str(res.message)})
     lam = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
     # scale the multipliers into the dual-feasible region A^T lam <= w
     col = A.T @ lam
@@ -248,13 +248,18 @@ def _solve_lp(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResult:
         lam = lam / over
     dual_value = float(np.sum(lam))
     cert = _certify(A, w, 1.0, np.asarray(res.x, dtype=float), dual_value)
+    if cert is None:
+        return _unconverged(
+            prob, iterations, dual_value,
+            {"message": "LP solution left a constraint at zero", "solver": "linprog-highs"},
+        )
     rho, value, violation, gap = cert
     converged = res.status == 0 and gap <= tol * (1.0 + value) and violation <= tol
     return ModulusResult(
         value=value,
         rho_star=ScalarField(grid=prob.grid, values=rho),
         max_constraint_violation=violation,
-        iterations=int(getattr(res, "nit", 0)),
+        iterations=iterations,
         converged=converged,
         gap=gap,
         dual_value=dual_value,

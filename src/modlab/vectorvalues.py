@@ -206,10 +206,15 @@ def load_field_csv(path) -> VectorField:
     if len(body) != grid.num_cells:
         raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
     values = np.zeros((grid.num_cells, M))
+    seen = np.zeros(grid.num_cells, dtype=bool)
     for ln in body:
         parts = ln.split(",")
         multi = tuple(int(x) for x in parts[: grid.ndim])
         flat = int(np.ravel_multi_index(multi, grid.shape))
+        # with one row per cell, a repeated index is also a missing one
+        if seen[flat]:
+            raise ValueError(f"cell {multi} appears twice in {path}; every cell needs exactly one row")
+        seen[flat] = True
         values[flat] = [float(x) for x in parts[grid.ndim :]]
     return VectorField(grid=grid, values=values, norm=tag)
 

@@ -61,6 +61,15 @@ class TestModulusCommand:
         ])
         assert status == 2
 
+    @pytest.mark.parametrize("record", ["[0, 1]", '{"box_min": [0], "box_max": [1], "resolution": [4.5]}'])
+    def test_invalid_grid_record_exits_2_with_one_line(self, modulus_inputs, capsys, record):
+        bad = modulus_inputs / "g.json"
+        bad.write_text(record)
+        status = main(["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(bad)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_missing_file_exits_2(self, modulus_inputs):
         status = main([
             "modulus",

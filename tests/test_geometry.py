@@ -13,6 +13,7 @@ from modlab import (
     Polyline,
     ScalarField,
     arclength_parametrize,
+    cell_length_rows,
     cell_lengths,
     curve_integral,
     length,
@@ -22,7 +23,7 @@ from modlab import (
     save_family,
     save_polyline_csv,
 )
-from oracles import regular_polygon_length
+from oracles import dense_cell_length_rows, regular_polygon_length
 
 
 def polyline_on_circle(k):
@@ -205,9 +206,94 @@ class TestCellLengths:
         assert row.sum() == pytest.approx(1.0, rel=1e-12)
 
 
+def assert_matches_oracle(curves, g):
+    rows = cell_length_rows(curves, g)
+    dense = dense_cell_length_rows(curves, g)
+    assert rows.shape == dense.shape
+    assert np.array_equal(rows.toarray(), dense)
+    assert rows.nnz == np.count_nonzero(dense)
+    return rows
+
+
+class TestCellLengthRows:
+    @pytest.mark.parametrize("res", [[7], [9, 5], [4, 5, 6]])
+    def test_random_families_match_oracle_bit_for_bit(self, rng, res):
+        g = Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res)
+        for _ in range(5):
+            curves = [
+                Polyline(rng.uniform(0.0, 1.0, size=(rng.integers(2, 6), len(res))))
+                for _ in range(rng.integers(1, 40))
+            ]
+            assert_matches_oracle(curves, g)
+
+    def test_offset_box_matches_oracle(self, rng):
+        g = Grid(box_min=[-1.3, 0.7], box_max=[2.1, 1.9], resolution=[13, 11])
+        lo, hi = g.box_min, g.box_max
+        curves = [Polyline(lo + (hi - lo) * rng.uniform(size=(4, 2))) for _ in range(30)]
+        assert_matches_oracle(curves, g)
+
+    def test_repeated_vertices_add_nothing(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        plain = Polyline([[0.1, 0.1], [0.9, 0.6], [0.3, 0.8]])
+        repeated = Polyline([[0.1, 0.1], [0.1, 0.1], [0.9, 0.6], [0.9, 0.6], [0.3, 0.8]])
+        rows = assert_matches_oracle([plain, repeated], g)
+        assert np.array_equal(rows[0].toarray(), rows[1].toarray())
+
+    def test_constant_curve_gives_zero_row(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        curves = [Polyline([[0.3, 0.3]]), Polyline([[0.5, 0.5], [0.5, 0.5]]), Polyline([[0.1, 0.2], [0.7, 0.2]])]
+        rows = assert_matches_oracle(curves, g)
+        assert rows[0].nnz == 0 and rows[1].nnz == 0
+        assert rows[2].sum() == pytest.approx(0.6, rel=1e-12)
+
+    def test_segment_on_cell_plane(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        rows = assert_matches_oracle([Polyline([[0.0, 0.5], [1.0, 0.5]]), Polyline([[0.25, 0.1], [0.25, 0.9]])], g)
+        assert rows[0].nnz == 4 and rows[0].sum() == pytest.approx(1.0, rel=1e-12)
+        assert rows[1].sum() == pytest.approx(0.8, rel=1e-12)
+
+    def test_anti_diagonal_through_vertices_stores_no_zeros(self):
+        # zero-width pieces at grid vertices land in cells the curve never enters
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        rows = assert_matches_oracle([Polyline([[1.0, 0.0], [0.0, 1.0]]), Polyline([[0.0, 1.0], [1.0, 0.0]])], g)
+        assert np.all(rows.data > 0.0)
+        assert rows[0].nnz == 4 and rows[1].nnz == 4
+
+    def test_curves_touching_the_box_boundary(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        curves = [
+            Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+            Polyline([[0.0, 0.0], [1.0, 1.0]]),
+            Polyline([[0.0, 0.375], [1.0, 0.375]]),
+        ]
+        rows = assert_matches_oracle(curves, g)
+        assert np.asarray(rows.sum(axis=1)).ravel() == pytest.approx([4.0, math.sqrt(2.0), 1.0], rel=1e-12)
+
+    def test_empty_family(self):
+        g = Grid(box_min=[0.0, 0.0, 0.0], box_max=[1.0, 1.0, 1.0], resolution=[2, 3, 4])
+        rows = cell_length_rows([], g)
+        assert rows.shape == (0, 24) and rows.nnz == 0
+
+    def test_curve_leaving_the_box_rejected(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        with pytest.raises(DomainError):
+            cell_length_rows([Polyline([[0.1, 0.1], [0.2, 0.2]]), Polyline([[0.5, 0.5], [1.5, 0.5]])], g)
+
+    def test_dimension_mismatch_rejected(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        with pytest.raises(ValueError):
+            cell_length_rows([Polyline([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])], g)
+
+    def test_one_curve_rows_equal_family_rows(self, rng, unit_square_16):
+        curves = [Polyline(rng.uniform(0.0, 1.0, size=(4, 2))) for _ in range(10)]
+        rows = cell_length_rows(curves, unit_square_16)
+        for j, c in enumerate(curves):
+            assert np.array_equal(cell_lengths(c, unit_square_16).toarray(), rows[j].toarray())
+
+
 class TestSegmentCrossings:
-    # the crossing enumeration is the one primitive shared by the two
-    # integration code paths, so it gets direct hand-counted checks
+    # the crossing enumeration underlies every per-cell length and line
+    # integral, so it gets direct hand-counted checks
 
     def test_horizontal_segment_crosses_vertical_planes_only(self):
         from modlab.geometry import _segment_crossings
@@ -258,6 +344,17 @@ class TestGrid:
             Grid(box_min=[0.0], box_max=[0.0], resolution=[4])
         with pytest.raises(ValueError):
             Grid(box_min=[0.0], box_max=[1.0], resolution=[0])
+
+    def test_fractional_resolution_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            Grid(box_min=[0.0], box_max=[1.0], resolution=[4.5])
+        with pytest.raises(ValueError, match="integral"):
+            Grid.from_json({"box_min": [0.0], "box_max": [1.0], "resolution": [4.5]})
+        assert Grid(box_min=[0.0], box_max=[1.0], resolution=[4.0]).shape == (4,)
+
+    def test_json_record_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            Grid.from_json([0, 1])
 
     def test_locate_corners(self):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])

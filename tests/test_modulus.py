@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from modlab import (
     restrict,
     solve_modulus,
 )
+from modlab import modulus
 from modlab.modulus import ModulusProblem
 from oracles import kkt_single_row
 
@@ -141,6 +144,22 @@ class TestSolve:
         prob = assemble_problem(CurveFamily(curves=random_curves(rng, 1)), g, 2.0)
         with pytest.raises(ValueError):
             solve_modulus(prob, tol=0.0)
+
+    def test_lp_solution_with_a_zero_margin_is_unconverged(self, monkeypatch):
+        g = unit_grid(4)
+        prob = assemble_problem(CurveFamily([Polyline([[0.0, 0.3], [1.0, 0.3]])]), g, 1.0)
+
+        def zero_solution(c, A_ub, b_ub, bounds, method):
+            return SimpleNamespace(
+                x=np.zeros(len(c)), status=0, nit=3, message="stub",
+                ineqlin=SimpleNamespace(marginals=np.zeros(A_ub.shape[0])),
+            )
+
+        monkeypatch.setattr(modulus, "linprog", zero_solution)
+        result = solve_modulus(prob)
+        assert not result.converged
+        assert result.gap == float("inf") and result.iterations == 3
+        assert np.all(result.rho_star.values == 0.0)
 
 
 class TestAnalyticParallelSegments:

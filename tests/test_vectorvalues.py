@@ -200,3 +200,15 @@ class TestFieldIO:
         assert f2.norm is NormTag.LINF
         assert np.array_equal(f2.values, f.values)
         assert np.array_equal(f2.grid.resolution, g.resolution)
+
+    def test_repeated_cell_index_rejected(self, tmp_path):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
+        f = make_field(g, np.arange(1.0, 10.0)[:, None], NormTag.L2)
+        save_field_csv(f, tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        # row 0 is the header; row 2 is cell (0,1), replaced by a second (0,0)
+        assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
+        lines[2] = "0,0,99"
+        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="appears twice"):
+            load_field_csv(tmp_path / "f.csv")
