@@ -4,15 +4,13 @@ Exit status: 0 when every check passes, 1 on check failures, 2 on parse or
 precondition errors. Reports are written even when checks fail; identical
 configuration and inputs give byte-identical reports apart from the
 wall-time field. All numeric work runs sequentially with fixed reduction
-order; MODLAB_THREADS is parsed and recorded as the worker cap (a cap any
-sequential run trivially honors).
+order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -59,20 +57,11 @@ def _finalize(report: Report, cfg: RunConfig, started: float) -> int:
     report.inputs = _digests(cfg)
     report.wall_time_s = time.perf_counter() - started
     report.meta.setdefault("seed", cfg.seed)
-    report.meta.setdefault("threads_cap", _threads_cap())
     if cfg.out is not None:
         write_report(report, cfg.out)
     else:
         sys.stdout.write(report_to_json(report))
     return 0 if report.passed else 1
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("MODLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 def export_plot_data(report: Report, path) -> list:

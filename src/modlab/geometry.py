@@ -37,9 +37,15 @@ class Grid:
     resolution: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "box_min", np.atleast_1d(np.asarray(self.box_min, dtype=float)))
-        object.__setattr__(self, "box_max", np.atleast_1d(np.asarray(self.box_max, dtype=float)))
-        resolution = np.atleast_1d(np.asarray(self.resolution, dtype=float))
+        try:
+            box_min, box_max, resolution = (
+                np.atleast_1d(np.asarray(v, dtype=float))
+                for v in (self.box_min, self.box_max, self.resolution)
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"box_min, box_max and resolution must be numeric: {exc}") from None
+        object.__setattr__(self, "box_min", box_min)
+        object.__setattr__(self, "box_max", box_max)
         if not np.all(np.isfinite(resolution)) or np.any(resolution != np.floor(resolution)):
             raise ValueError("resolution must be integral per axis")
         object.__setattr__(self, "resolution", resolution.astype(int))

@@ -60,18 +60,14 @@ def sin_family(M: int, resolution: int) -> SinFamilyField:
 def lipschitz_certificate(f: SinFamilyField, tol: float = 1e-9) -> Report:
     """Largest sampled slope max |f(t)-f(s)| / |t-s| over grid-point pairs.
 
-    Each coordinate sin(nt)/n is 1-Lipschitz, so the certificate never
-    exceeds 1; for M >= 8 the bound is close to attained.
+    On the uniform grid a chord slope is an average of the adjacent slopes it
+    spans, so the maximum is attained by adjacent pairs and only those are
+    formed. Each coordinate sin(nt)/n is 1-Lipschitz, so the certificate
+    never exceeds 1; for M >= 8 the bound is close to attained.
     """
     t = f.grid.axis_centers(0)
-    inv_dt = 1.0 / np.abs(t[:, None] - t[None, :] + np.eye(len(t)))
-    np.fill_diagonal(inv_dt, 0.0)
-    cert = 0.0
-    for lo in range(1, f.M + 1, _COORD_CHUNK):
-        hi = min(f.M, lo + _COORD_CHUNK - 1)
-        for n in range(lo, hi + 1):
-            s = np.sin(n * t) / n
-            cert = max(cert, float(np.max(np.abs(s[:, None] - s[None, :]) * inv_dt)))
+    slopes = np.abs(np.diff(f.field.values, axis=0)) * (1.0 / np.abs(np.diff(t)))[:, None]
+    cert = float(np.max(slopes))
     checks = [
         CheckRecord(
             name="lipschitz_upper",

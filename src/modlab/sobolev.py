@@ -185,19 +185,23 @@ def _interpolators(g: Grid, fields: list) -> list:
     return out
 
 
-def _path_integral_of_gradient(G: GradientField, c: Polyline, step: float) -> np.ndarray:
-    """Quadrature of (grad f along c) . tangent over the whole curve."""
-    g = G.grid
-    interps = _interpolators(g, [comp.values for comp in G.components])
-    total = np.zeros(G.source.dim_M)
+def _segment_midpoints(c: Polyline, step: float):
+    """Per nonconstant segment of ``c``: its unit tangent, and the midpoints and
+    common width of its ceil(length / step) equal subdivisions."""
     for p, q, seg_len in zip(c.vertices[:-1], c.vertices[1:], c.segment_lengths):
         if seg_len == 0.0:
             continue
-        tangent = (q - p) / seg_len
         n = max(1, int(np.ceil(seg_len / step)))
         tt = np.linspace(0.0, 1.0, n + 1)
         mids = p + (0.5 * (tt[:-1] + tt[1:]))[:, None] * (q - p)
-        width = seg_len / n
+        yield (q - p) / seg_len, mids, seg_len / n
+
+
+def _path_integral_of_gradient(G: GradientField, c: Polyline, step: float) -> np.ndarray:
+    """Quadrature of (grad f along c) . tangent over the whole curve."""
+    interps = _interpolators(G.grid, [comp.values for comp in G.components])
+    total = np.zeros(G.source.dim_M)
+    for tangent, mids, width in _segment_midpoints(c, step):
         for axis, interp in enumerate(interps):
             total += width * tangent[axis] * np.sum(interp(mids), axis=0)
     return total
@@ -245,13 +249,7 @@ def ftc_along_curve_check(
     # chain-rule bound at sample points along the full curve
     interps = _interpolators(g, [comp.values for comp in G.components])
     worst = 0.0
-    for p, q, seg_len in zip(c.vertices[:-1], c.vertices[1:], c.segment_lengths):
-        if seg_len == 0.0:
-            continue
-        tangent = (q - p) / seg_len
-        n = max(1, int(np.ceil(seg_len / step)))
-        tt = np.linspace(0.0, 1.0, n + 1)
-        mids = p + (0.5 * (tt[:-1] + tt[1:]))[:, None] * (q - p)
+    for tangent, mids, _ in _segment_midpoints(c, step):
         comps = [interp(mids) for interp in interps]
         directional = sum(tangent[axis] * comps[axis] for axis in range(g.ndim))
         lhs = value_norm(directional, tag)

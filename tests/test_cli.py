@@ -70,6 +70,28 @@ class TestModulusCommand:
         assert status == 2
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "box_min", ['{"a": 1}', '["x", 0]', "[1" + "0" * 400 + ", 0]"], ids=["object", "string", "overflow"]
+    )
+    def test_non_numeric_grid_value_exits_2_without_report(self, modulus_inputs, capsys, box_min):
+        bad = modulus_inputs / "g.json"
+        bad.write_text('{"box_min": %s, "box_max": [1, 1], "resolution": [4, 4]}' % box_min)
+        out = modulus_inputs / "r.json"
+        status = main([
+            "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(bad), "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert not out.exists() and captured.out == ""
+
+    def test_report_meta_is_machine_independent(self, modulus_inputs, capsys):
+        status = main([
+            "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
+        ])
+        assert status == 0
+        assert "threads_cap" not in json.loads(capsys.readouterr().out)["meta"]
+
     def test_missing_file_exits_2(self, modulus_inputs):
         status = main([
             "modulus",

@@ -20,6 +20,7 @@ from modlab import (
     upper_gradient_star,
     w_norm,
 )
+from modlab.geometry import curve_integral, restrict
 from modlab.reshetnyak import _spectral_norms
 from modlab.sobolev import gradient_length
 
@@ -83,6 +84,29 @@ class TestUpperGradientStar:
         mine = _spectral_norms(J)
         oracle = np.array([np.linalg.svd(j, compute_uv=False)[0] for j in J])
         assert np.allclose(mine, oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.3, 2.2])
+    def test_l2_near_double_singular_value_matches_svd(self, theta):
+        # f(x) = R(theta) diag(1, 0.9999) x: the top two singular values differ by 1e-4
+        g = square_grid(64)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        f = VectorField(grid=g, values=g.cell_centers() @ (rot @ np.diag([1.0, 0.9999])).T, norm=NormTag.L2)
+        J = np.stack([c.values for c in finite_diff_gradient(f).components], axis=1)
+        oracle = np.linalg.svd(J, compute_uv=False)[:, 0]
+        ub = upper_gradient_star(f)
+        assert ub.exact
+        assert np.all(np.abs(ub.gstar.values - oracle) <= 1e-12 * oracle)
+
+    def test_sampled_mode_matches_per_functional_oracle(self, rng):
+        g = square_grid(8)
+        for tag in (NormTag.L1, NormTag.L2, NormTag.LINF):
+            f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 5)), norm=tag)
+            J = np.stack([c.values for c in finite_diff_gradient(f).components], axis=1)
+            oracle = np.zeros(g.num_cells)
+            for v in sampled_dual_functionals(tag, 5, 40, seed=4):
+                oracle = np.maximum(oracle, np.linalg.norm(J @ v.coeffs, axis=1))
+            mine = sampled_upper_gradient(f, sample_count=40, seed=4).gstar.values
+            assert np.allclose(mine, oracle, rtol=1e-14, atol=0.0)
 
     def test_domination_of_sampled_scalarizations(self, rng):
         # |grad <v, f>| <= g* pointwise for every dual functional, exact modes
@@ -203,3 +227,21 @@ class TestAcBound:
         bad = ScalarField(grid=g, values=-np.ones(g.num_cells))
         with pytest.raises(ValueError):
             ac_bound_check(f, bad, Polyline([[0.2, 0.2], [0.8, 0.8]]), tol=1e-6)
+
+    def test_bounds_match_pairwise_oracle(self, rng):
+        # each bound is a difference of one prefix sum; the oracle integrates
+        # g over every restriction c|[s, t] separately
+        g = square_grid(24)
+        for tag in (NormTag.L1, NormTag.L2, NormTag.LINF):
+            f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 2)), norm=tag)
+            for _ in range(5):
+                c = Polyline(rng.uniform(0.0, 1.0, size=(int(rng.integers(2, 6)), 2)))
+                majorant = ScalarField(grid=g, values=rng.uniform(0.0, 2.0, size=g.num_cells))
+                report = ac_bound_check(f, majorant, c, tol=0.0)
+                params = np.linspace(0.0, c.length, 12)
+                pairs = [(s, t) for i, s in enumerate(params) for t in params[i:]]
+                assert len(report.checks) == len(pairs)
+                for ck, (s, t) in zip(report.checks, pairs):
+                    assert ck.name == f"ac[{s:.4g},{t:.4g}]"
+                    oracle = curve_integral(majorant, restrict(c, s, t)) if t > s else 0.0
+                    assert abs(ck.bound - oracle) <= 1e-13 * oracle

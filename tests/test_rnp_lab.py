@@ -75,6 +75,16 @@ class TestLipschitzCertificate:
         assert cert >= best >= 0.9
         assert rep.passed
 
+    @pytest.mark.parametrize("M,res", [(1, 256), (16, 64), (8, 1024)])
+    def test_adjacent_pairs_match_all_pairs_oracle(self, M, res):
+        f = sin_family(M, res)
+        t = f.grid.axis_centers(0)
+        dt = np.abs(t[:, None] - t[None, :])
+        np.fill_diagonal(dt, np.inf)
+        s = f.field.values
+        oracle = max(float(np.max(np.abs(s[:, None, n] - s[None, :, n]) * (1.0 / dt))) for n in range(M))
+        assert lipschitz_certificate(f).checks[0].value == oracle
+
 
 class TestDifferenceQuotient:
     def test_m1_approaches_cosine(self):
