@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,10 +41,10 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("p must be finite and >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         for name, path in self.inputs.items():
             if not Path(path).is_file():
                 raise ValueError(f"input file for --{name} not found: {path}")
@@ -148,6 +149,8 @@ def _cmd_weakcheck(cfg: RunConfig) -> Report:
     f = load_field_csv(cfg.inputs["f"])
     cand = load_field_csv(cfg.inputs["cand"])
     bumps_spec = json.loads(Path(cfg.inputs["bumps"]).read_text())
+    if not isinstance(bumps_spec, list) or not all(isinstance(b, dict) for b in bumps_spec):
+        raise ValueError("the bump battery must be a JSON list of {center, radius} objects")
     tests = [TestFunction(center=b["center"], radius=b["radius"]) for b in bumps_spec]
     rep = weak_derivative_check(f, cand, axis=cfg.extra["axis"], tests=tests, tol=cfg.tol)
     rep.command = "weakcheck"

@@ -376,5 +376,8 @@ def save_family(fam: CurveFamily, manifest_path, stem: str = "curve") -> None:
 def load_family(manifest_path) -> CurveFamily:
     manifest_path = Path(manifest_path)
     record = json.loads(manifest_path.read_text())
-    curves = [load_polyline_csv(manifest_path.parent / rel) for rel in record["curves"]]
+    rels = record.get("curves") if isinstance(record, dict) else None
+    if not isinstance(rels, list) or not all(isinstance(rel, str) for rel in rels):
+        raise ValueError(f"{manifest_path} must be a JSON object whose 'curves' is a list of path strings")
+    curves = [load_polyline_csv(manifest_path.parent / rel) for rel in rels]
     return CurveFamily(curves=curves, label=record.get("label", ""))

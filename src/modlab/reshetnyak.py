@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError
 from .geometry import Polyline, ScalarField, cell_length_rows, restrict
 from .report import CheckRecord, Report
-from .sobolev import finite_diff_gradient, w_norm
+from .sobolev import _interpolators, finite_diff_gradient, w_norm
 from .vectorvalues import (
     L1_EXACT_MAX_DIM,
     NormTag,
@@ -219,11 +218,7 @@ def ac_bound_check(
         raise DomainError("curve exits the grid box")
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
-    axes = [grid.axis_centers(i) for i in range(grid.ndim)]
-    interp = RegularGridInterpolator(
-        axes, f.values.reshape(*grid.shape, f.dim_M), method="linear",
-        bounds_error=False, fill_value=None,
-    )
+    (interp,) = _interpolators(grid, [f.values])
     params = np.linspace(0.0, c.length, num_params)
     values = interp(c.points_at(params))
     # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]

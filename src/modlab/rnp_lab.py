@@ -23,7 +23,7 @@ from .report import CheckRecord, Report, Series
 from .vectorvalues import NormTag, VectorField, scalar_lp_norm
 from .geometry import ScalarField
 
-# chunk small enough that the per-chunk temporaries stay in warm memory
+# coordinates per chunk in _sin_family_r_norm, so its temporaries stay in warm memory
 _COORD_CHUNK = 2048
 
 # Verdict lines emitted by dichotomy_report.
@@ -102,6 +102,13 @@ def _check_window(t: float, h: float) -> None:
         raise ValueError("step h must be nonzero")
 
 
+def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
+    """max_n |q_n(h) - q_n(hprime)| over the first M coordinates; t + hprime
+    lies between t and t + h, so checking the window of h covers both."""
+    _check_window(t, h)
+    return float(np.max(np.abs(_quotient(M, t, h) - _quotient(M, t, hprime))))
+
+
 def difference_quotient(f: SinFamilyField, t: float, h: float) -> np.ndarray:
     """(f(t+h) - f(t)) / h evaluated analytically, coordinate n = cos-like."""
     _check_window(t, h)
@@ -119,15 +126,7 @@ def noncauchy_gap(f: SinFamilyField, t: float, h: float, hprime: float) -> float
     """
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
-    _check_window(t, h)
-    gap = 0.0
-    for lo in range(1, f.M + 1, _COORD_CHUNK):
-        hi = min(f.M, lo + _COORD_CHUNK - 1)
-        n = np.arange(lo, hi + 1, dtype=float)
-        a = (np.sin(n * (t + h)) - np.sin(n * t)) / (n * h)
-        b = (np.sin(n * (t + hprime)) - np.sin(n * t)) / (n * hprime)
-        gap = max(gap, float(np.max(np.abs(a - b))))
-    return gap
+    return _quotient_gap(f.M, t, h, hprime)
 
 
 def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]:
@@ -181,15 +180,15 @@ def dichotomy_report(
     ladder = [float(h) for h in h_ladder]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
+    if 0.0 in ladder:
+        raise ValueError("step h must be nonzero")
     if not ladder:
         return Report(command="dichotomy_report", meta={"verdict": "empty ladder"})
     rows = []
     for h in ladder:
         hprime = h / 2.0
         M = fixed_M if fixed_M is not None else math.ceil(10.0 / hprime)
-        a = _quotient(M, t, h)
-        b = _quotient(M, t, hprime)
-        gap = float(np.max(np.abs(a - b)))
+        gap = _quotient_gap(M, t, h, hprime)
         lp, r = _sin_family_r_norm(M, resolution, p)
         rows.append([h, hprime, float(M), gap, r, lp])
     gaps = [row[3] for row in rows]

@@ -11,6 +11,7 @@ fundamental-theorem residuals shrink at second order under refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -55,9 +56,14 @@ class TestFunction:
     __test__ = False  # not a pytest class despite the Test* name
 
     def __post_init__(self):
-        self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.radius <= 0.0:
-            raise ValueError("bump radius must be positive")
+        try:
+            self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"bump center must be numeric: {exc}") from None
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("bump center must be a finite point")
+        if isinstance(self.radius, bool) or not isinstance(self.radius, Real) or not 0.0 < self.radius < np.inf:
+            raise ValueError("bump radius must be a positive real number")
 
     def _u(self, points: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(points) - self.center
@@ -148,6 +154,8 @@ def weak_derivative_check(
     if not 0 <= axis < g.ndim:
         raise ValueError("axis out of range")
     for t in tests:
+        if t.center.shape != (g.ndim,):
+            raise ValueError(f"bump center {t.center.tolist()} must have one coordinate per grid axis ({g.ndim})")
         if not t.supported_inside(g):
             raise ValueError("test-function support touches the grid boundary")
     centers = g.cell_centers()
@@ -197,16 +205,6 @@ def _segment_midpoints(c: Polyline, step: float):
         yield (q - p) / seg_len, mids, seg_len / n
 
 
-def _path_integral_of_gradient(G: GradientField, c: Polyline, step: float) -> np.ndarray:
-    """Quadrature of (grad f along c) . tangent over the whole curve."""
-    interps = _interpolators(G.grid, [comp.values for comp in G.components])
-    total = np.zeros(G.source.dim_M)
-    for tangent, mids, width in _segment_midpoints(c, step):
-        for axis, interp in enumerate(interps):
-            total += width * tangent[axis] * np.sum(interp(mids), axis=0)
-    return total
-
-
 def ftc_along_curve_check(
     f: VectorField,
     G: GradientField,
@@ -226,31 +224,41 @@ def ftc_along_curve_check(
     if step is None:
         step = float(np.min(g.spacing)) / 2.0
     tag = f.norm
-    (f_interp,) = _interpolators(g, [f.values])
-    total = c.length
-    params = np.linspace(0.0, total, num_params)
+    f_interp, *interps = _interpolators(g, [f.values] + [comp.values for comp in G.components])
+    params = np.linspace(0.0, c.length, num_params)
+    values = f_interp(c.points_at(params))
+    pairs = [(a, b) for a in range(num_params) for b in range(a + 1, num_params)]
+    # the quadrature midpoints of every pair's sub-curve, then of the whole
+    # curve for the chain-rule bound, interpolated in one call per axis
+    curves = [restrict(c, params[a], params[b]) for a, b in pairs] + [c]
+    segments = [list(_segment_midpoints(sub, step)) for sub in curves]
+    mids = [m for segs in segments for _, m, _ in segs]
+    grads = [interp(np.concatenate([np.empty((0, g.ndim))] + mids)) for interp in interps]
+    # split back per segment: summing each segment's slice on its own keeps
+    # every residual bit-identical to a quadrature run pair by pair
+    offsets = np.cumsum([0] + [len(m) for m in mids])
+    samples = iter([[comp[lo:hi] for comp in grads] for lo, hi in zip(offsets[:-1], offsets[1:])])
     checks = []
-    for a in range(len(params)):
-        for b in range(a + 1, len(params)):
-            s, t = float(params[a]), float(params[b])
-            sub = restrict(c, s, t)
-            increment = f_interp(c.points_at([t]))[0] - f_interp(c.points_at([s]))[0]
-            path = _path_integral_of_gradient(G, sub, step)
-            residual = value_norm(increment - path, tag)
-            checks.append(
-                CheckRecord(
-                    name=f"ftc[{s:.4g},{t:.4g}]",
-                    value=float(residual),
-                    bound=float(tol),
-                    margin=float(tol - residual),
-                    passed=bool(residual <= tol),
-                )
+    for (a, b), segs in zip(pairs, segments):
+        path = np.zeros(f.dim_M)
+        for tangent, _, width in segs:
+            for axis, comp in enumerate(next(samples)):
+                path += width * tangent[axis] * np.sum(comp, axis=0)
+        s, t = float(params[a]), float(params[b])
+        residual = value_norm(values[b] - values[a] - path, tag)
+        checks.append(
+            CheckRecord(
+                name=f"ftc[{s:.4g},{t:.4g}]",
+                value=float(residual),
+                bound=float(tol),
+                margin=float(tol - residual),
+                passed=bool(residual <= tol),
             )
-    # chain-rule bound at sample points along the full curve
-    interps = _interpolators(g, [comp.values for comp in G.components])
+        )
+    # chain-rule bound at the samples along the full curve
     worst = 0.0
-    for tangent, mids, _ in _segment_midpoints(c, step):
-        comps = [interp(mids) for interp in interps]
+    for tangent, _, _ in segments[-1]:
+        comps = next(samples)
         directional = sum(tangent[axis] * comps[axis] for axis in range(g.ndim))
         lhs = value_norm(directional, tag)
         rhs = np.sqrt(sum(value_norm(comp, tag) ** 2 for comp in comps))

@@ -198,17 +198,30 @@ def save_field_csv(f: VectorField, path) -> None:
 def load_field_csv(path) -> VectorField:
     path = Path(path)
     sidecar = json.loads(_sidecar_path(path).read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"the sidecar of {path} must be a JSON object")
     grid = Grid.from_json(sidecar["grid"])
-    M = int(sidecar["dim_M"])
+    M = sidecar["dim_M"]
+    integral = isinstance(M, int) or (isinstance(M, float) and M.is_integer())
+    if isinstance(M, bool) or not integral or M < 1:
+        raise ValueError(f"dim_M in the sidecar of {path} must be an integer >= 1")
+    M = int(M)
     tag = NormTag(sidecar["norm_tag"])
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     body = lines[1:]  # header row
     if len(body) != grid.num_cells:
         raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
+    width = grid.ndim + M
+    columns = f"every row of {path} needs {grid.ndim} index and {M} value columns"
+    # the first row bounds dim_M before it sizes the value array
+    if body[0].count(",") != width - 1:
+        raise ValueError(columns)
     values = np.zeros((grid.num_cells, M))
     seen = np.zeros(grid.num_cells, dtype=bool)
     for ln in body:
         parts = ln.split(",")
+        if len(parts) != width:
+            raise ValueError(columns)
         multi = tuple(int(x) for x in parts[: grid.ndim])
         flat = int(np.ravel_multi_index(multi, grid.shape))
         # with one row per cell, a repeated index is also a missing one

@@ -86,3 +86,51 @@ def dense_cell_length_rows(curves, g) -> np.ndarray:
                     flat = flat * res[i] + min(max(idx, 0), res[i] - 1)
                 rows[j, flat] += (b - a) * seg_len
     return rows
+
+
+def ftc_residuals(f, G, c, num_params: int, step: float) -> list:
+    """Per parameter pair s < t, ||f(c(t)) - f(c(s)) - int_s^t grad f . c'||.
+
+    The plain per-pair loop: restrict the curve to [s, t], build fresh
+    linear interpolators of the gradient components, add up each segment's
+    midpoint rule over ceil(length / step) equal subdivisions, and evaluate
+    f at the two endpoints one point at a time.
+    """
+    from scipy.interpolate import RegularGridInterpolator
+
+    from modlab.geometry import restrict
+
+    g = f.grid
+    axes = [g.axis_centers(i) for i in range(g.ndim)]
+
+    def interpolator(values):
+        cube = values.reshape(*g.shape, -1)
+        return RegularGridInterpolator(axes, cube, method="linear", bounds_error=False, fill_value=None)
+
+    norms = {
+        "l1": lambda v: np.sum(np.abs(v)),
+        "l2": lambda v: np.sqrt(np.sum(v * v)),
+        "linf": lambda v: np.max(np.abs(v)),
+    }
+    norm = norms[f.norm.value]
+    f_interp = interpolator(f.values)
+    params = np.linspace(0.0, c.length, num_params)
+    out = []
+    for a in range(num_params):
+        for b in range(a + 1, num_params):
+            s, t = float(params[a]), float(params[b])
+            sub = restrict(c, s, t)
+            grads = [interpolator(comp.values) for comp in G.components]
+            path = np.zeros(f.dim_M)
+            for p, q, seg_len in zip(sub.vertices[:-1], sub.vertices[1:], sub.segment_lengths):
+                if seg_len == 0.0:
+                    continue
+                n = max(1, int(np.ceil(seg_len / step)))
+                tt = np.linspace(0.0, 1.0, n + 1)
+                mids = p + (0.5 * (tt[:-1] + tt[1:]))[:, None] * (q - p)
+                tangent = (q - p) / seg_len
+                for axis, interp in enumerate(grads):
+                    path += seg_len / n * tangent[axis] * np.sum(interp(mids), axis=0)
+            increment = f_interp(c.points_at([t]))[0] - f_interp(c.points_at([s]))[0]
+            out.append(float(norm(increment - path)))
+    return out

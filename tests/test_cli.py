@@ -234,3 +234,85 @@ class TestPlotExport:
         text = files[0].read_text().splitlines()
         assert text[0] == "resolution,value"
         assert text[1].startswith("64")
+
+
+def assert_exit_2_without_report(argv, out, capsys):
+    status = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+class TestMalformedInputsExit2:
+    @pytest.mark.parametrize("record", ["[1, 2]", '{"curves": 5}', '{"curves": [5]}', '{"label": "x"}'])
+    def test_family_manifest(self, modulus_inputs, capsys, record):
+        manifest = modulus_inputs / "bad_fam.json"
+        manifest.write_text(record)
+        argv = ["modulus", "--family", str(manifest), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys)
+
+    @pytest.mark.parametrize(
+        "sidecar", ["[1]", "dim_M 2.7", "dim_M true", "dim_M 0", "dim_M 1", "dim_M 1000000000000000"]
+    )
+    def test_field_sidecar(self, tmp_path, capsys, sidecar):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        save_field_csv(VectorField(grid=g, values=np.ones((16, 2)), norm=NormTag.L2), tmp_path / "f.csv")
+        side = tmp_path / "f.csv.json"
+        if sidecar.startswith("dim_M"):
+            record = json.loads(side.read_text())
+            record["dim_M"] = json.loads(sidecar.split()[1])  # 1 disagrees with the two value columns
+            sidecar = json.dumps(record)
+        side.write_text(sidecar)
+        assert_exit_2_without_report(["norms", "--f", str(tmp_path / "f.csv")], tmp_path / "r.json", capsys)
+
+    def test_field_row_missing_a_value(self, tmp_path, capsys):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        save_field_csv(VectorField(grid=g, values=np.ones((16, 2)), norm=NormTag.L2), tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]  # one value would be broadcast over both columns
+        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+        assert_exit_2_without_report(["norms", "--f", str(tmp_path / "f.csv")], tmp_path / "r.json", capsys)
+
+    @pytest.mark.parametrize(
+        "bumps",
+        [
+            [[0.5, 0.5], 0.2],
+            {"center": [0.5, 0.5], "radius": 0.2},
+            [{"center": [0.5, 0.5], "radius": "0.2"}],
+            [{"center": [0.5], "radius": 0.2}],
+            [{"center": [0.5, "x"], "radius": 0.2}],
+        ],
+        ids=["list-of-lists", "object", "string-radius", "short-center", "string-center"],
+    )
+    def test_bump_battery(self, tmp_path, capsys, bumps):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
+        for name in ("f", "cand"):
+            save_field_csv(VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2), tmp_path / f"{name}.csv")
+        (tmp_path / "bumps.json").write_text(json.dumps(bumps))
+        argv = [
+            "weakcheck", "--f", str(tmp_path / "f.csv"), "--cand", str(tmp_path / "cand.csv"),
+            "--axis", "0", "--bumps", str(tmp_path / "bumps.json"),
+        ]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys)
+
+    @pytest.mark.parametrize("flag,value", [("--p", "inf"), ("--p", "nan"), ("--tol", "nan"), ("--tol", "inf")])
+    def test_non_finite_p_and_tol(self, tmp_path, capsys, flag, value):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
+        save_field_csv(VectorField(grid=g, values=np.ones((64, 1)), norm=NormTag.L2), tmp_path / "f.csv")
+        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(64)), tmp_path / "g.csv")
+        save_polyline_csv(Polyline([[0.1, 0.1], [0.8, 0.6]]), tmp_path / "c.csv")
+        argvs = [["norms", "--f", str(tmp_path / "f.csv")]]
+        if flag == "--tol":  # acbound takes no --p
+            argvs.append(["acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
+                          "--curve", str(tmp_path / "c.csv")])
+        for argv in argvs:
+            assert_exit_2_without_report(argv + [flag, value], tmp_path / "r.json", capsys)
+        # the message names the flag, not a later symptom of the bad value
+        assert main(["modulus", "--family", "x", "--grid", "y", flag, value]) == 2
+        assert flag[2:] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t,ladder", [("2", "1e-1,1e-2"), ("0.95", "1e-1,1e-2"), ("0.5", "1e-1,0")])
+    def test_counterexample_outside_the_window(self, tmp_path, capsys, t, ladder):
+        argv = ["counterexample", "--t", t, "--ladder", ladder, "--resolution", "64"]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys)

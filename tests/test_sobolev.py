@@ -15,7 +15,7 @@ from modlab import (
     w_norm,
     weak_derivative_check,
 )
-from oracles import midpoint_quadrature
+from oracles import ftc_residuals, midpoint_quadrature
 
 
 def interval_grid(res):
@@ -254,3 +254,25 @@ class TestFtcAlongCurve:
         report = ftc_along_curve_check(f, G, c, tol=1e6)  # only the chain check binds
         chain = [ck for ck in report.checks if ck.name == "chain_rule_bound"][0]
         assert chain.passed
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_residuals_equal_the_per_pair_oracle(self, rng, ndim):
+        tags = [NormTag.L1, NormTag.L2, NormTag.LINF]
+        for case in range(8):
+            res = rng.integers(3, 9 if ndim < 3 else 6, size=ndim)
+            lo = rng.uniform(-1.0, 0.0, ndim)
+            g = Grid(box_min=lo, box_max=lo + rng.uniform(0.5, 2.0, ndim), resolution=res)
+            M = int(rng.integers(1, 5))
+            f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, M)), norm=tags[case % 3])
+            G = finite_diff_gradient(f)
+            verts = rng.uniform(g.box_min, g.box_max, size=(int(rng.integers(1, 5)), ndim))
+            if case == 0:
+                verts = np.repeat(verts[:1], 3, axis=0)  # constant curve
+            elif case == 1:
+                verts = np.vstack([verts[:1], verts])  # repeated vertex
+            c = Polyline(verts)
+            num_params = int(rng.integers(2, 10))
+            step = None if case % 2 else float(rng.uniform(0.05, 0.4))
+            report = ftc_along_curve_check(f, G, c, tol=1e-2, num_params=num_params, step=step)
+            expected = ftc_residuals(f, G, c, num_params, step or float(np.min(g.spacing)) / 2.0)
+            assert [ck.value for ck in report.checks[:-1]] == expected
