@@ -35,8 +35,11 @@ from .sobolev import TestFunction, finite_diff_gradient, ftc_along_curve_check, 
 from .vectorvalues import NormTag, VectorField
 
 
-def _record(name, value, bound, passed) -> CheckRecord:
-    return CheckRecord(name=name, value=value, bound=bound, margin=None if bound is None else bound - value, passed=passed)
+def _record(name, value, bound, passed, lower=False) -> CheckRecord:
+    """A check of value <= bound, or of value >= bound when ``lower``; the
+    margin is nonnegative on the passing side."""
+    margin = None if bound is None else (value - bound if lower else bound - value)
+    return CheckRecord(name=name, value=value, bound=bound, margin=margin, passed=passed)
 
 
 def unit_square_grid(res: int) -> Grid:
@@ -126,8 +129,8 @@ def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Repo
         v_union = solve_modulus(assemble_problem(CurveFamily(curves=base + other), g, p)).value
         worst_mono = min(worst_mono, v_super - v_base)
         worst_subadd = min(worst_subadd, v_base + v_other - v_union)
-    checks.append(_record("monotonicity_margin", worst_mono, -1e-4, worst_mono >= -1e-4))
-    checks.append(_record("subadditivity_margin", worst_subadd, -1e-4, worst_subadd >= -1e-4))
+    checks.append(_record("monotonicity_margin", worst_mono, -1e-4, worst_mono >= -1e-4, lower=True))
+    checks.append(_record("subadditivity_margin", worst_subadd, -1e-4, worst_subadd >= -1e-4, lower=True))
 
     worst_rel = 0.0
     for _ in range(disjoint_trials):
@@ -218,9 +221,9 @@ def criterion_weak_derivative() -> Report:
     exact = weak_derivative_check(const, zero2, axis=0, tests=sym_bumps, tol=1e-12)
 
     checks = [
-        _record("x2_candidate_2x_passes", float(sum(c.passed for c in good.checks)), float(len(good.checks)), good.passed),
-        _record("x2_candidate_zero_fails_every_bump", float(sum(not c.passed for c in bad.checks)), float(len(bad.checks)), all(not c.passed for c in bad.checks)),
-        _record("constant_candidate_zero_exact", float(sum(c.passed for c in exact.checks)), float(len(exact.checks)), exact.passed),
+        _record("x2_candidate_2x_passes", float(sum(c.passed for c in good.checks)), float(len(good.checks)), good.passed, lower=True),
+        _record("x2_candidate_zero_fails_every_bump", float(sum(not c.passed for c in bad.checks)), float(len(bad.checks)), all(not c.passed for c in bad.checks), lower=True),
+        _record("constant_candidate_zero_exact", float(sum(c.passed for c in exact.checks)), float(len(exact.checks)), exact.passed, lower=True),
     ]
     return Report(command="criterion_4_weak_derivative", checks=checks)
 
@@ -273,7 +276,7 @@ def criterion_norm_equivalence(count: int = 500) -> Report:
     w = w_norm(ident, 2.0)
     r = r_norm(ident, 2.0)
     ratio = w / r
-    checks.append(_record("identity_linf_ratio_above_1", ratio, 1.0, ratio > 1.0))
+    checks.append(_record("identity_linf_ratio_above_1", ratio, 1.0, ratio > 1.0, lower=True))
     checks.append(_record("identity_linf_ratio_below_sqrt2", ratio, math.sqrt(2.0), ratio < math.sqrt(2.0)))
     return Report(command="criterion_5_norm_equivalence", checks=checks, meta={"identity_ratio": ratio})
 
@@ -313,14 +316,14 @@ def criterion_ftc_ac(ac_curves: int = 100) -> Report:
         c = random_polyline(rng, rng.integers(2, 5))
         rep = ac_bound_check(f2, ones, c, tol=1e-3, num_params=6)
         all_pass = all_pass and rep.passed
-    checks.append(_record("ac_lipschitz_100_random_polylines", float(all_pass), 1.0, all_pass))
+    checks.append(_record("ac_lipschitz_100_random_polylines", float(all_pass), 1.0, all_pass, lower=True))
 
     jump_vals = np.zeros((g2.num_cells, 2))
     jump_vals[centers2[:, 0] >= 0.5, 0] = 1.0
     f_jump = VectorField(grid=g2, values=jump_vals, norm=NormTag.L2)
     straddle = Polyline([[0.3, 0.5], [0.7, 0.5]])
     rep_jump = ac_bound_check(f_jump, ones, straddle, tol=1e-6, num_params=12)
-    checks.append(_record("ac_discontinuous_fixture_fails", float(not rep_jump.passed), 1.0, not rep_jump.passed))
+    checks.append(_record("ac_discontinuous_fixture_fails", float(not rep_jump.passed), 1.0, not rep_jump.passed, lower=True))
     return Report(command="criterion_6_ftc_ac", checks=checks)
 
 
@@ -344,7 +347,7 @@ def criterion_rnp_dichotomy() -> Report:
 
     checks = list(rep.checks)
     checks.append(
-        _record("verdict_non_cauchy", float(rep.meta["verdict"] == VERDICT_NON_CAUCHY), 1.0, rep.meta["verdict"] == VERDICT_NON_CAUCHY)
+        _record("verdict_non_cauchy", float(rep.meta["verdict"] == VERDICT_NON_CAUCHY), 1.0, rep.meta["verdict"] == VERDICT_NON_CAUCHY, lower=True)
     )
     checks.append(_record("fixed_M1_control_gap_decays", g_small, 10.0 * g_big, g_small <= 10.0 * g_big))
     checks.append(_record("runtime_s", elapsed, 10.0, elapsed < 10.0))
@@ -361,7 +364,7 @@ def criterion_fuglede() -> Report:
     decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     total = float(sum(bounds))
     checks = [
-        _record("bounds_strictly_decreasing", float(decreasing), 1.0, decreasing),
+        _record("bounds_strictly_decreasing", float(decreasing), 1.0, decreasing, lower=True),
         # Known red: the selection rule pins n_1 = 2 for this sequence, so
         # the leading bound is (1/4)^2 / (1/2)^2 = 0.25 and the sum is
         # 4/15 ~ 0.2667; the 1e-2 target is unreachable. Kept as stated.

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import acceptance
+from .errors import require_keys
 from .geometry import Grid, load_family, load_polyline_csv
 from .modulus import assemble_problem, solve_modulus
 from .report import CheckRecord, Report, format_float, report_to_json, sha256_digest, write_report
@@ -151,6 +152,8 @@ def _cmd_weakcheck(cfg: RunConfig) -> Report:
     bumps_spec = json.loads(Path(cfg.inputs["bumps"]).read_text())
     if not isinstance(bumps_spec, list) or not all(isinstance(b, dict) for b in bumps_spec):
         raise ValueError("the bump battery must be a JSON list of {center, radius} objects")
+    for i, b in enumerate(bumps_spec):
+        require_keys(b, ("center", "radius"), f"bump {i} in {cfg.inputs['bumps']}")
     tests = [TestFunction(center=b["center"], radius=b["radius"]) for b in bumps_spec]
     rep = weak_derivative_check(f, cand, axis=cfg.extra["axis"], tests=tests, tol=cfg.tol)
     rep.command = "weakcheck"
@@ -209,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--max-iter", type=int, default=2000)
+    sp.add_argument("--max-iter", type=int, default=2000, help="L-BFGS-B iteration cap of the p > 1 solve; p = 1 ignores it")
     sp.add_argument("--out")
     sp.add_argument("--rho-out", help="optional CSV dump of the optimal density")
 

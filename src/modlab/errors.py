@@ -1,6 +1,13 @@
 """Exception types shared across the package."""
 
 
+def require_keys(record: dict, keys, where: str) -> None:
+    """Reject a JSON object that lacks one of ``keys``, naming where it came from."""
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{where} has no {key!r} key")
+
+
 class ModlabError(Exception):
     """Base class for modlab-specific failures."""
 

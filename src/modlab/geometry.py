@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateCurveError, DomainError
+from .errors import DegenerateCurveError, DomainError, require_keys
 
 # Relative slack when testing containment in the closed grid box. Curves may
 # touch the boundary; only genuine excursions outside are rejected.
@@ -111,9 +111,10 @@ class Grid:
         }
 
     @classmethod
-    def from_json(cls, record: dict) -> "Grid":
+    def from_json(cls, record: dict, where: str = "grid record") -> "Grid":
         if not isinstance(record, dict):
-            raise ValueError(f"grid record must be a JSON object, got {type(record).__name__}")
+            raise ValueError(f"{where} must be a JSON object, got {type(record).__name__}")
+        require_keys(record, ("box_min", "box_max", "resolution"), where)
         return cls(record["box_min"], record["box_max"], record["resolution"])
 
     def save(self, path) -> None:
@@ -121,7 +122,7 @@ class Grid:
 
     @classmethod
     def load(cls, path) -> "Grid":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(json.loads(Path(path).read_text()), f"the grid record in {path}")
 
 
 class Polyline:
@@ -270,11 +271,6 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     seg, t = seg[inside], t[inside]
     order = np.lexsort((t, seg))
     return seg[order], t[order]
-
-
-def _segment_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Parameters t in (0, 1) where the segment p->q crosses interior cell planes."""
-    return _plane_crossings(g, p[None, :], q[None, :])[1]
 
 
 def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:

@@ -226,7 +226,7 @@ def _solve_power(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResu
     )
 
 
-def _solve_lp(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResult:
+def _solve_lp(prob: ModulusProblem, tol: float) -> ModulusResult:
     A = prob.constraint_rows
     w = prob.weights
     m = A.shape[0]
@@ -276,6 +276,8 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     A modulus program is never infeasible: large densities are admissible.
     p = 1 is delegated to a linear-programming solve with the same
     certificates and is typically certified at a looser tolerance.
+    ``max_iter`` bounds the L-BFGS-B iterations of the p > 1 solve only; the
+    p = 1 linear program ignores it.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -286,7 +288,7 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
             iterations=0, converged=True, gap=0.0, dual_value=0.0,
         )
     if prob.exponent == 1.0:
-        return _solve_lp(prob, tol, max_iter)
+        return _solve_lp(prob, tol)
     return _solve_power(prob, tol, max_iter)
 
 

@@ -6,7 +6,11 @@ difference quotients develop a persistent sup-norm gap once the truncation
 keeps pace with the step size: the finite-scale shadow of a Lipschitz curve
 with no derivative. Everything here is evaluated analytically rather than
 from grid samples; the non-Cauchy phenomenon lives below any fixed grid
-scale and sampling would alias it.
+scale and sampling would alias it. The R-norm column is the exception: it
+is the library's r_norm with the exact linf g* of the sampled family, cut at
+min(M, 4 * resolution) coordinates. The cut changes no bit (proof above
+_sin_family_r_norm), and a rung holds resolution * min(M, 4 * resolution)
+values.
 """
 
 from __future__ import annotations
@@ -20,11 +24,8 @@ import numpy as np
 
 from .geometry import Grid
 from .report import CheckRecord, Report, Series
-from .vectorvalues import NormTag, VectorField, scalar_lp_norm
-from .geometry import ScalarField
-
-# coordinates per chunk in _sin_family_r_norm, so its temporaries stay in warm memory
-_COORD_CHUNK = 2048
+from .reshetnyak import r_norm, upper_gradient_star
+from .vectorvalues import NormTag, VectorField, lp_norm
 
 # Verdict lines emitted by dichotomy_report.
 VERDICT_NON_CAUCHY = "R-side bounded, W-side quotients non-Cauchy"
@@ -129,28 +130,24 @@ def noncauchy_gap(f: SinFamilyField, t: float, h: float, hprime: float) -> float
     return _quotient_gap(f.M, t, h, hprime)
 
 
+# Cutting the family at 4 * resolution coordinates changes no bit of the
+# R-norm. Let R = resolution >= 16, h = 1/R and n > 4R; cell centers lie in
+# [h/2, 1 - h/2], inside (0, pi/2).
+# - Values: |sin(nt)/n| <= 1/n < 1/(4R), while the n = 1 value is
+#   sin t >= sin(h/2) > 1/(4R) in every cell.
+# - Stencils: every np.gradient stencil of coordinate n (central or
+#   one-sided) is at most 2/(n h) = 2R/n < 1/2. The n = 1 stencil is
+#   cos(t) sin(h)/h in the interior and cos(h) sin(h/2)/(h/2) and
+#   cos(1 - h) sin(h/2)/(h/2) at the two ends, so at least
+#   cos(1) sin(h)/h > 0.539 in every cell.
+# Both gaps dwarf rounding error, so every per-cell maximum of |f| and of
+# the stencils is attained by a kept coordinate, and lp_norm, g* and the
+# R-norm are bit-identical to those of the uncut family.
 def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]:
-    """(lp_norm, r_norm) of the truncated family, chunked over coordinates.
-
-    Matches r_norm(upper_gradient_star) on the sampled field bit for bit
-    (same centered/one-sided difference stencils, same sup over the signed
-    coordinate functionals) without materializing resolution x M values.
-    """
-    grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
-    t = grid.axis_centers(0)
-    h = grid.spacing[0]
-    fnorm = np.zeros(resolution)
-    gstar = np.zeros(resolution)
-    for lo in range(1, M + 1, _COORD_CHUNK):
-        hi = min(M, lo + _COORD_CHUNK - 1)
-        n = np.arange(lo, hi + 1, dtype=float)
-        vals = np.sin(np.outer(t, n)) / n
-        fnorm = np.maximum(fnorm, np.max(np.abs(vals), axis=1))
-        deriv = np.gradient(vals, h, axis=0)
-        gstar = np.maximum(gstar, np.max(np.abs(deriv), axis=1))
-    lp = scalar_lp_norm(ScalarField(grid=grid, values=fnorm), p)
-    glp = scalar_lp_norm(ScalarField(grid=grid, values=gstar), p)
-    return lp, lp + glp
+    """(lp_norm, r_norm) of the truncated family, through the exact linf g*
+    of its first min(M, 4 * resolution) coordinates."""
+    f = sin_family(min(M, 4 * resolution), resolution).field
+    return lp_norm(f, p), r_norm(f, p, upper_gradient_star(f))
 
 
 def dichotomy_gap_floor() -> dict:
@@ -178,10 +175,12 @@ def dichotomy_report(
     does not decay; strong gap decay yields "RNP-like: quotients converge".
     """
     ladder = [float(h) for h in h_ladder]
+    if fixed_M is not None and fixed_M < 1:
+        raise ValueError(f"fixed_M must be >= 1, got {fixed_M}")
+    if any(not h > 0.0 for h in ladder):
+        raise ValueError("every step h of h_ladder must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
-    if 0.0 in ladder:
-        raise ValueError("step h must be nonzero")
     if not ladder:
         return Report(command="dichotomy_report", meta={"verdict": "empty ladder"})
     rows = []

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, require_keys
 from .geometry import Grid, ScalarField
 
 DUAL_NORM_SLACK = 1e-12
@@ -200,7 +200,8 @@ def load_field_csv(path) -> VectorField:
     sidecar = json.loads(_sidecar_path(path).read_text())
     if not isinstance(sidecar, dict):
         raise ValueError(f"the sidecar of {path} must be a JSON object")
-    grid = Grid.from_json(sidecar["grid"])
+    require_keys(sidecar, ("grid", "dim_M", "norm_tag"), f"the sidecar of {path}")
+    grid = Grid.from_json(sidecar["grid"], f"the grid record in the sidecar of {path}")
     M = sidecar["dim_M"]
     integral = isinstance(M, int) or (isinstance(M, float) and M.is_integer())
     if isinstance(M, bool) or not integral or M < 1:

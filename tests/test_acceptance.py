@@ -18,53 +18,54 @@ def _emit(report, extra=""):
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)} checks){extra}")
 
 
+def _assert_every_check_passes(report):
+    for check in report.checks:
+        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+        # a margin is nonnegative exactly on the passing side of its bound
+        if check.margin is not None:
+            assert (check.margin >= 0) == check.passed, f"{check.name}: margin={check.margin}"
+
+
 def test_criterion_1_segment_family_modulus():
     report = acceptance.criterion_segment_families()
     _emit(report)
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_2_outer_measure_suite():
     report = acceptance.criterion_outer_measure()
     _emit(report)
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_3_chebyshev_bounds():
     report = acceptance.criterion_chebyshev_bounds()
     _emit(report)
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_4_weak_derivative_verifier():
     report = acceptance.criterion_weak_derivative()
     _emit(report)
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_5_norm_equivalence():
     report = acceptance.criterion_norm_equivalence()
     _emit(report, extra=f" ratio={report.meta['identity_ratio']:.4f}")
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_6_ftc_and_ac_bounds():
     report = acceptance.criterion_ftc_ac()
     _emit(report)
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_7_rnp_dichotomy():
     report = acceptance.criterion_rnp_dichotomy()
     _emit(report, extra=f" verdict={report.meta['verdict']!r}")
-    for check in report.checks:
-        assert check.passed, f"{check.name}: value={check.value} bound={check.bound}"
+    _assert_every_check_passes(report)
 
 
 def test_criterion_8_fuglede_schedule_decreasing():

@@ -236,11 +236,13 @@ class TestPlotExport:
         assert text[1].startswith("64")
 
 
-def assert_exit_2_without_report(argv, out, capsys):
+def assert_exit_2_without_report(argv, out, capsys, *names):
+    """Exit 2 with one error line that mentions every one of ``names``."""
     status = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert status == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert all(name in err for name in names), err
     assert not out.exists()
 
 
@@ -316,3 +318,41 @@ class TestMalformedInputsExit2:
     def test_counterexample_outside_the_window(self, tmp_path, capsys, t, ladder):
         argv = ["counterexample", "--t", t, "--ladder", ladder, "--resolution", "64"]
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys)
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [(["--fixed-m", "0", "--ladder", "1e-1,1e-2"], "fixed_M"), (["--t", "0.5", "--ladder=-1e-2,-1e-1"], "h_ladder")],
+        ids=["fixed-m-0", "negative-steps"],
+    )
+    def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, args, named):
+        argv = ["counterexample", "--resolution", "64"] + args
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, named)
+
+    def test_grid_record_missing_a_key(self, modulus_inputs, capsys):
+        grid = modulus_inputs / "grid.json"
+        grid.write_text(json.dumps({"box_max": [1.0, 1.0], "resolution": [16, 16]}))
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(grid)]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(grid), "'box_min'")
+
+    @pytest.mark.parametrize("key", ["grid", "dim_M", "norm_tag"])
+    def test_field_sidecar_missing_a_key(self, tmp_path, capsys, key):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        save_field_csv(VectorField(grid=g, values=np.ones((16, 2)), norm=NormTag.L2), tmp_path / "f.csv")
+        side = tmp_path / "f.csv.json"
+        record = json.loads(side.read_text())
+        del record[key]
+        side.write_text(json.dumps(record))
+        argv = ["norms", "--f", str(tmp_path / "f.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "f.csv"), repr(key))
+
+    def test_bump_object_missing_a_key(self, tmp_path, capsys):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
+        for name in ("f", "cand"):
+            save_field_csv(VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2), tmp_path / f"{name}.csv")
+        bumps = tmp_path / "bumps.json"
+        bumps.write_text(json.dumps([{"center": [0.5, 0.5], "radius": 0.2}, {"center": [0.4, 0.4]}]))
+        argv = [
+            "weakcheck", "--f", str(tmp_path / "f.csv"), "--cand", str(tmp_path / "cand.csv"),
+            "--axis", "0", "--bumps", str(bumps),
+        ]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(bumps), "'radius'")

@@ -2,14 +2,16 @@
 
 Each test keeps every input but one well formed and draws the remaining one
 (grid JSON, family manifest, field sidecar, bump battery) from near-valid
-records, arbitrary small JSON values and raw bytes. ``main`` must not raise,
-must return 0, 1 or 2, and on 2 must print one line and write no report.
+records, records missing one key, arbitrary small JSON values and raw
+bytes. ``main`` must not raise, must return 0, 1 or 2, and on 2 must print
+one line that is more than a bare key and write no report.
 Sizes stay small so that a well-formed draw runs in milliseconds.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +39,11 @@ json_values = st.recursive(
     max_leaves=8,
 )
 small_lists = st.lists(st.one_of(st.integers(-2, 6), st.floats(-2.0, 6.0), scalars), max_size=3)
+
+
+def missing_a_key(records):
+    """A drawn record with one of its keys removed."""
+    return records.flatmap(lambda r: st.sampled_from(sorted(r)).map(lambda k: {x: v for x, v in r.items() if x != k}))
 
 
 def near(valid):
@@ -71,6 +78,8 @@ def run_main(argv, out):
     assert "Traceback" not in err.getvalue()
     if status == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
+        # a bare KeyError text such as "'box_min'" names neither the file nor the rule
+        assert not re.fullmatch(r"modlab: error: '[^']*'", err.getvalue().strip())
         assert not out.exists()
     else:
         assert out.exists()
@@ -98,7 +107,7 @@ def work(tmp_path_factory):
 
 
 @FUZZ
-@given(content=contents(grid_records))
+@given(content=contents(grid_records | missing_a_key(grid_records)))
 def test_grid_json(work, content):
     write(work / "g.json", content)
     run_main(["modulus", "--family", str(work / "fam.json"), "--grid", str(work / "g.json")], work / "r.json")
@@ -122,19 +131,24 @@ sidecars = st.fixed_dictionaries(
     {
         "norm_tag": st.one_of(st.sampled_from(["l1", "l2", "linf", "L2"]), json_values),
         "dim_M": near(2),
-        "grid": st.one_of(st.just({"box_min": [0, 0], "box_max": [1, 1], "resolution": [3, 3]}), grid_records),
+        "grid": st.one_of(
+            st.just({"box_min": [0, 0], "box_max": [1, 1], "resolution": [3, 3]}),
+            grid_records,
+            missing_a_key(grid_records),
+        ),
     }
 )
 
 
 @FUZZ
-@given(content=contents(sidecars))
+@given(content=contents(sidecars | missing_a_key(sidecars)))
 def test_field_sidecar(work, content):
     write(work / "v.csv.json", content)
     run_main(["norms", "--f", str(work / "v.csv")], work / "r.json")
 
 
-bumps = st.lists(st.fixed_dictionaries({"center": near([0.5, 0.5]), "radius": near(0.2)}), max_size=3)
+bump_objects = st.fixed_dictionaries({"center": near([0.5, 0.5]), "radius": near(0.2)})
+bumps = st.lists(bump_objects | missing_a_key(bump_objects), max_size=3)
 
 
 @FUZZ

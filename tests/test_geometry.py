@@ -296,41 +296,41 @@ class TestSegmentCrossings:
     # integral, so it gets direct hand-counted checks
 
     def test_horizontal_segment_crosses_vertical_planes_only(self):
-        from modlab.geometry import _segment_crossings
+        from modlab.geometry import _plane_crossings
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
-        t = _segment_crossings(g, np.array([0.0, 0.3]), np.array([1.0, 0.3]))
+        t = _plane_crossings(g, np.array([0.0, 0.3])[None, :], np.array([1.0, 0.3])[None, :])[1]
         assert np.allclose(t, [0.25, 0.5, 0.75])
 
     def test_segment_inside_one_cell_has_no_crossings(self):
-        from modlab.geometry import _segment_crossings
+        from modlab.geometry import _plane_crossings
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
-        t = _segment_crossings(g, np.array([0.05, 0.05]), np.array([0.2, 0.2]))
+        t = _plane_crossings(g, np.array([0.05, 0.05])[None, :], np.array([0.2, 0.2])[None, :])[1]
         assert t.size == 0
 
     def test_diagonal_counts_both_axis_families(self):
-        from modlab.geometry import _segment_crossings
+        from modlab.geometry import _plane_crossings
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 2])
-        t = _segment_crossings(g, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        t = _plane_crossings(g, np.array([0.0, 0.0])[None, :], np.array([1.0, 1.0])[None, :])[1]
         # three vertical planes at x=1/4,1/2,3/4 and one horizontal at y=1/2
         assert np.allclose(sorted(t), [0.25, 0.5, 0.5, 0.75])
 
     def test_endpoint_on_plane_not_counted(self):
-        from modlab.geometry import _segment_crossings
+        from modlab.geometry import _plane_crossings
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
-        t = _segment_crossings(g, np.array([0.25, 0.1]), np.array([0.5, 0.1]))
+        t = _plane_crossings(g, np.array([0.25, 0.1])[None, :], np.array([0.5, 0.1])[None, :])[1]
         assert t.size == 0
 
     def test_reversed_direction_mirrors_parameters(self):
-        from modlab.geometry import _segment_crossings
+        from modlab.geometry import _plane_crossings
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
         p, q = np.array([0.1, 0.7]), np.array([0.9, 0.2])
-        fwd = _segment_crossings(g, p, q)
-        bwd = _segment_crossings(g, q, p)
+        fwd = _plane_crossings(g, p[None, :], q[None, :])[1]
+        bwd = _plane_crossings(g, q[None, :], p[None, :])[1]
         assert np.allclose(np.sort(1.0 - bwd), fwd)
 
 

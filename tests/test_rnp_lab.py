@@ -16,7 +16,7 @@ from modlab.rnp_lab import (
     _sin_family_r_norm,
     dichotomy_gap_floor,
 )
-from modlab.reshetnyak import r_norm
+from modlab.reshetnyak import r_norm, upper_gradient_star
 from modlab.vectorvalues import lp_norm
 from oracles import brute_force_quotient_gap, midpoint_quadrature
 
@@ -172,6 +172,15 @@ class TestSinFamilyRNorm:
         for a, b in [(0.05, 0.95), (0.2, 0.6), (0.47, 0.53)]:
             seg = Polyline([[a], [b]])
             assert ac_bound_check(f.field, ones, seg, tol=1e-3).passed
+
+    @pytest.mark.parametrize("M,res", [(200, 16), (5000, 64), (20000, 128)])
+    def test_cut_at_four_resolution_coordinates_is_exact(self, M, res):
+        # every rung here keeps fewer than M coordinates; the dropped tail
+        # must not move a single bit of either norm
+        f = sin_family(M, res).field
+        gstar = upper_gradient_star(f)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p, gstar))
 
 
 class TestDichotomyReport:
