@@ -46,6 +46,8 @@ class RunConfig:
             raise ValueError("p must be finite and >= 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
+        if self.max_iter < 1:
+            raise ValueError("--max-iter must be at least 1")
         for name, path in self.inputs.items():
             if not Path(path).is_file():
                 raise ValueError(f"input file for --{name} not found: {path}")

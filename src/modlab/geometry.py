@@ -349,11 +349,16 @@ def save_polyline_csv(c: Polyline, path) -> None:
 
 def load_polyline_csv(path) -> Polyline:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        rows.append([float(x) for x in line.split(",")])
+        parts = line.split(",")
+        if rows and len(parts) != len(rows[0]):
+            raise ValueError(
+                f"line {number} of {path} has {len(parts)} columns where the first row has {len(rows[0])}"
+            )
+        rows.append([float(x) for x in parts])
     if not rows:
         raise ValueError(f"empty polyline file: {path}")
     return Polyline(np.asarray(rows))

@@ -89,7 +89,11 @@ def upper_gradient_star(
     """
     J = _jacobian(f)
     if f.norm is NormTag.LINF:
-        gstar = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
+        if f.grid.ndim == 1:
+            # sqrt(fl(x * x)) == |x| in binary64 unless x * x under- or overflows
+            gstar = np.max(np.abs(J[:, 0, :]), axis=1)
+        else:
+            gstar = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
         return UpperBoundField(
             gstar=ScalarField(grid=f.grid, values=gstar),
             dual_set_descriptor="exact-extreme-points",
@@ -214,6 +218,10 @@ def ac_bound_check(
     increments of f are dominated by the integral of the fixed majorant g.
     """
     grid = f.grid
+    if c.ndim != grid.ndim:
+        raise ValueError(
+            f"the curve has {c.ndim} coordinates per vertex but the field's grid has {grid.ndim} axes"
+        )
     if not grid.contains(c.vertices):
         raise DomainError("curve exits the grid box")
     if np.any(g.values < 0.0):

@@ -212,24 +212,32 @@ def load_field_csv(path) -> VectorField:
     body = lines[1:]  # header row
     if len(body) != grid.num_cells:
         raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
-    width = grid.ndim + M
-    columns = f"every row of {path} needs {grid.ndim} index and {M} value columns"
-    # the first row bounds dim_M before it sizes the value array
-    if body[0].count(",") != width - 1:
-        raise ValueError(columns)
-    values = np.zeros((grid.num_cells, M))
-    seen = np.zeros(grid.num_cells, dtype=bool)
+    N = grid.ndim
+    columns = f"every row of {path} needs {N} index and {M} value columns"
+    # one pass checks each row's width and parses its tokens with Python's
+    # int and float; the index checks and the scatter then run once over all rows
+    indices, row_values = [], []
     for ln in body:
         parts = ln.split(",")
-        if len(parts) != width:
+        if len(parts) != N + M:
             raise ValueError(columns)
-        multi = tuple(int(x) for x in parts[: grid.ndim])
-        flat = int(np.ravel_multi_index(multi, grid.shape))
-        # with one row per cell, a repeated index is also a missing one
-        if seen[flat]:
-            raise ValueError(f"cell {multi} appears twice in {path}; every cell needs exactly one row")
-        seen[flat] = True
-        values[flat] = [float(x) for x in parts[grid.ndim :]]
+        indices.extend(map(int, parts[:N]))
+        row_values.extend(map(float, parts[N:]))
+    try:
+        multi = np.array(indices, dtype=np.int64).reshape(-1, N)
+    except OverflowError:
+        raise ValueError(f"an index in {path} does not fit in int64") from None
+    flat = np.ravel_multi_index(multi.T, grid.shape)
+    # with one row per cell, a repeated index is also a missing one; name the
+    # first row, in file order, whose cell an earlier row already holds
+    first = np.unique(flat, return_index=True)[1]
+    if first.size < flat.size:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[first] = False
+        cell = tuple(int(i) for i in multi[np.argmax(repeat)])
+        raise ValueError(f"cell {cell} appears twice in {path}; every cell needs exactly one row")
+    values = np.empty((grid.num_cells, M))
+    values[flat] = np.array(row_values).reshape(-1, M)
     return VectorField(grid=grid, values=values, norm=tag)
 
 

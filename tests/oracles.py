@@ -5,9 +5,15 @@ loops, closed forms, brute-force sweeps) rather than through the library
 paths it is used to check.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
+
+from modlab.errors import require_keys
+from modlab.geometry import Grid
+from modlab.vectorvalues import NormTag, VectorField, _sidecar_path
 
 
 def kkt_single_row(a: np.ndarray, w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
@@ -134,3 +140,42 @@ def ftc_residuals(f, G, c, num_params: int, step: float) -> list:
             increment = f_interp(c.points_at([t]))[0] - f_interp(c.points_at([s]))[0]
             out.append(float(norm(increment - path)))
     return out
+
+
+def load_field_csv_rows(path) -> VectorField:
+    """The field-CSV reader as one numpy call per row, kept as the loader's oracle."""
+    path = Path(path)
+    sidecar = json.loads(_sidecar_path(path).read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"the sidecar of {path} must be a JSON object")
+    require_keys(sidecar, ("grid", "dim_M", "norm_tag"), f"the sidecar of {path}")
+    grid = Grid.from_json(sidecar["grid"], f"the grid record in the sidecar of {path}")
+    M = sidecar["dim_M"]
+    integral = isinstance(M, int) or (isinstance(M, float) and M.is_integer())
+    if isinstance(M, bool) or not integral or M < 1:
+        raise ValueError(f"dim_M in the sidecar of {path} must be an integer >= 1")
+    M = int(M)
+    tag = NormTag(sidecar["norm_tag"])
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    body = lines[1:]  # header row
+    if len(body) != grid.num_cells:
+        raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
+    width = grid.ndim + M
+    columns = f"every row of {path} needs {grid.ndim} index and {M} value columns"
+    # the first row bounds dim_M before it sizes the value array
+    if body[0].count(",") != width - 1:
+        raise ValueError(columns)
+    values = np.zeros((grid.num_cells, M))
+    seen = np.zeros(grid.num_cells, dtype=bool)
+    for ln in body:
+        parts = ln.split(",")
+        if len(parts) != width:
+            raise ValueError(columns)
+        multi = tuple(int(x) for x in parts[: grid.ndim])
+        flat = int(np.ravel_multi_index(multi, grid.shape))
+        # with one row per cell, a repeated index is also a missing one
+        if seen[flat]:
+            raise ValueError(f"cell {multi} appears twice in {path}; every cell needs exactly one row")
+        seen[flat] = True
+        values[flat] = [float(x) for x in parts[grid.ndim :]]
+    return VectorField(grid=grid, values=values, norm=tag)

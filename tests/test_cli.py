@@ -356,3 +356,37 @@ class TestMalformedInputsExit2:
             "--axis", "0", "--bumps", str(bumps),
         ]
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(bumps), "'radius'")
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-99999999999999999999"])
+    def test_field_index_beyond_int64(self, tmp_path, capsys, index):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        save_field_csv(VectorField(grid=g, values=np.ones((16, 2)), norm=NormTag.L2), tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        lines[1] = f"{index},0,1,1"
+        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+        argv = ["norms", "--f", str(tmp_path / "f.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "f.csv"), "int64")
+
+    @pytest.mark.parametrize("max_iter", ["-5", "0"])
+    def test_modulus_max_iter_below_one(self, modulus_inputs, capsys, max_iter):
+        argv = [
+            "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
+            "--p", "3", "--max-iter", max_iter,
+        ]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, "--max-iter")
+
+    def _acbound_argv(self, tmp_path, vertices_csv):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
+        save_field_csv(VectorField(grid=g, values=np.ones((64, 2)), norm=NormTag.L2), tmp_path / "f.csv")
+        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(64)), tmp_path / "g.csv")
+        (tmp_path / "c.csv").write_text(vertices_csv)
+        return ["acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
+                "--curve", str(tmp_path / "c.csv")]
+
+    def test_ragged_polyline(self, tmp_path, capsys):
+        argv = self._acbound_argv(tmp_path, "0.1,0.1\n\n0.5,0.5\n0.6,0.6,0.6\n0.7,0.7\n")
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "c.csv"), "line 4")
+
+    def test_acbound_curve_of_another_dimension(self, tmp_path, capsys):
+        argv = self._acbound_argv(tmp_path, "0.1,0.1,0.1\n0.5,0.5,0.5\n")
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "3 coordinates", "2 axes")

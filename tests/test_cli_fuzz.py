@@ -3,8 +3,10 @@
 Each test keeps every input but one well formed and draws the remaining one
 (grid JSON, family manifest, field sidecar, bump battery) from near-valid
 records, records missing one key, arbitrary small JSON values and raw
-bytes. ``main`` must not raise, must return 0, 1 or 2, and on 2 must print
-one line that is more than a bare key and write no report.
+bytes; a field CSV body is a valid file's rows, shuffled and respelled,
+with one or two drawn faults (and once with none). ``main`` must not raise, must return 0, 1 or 2,
+and on 2 must print one line that is more than a bare key and write no
+report.
 Sizes stay small so that a well-formed draw runs in milliseconds.
 """
 
@@ -15,13 +17,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modlab import CurveFamily, Grid, NormTag, Polyline, VectorField, save_family
 from modlab.cli import main
 from modlab.geometry import save_polyline_csv
 from modlab.vectorvalues import save_field_csv
+from field_csv_faults import FAULTS, add_fault, respelled, shuffled_rows, write_field
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -157,3 +160,21 @@ def test_bump_battery(work, content):
     write(work / "b.json", content)
     argv = ["weakcheck", "--f", str(work / "f.csv"), "--cand", str(work / "cand.csv"), "--axis", "0"]
     run_main(argv + ["--bumps", str(work / "b.json")], work / "r.json")
+
+
+field_grid = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
+
+
+@settings(FUZZ, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(st.sampled_from(FAULTS + ["index-beyond-int64"]), min_size=1, max_size=2),
+)
+@example(seed=0, faults=[])
+def test_field_csv_body(work, seed, faults):
+    rng = np.random.default_rng(seed)
+    rows = [[respelled(t, rng) for t in row] for row in shuffled_rows(field_grid, 2, rng)]
+    for fault in faults:
+        add_fault(fault, rows, field_grid, rng)
+    write_field(work / "w.csv", field_grid, 2, rows, rng)
+    run_main(["norms", "--f", str(work / "w.csv")], work / "r.json")

@@ -21,7 +21,7 @@ from modlab import (
     w_norm,
 )
 from modlab.geometry import curve_integral, restrict
-from modlab.reshetnyak import _spectral_norms
+from modlab.reshetnyak import _jacobian, _spectral_norms
 from modlab.sobolev import gradient_length
 
 
@@ -41,6 +41,19 @@ class TestUpperGradientStar:
         assert ub.dual_set_descriptor == "exact-extreme-points"
         # sup over the signed coordinate functionals of |grad <e_n, f>| = 1
         assert np.allclose(ub.gstar.values, 1.0)
+
+    @pytest.mark.parametrize("M", [1, 3, 40])
+    def test_linf_on_an_interval_equals_the_n_general_formula(self, M):
+        # values spanning 1e-120..1e120 give Jacobians far from where x * x
+        # under- or overflows; there |x| and sqrt(x * x) agree bit for bit
+        rng = np.random.default_rng(M)
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[257])
+        for _ in range(5):
+            vals = rng.standard_normal((g.num_cells, M)) * 10.0 ** rng.integers(-120, 120, size=(g.num_cells, M))
+            f = VectorField(grid=g, values=vals, norm=NormTag.LINF)
+            J = _jacobian(f)
+            n_general = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
+            assert upper_gradient_star(f).gstar.values.tobytes() == n_general.tobytes()
 
     def test_identity_map_l2_values_spectral(self):
         ub = upper_gradient_star(identity_field(16, NormTag.L2))

@@ -17,6 +17,8 @@ from modlab import (
     value_norm,
 )
 from modlab.vectorvalues import dual_norm, load_field_csv, save_field_csv
+from field_csv_faults import FAULTS, add_fault, respelled, shuffled_rows, write_field
+from oracles import load_field_csv_rows
 
 TAGS = [NormTag.L1, NormTag.L2, NormTag.LINF]
 
@@ -212,3 +214,51 @@ class TestFieldIO:
         (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="appears twice"):
             load_field_csv(tmp_path / "f.csv")
+
+
+LOADER_GRIDS = {
+    1: Grid(box_min=[0.0], box_max=[1.0], resolution=[12]),
+    2: Grid(box_min=[0.0, -1.0], box_max=[1.0, 1.0], resolution=[5, 11]),
+    3: Grid(box_min=[0.0, 0.0, 0.0], box_max=[1.0, 1.0, 2.0], resolution=[3, 2, 10]),
+}
+
+
+class TestFieldLoaderMatchesPerRowOracle:
+    """load_field_csv against the one-numpy-call-per-row reader it replaced."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_values_are_bit_identical(self, tmp_path, N, M):
+        rng = np.random.default_rng(10 * N + M)
+        g = LOADER_GRIDS[N]
+        rows = [[respelled(t, rng) for t in row] for row in shuffled_rows(g, M, rng)]
+        path = write_field(tmp_path / "f.csv", g, M, rows, rng)
+        new, old = load_field_csv(path), load_field_csv_rows(path)
+        assert new.values.tobytes() == old.values.tobytes()
+        assert new.norm is old.norm and np.array_equal(new.grid.resolution, old.grid.resolution)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_a_single_fault_gives_the_same_message(self, tmp_path, N, fault):
+        rng = np.random.default_rng(100 * N + FAULTS.index(fault))
+        g = LOADER_GRIDS[N]
+        M = 1 + FAULTS.index(fault) % 4
+        rows = [[respelled(t, rng) for t in row] for row in shuffled_rows(g, M, rng)]
+        path = write_field(tmp_path / "f.csv", g, M, add_fault(fault, rows, g, rng), rng)
+        with pytest.raises(ValueError) as old:
+            load_field_csv_rows(path)
+        with pytest.raises(ValueError) as new:
+            load_field_csv(path)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_an_index_beyond_int64_is_a_value_error_naming_the_file(self, tmp_path, N):
+        rng = np.random.default_rng(N)
+        g = LOADER_GRIDS[N]
+        rows = add_fault("index-beyond-int64", shuffled_rows(g, 2, rng), g, rng)
+        path = write_field(tmp_path / "f.csv", g, 2, rows, rng)
+        with pytest.raises(TypeError):  # the per-row reader let numpy's error escape
+            load_field_csv_rows(path)
+        with pytest.raises(ValueError, match="int64") as err:
+            load_field_csv(path)
+        assert str(path) in str(err.value)
