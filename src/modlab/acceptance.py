@@ -22,7 +22,7 @@ from .modulus import (
     fuglede_schedule,
     solve_modulus,
 )
-from .report import CheckRecord, Report, Series
+from .report import Report, Series, bounded_check
 from .reshetnyak import ac_bound_check, norm_equivalence_check, r_norm
 from .rnp_lab import (
     VERDICT_NON_CAUCHY,
@@ -33,13 +33,6 @@ from .rnp_lab import (
 )
 from .sobolev import TestFunction, finite_diff_gradient, ftc_along_curve_check, w_norm, weak_derivative_check
 from .vectorvalues import NormTag, VectorField
-
-
-def _record(name, value, bound, passed, lower=False) -> CheckRecord:
-    """A check of value <= bound, or of value >= bound when ``lower``; the
-    margin is nonnegative on the passing side."""
-    margin = None if bound is None else (value - bound if lower else bound - value)
-    return CheckRecord(name=name, value=value, bound=bound, margin=margin, passed=passed)
 
 
 def unit_square_grid(res: int) -> Grid:
@@ -78,24 +71,22 @@ def criterion_segment_families() -> Report:
     exact = analytic_parallel_segments(1.0, 1.0, 2.0)
     res64, t64 = solved_value(64, 64, 2.0)
     err64 = abs(res64.value - exact) / exact
-    checks.append(_record("full_square_p2_res64_within_5pct", err64, 0.05, err64 <= 0.05))
-    checks.append(_record("full_square_res64_runtime_s", t64, 30.0, t64 < 30.0))
+    checks.append(bounded_check("full_square_p2_res64_within_5pct", err64, 0.05))
+    checks.append(bounded_check("full_square_res64_runtime_s", t64, 30.0, passed=t64 < 30.0))
     series_rows.append([64.0, res64.value])
 
     res128, t128 = solved_value(128, 128, 2.0)
     err128 = abs(res128.value - exact) / exact
-    checks.append(
-        _record("refinement_res128_error_not_worse", err128, err64 + 1e-6, err128 <= err64 + 1e-6)
-    )
-    checks.append(_record("full_square_res128_runtime_s", t128, 30.0, t128 < 30.0))
+    checks.append(bounded_check("refinement_res128_error_not_worse", err128, err64 + 1e-6))
+    checks.append(bounded_check("full_square_res128_runtime_s", t128, 30.0, passed=t128 < 30.0))
     series_rows.append([128.0, res128.value])
 
     half = analytic_parallel_segments(0.5, 1.0, 2.0)
     for p in (1.5, 2.0, 3.0):
         res_h, t_h = solved_value(64, 32, p)
         err = abs(res_h.value - half) / half
-        checks.append(_record(f"half_square_p{p}_within_5pct", err, 0.05, err <= 0.05))
-        checks.append(_record(f"half_square_p{p}_runtime_s", t_h, 30.0, t_h < 30.0))
+        checks.append(bounded_check(f"half_square_p{p}_within_5pct", err, 0.05))
+        checks.append(bounded_check(f"half_square_p{p}_runtime_s", t_h, 30.0, passed=t_h < 30.0))
 
     return Report(
         command="criterion_1_segment_families",
@@ -115,7 +106,7 @@ def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Repo
     checks = []
 
     empty = solve_modulus(assemble_problem(CurveFamily(curves=[], label="empty"), g, p))
-    checks.append(_record("empty_family_modulus_zero", empty.value, 0.0, empty.value == 0.0))
+    checks.append(bounded_check("empty_family_modulus_zero", empty.value, 0.0, passed=empty.value == 0.0))
 
     worst_mono = math.inf
     worst_subadd = math.inf
@@ -129,8 +120,8 @@ def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Repo
         v_union = solve_modulus(assemble_problem(CurveFamily(curves=base + other), g, p)).value
         worst_mono = min(worst_mono, v_super - v_base)
         worst_subadd = min(worst_subadd, v_base + v_other - v_union)
-    checks.append(_record("monotonicity_margin", worst_mono, -1e-4, worst_mono >= -1e-4, lower=True))
-    checks.append(_record("subadditivity_margin", worst_subadd, -1e-4, worst_subadd >= -1e-4, lower=True))
+    checks.append(bounded_check("monotonicity_margin", worst_mono, -1e-4, lower=True))
+    checks.append(bounded_check("subadditivity_margin", worst_subadd, -1e-4, lower=True))
 
     worst_rel = 0.0
     for _ in range(disjoint_trials):
@@ -140,7 +131,7 @@ def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Repo
         v_r = solve_modulus(assemble_problem(CurveFamily(curves=right), g, p)).value
         v_u = solve_modulus(assemble_problem(CurveFamily(curves=left + right), g, p)).value
         worst_rel = max(worst_rel, abs(v_u - (v_l + v_r)) / (v_l + v_r))
-    checks.append(_record("disjoint_additivity_rel_error", worst_rel, 1e-3, worst_rel <= 1e-3))
+    checks.append(bounded_check("disjoint_additivity_rel_error", worst_rel, 1e-3))
 
     return Report(command="criterion_2_outer_measure", checks=checks)
 
@@ -174,8 +165,8 @@ def criterion_chebyshev_bounds(triples: int = 20) -> Report:
         bound = chebyshev_modulus_bound(h, eps, p)
         value = solve_modulus(prob, tol=1e-10).value
         worst_excess = max(worst_excess, value - bound)
-        checks.append(_record(f"triple_{i:02d}_value_le_bound", value, bound + 1e-6, value <= bound + 1e-6))
-    checks.append(_record("worst_excess_over_bound", worst_excess, 1e-6, worst_excess <= 1e-6))
+        checks.append(bounded_check(f"triple_{i:02d}_value_le_bound", value, bound + 1e-6))
+    checks.append(bounded_check("worst_excess_over_bound", worst_excess, 1e-6))
 
     # strip family: E one cell row of a 100-grid (measure 1e-2), delta = 0.1
     res = 100
@@ -194,8 +185,8 @@ def criterion_chebyshev_bounds(triples: int = 20) -> Report:
         label="strip",
     )
     value2 = solve_modulus(assemble_problem(fam2, g2, 2.0), tol=1e-10).value
-    checks.append(_record("strip_bound_matches_measure_formula", abs(bound2 - analytic2), 1e-12, abs(bound2 - analytic2) <= 1e-12))
-    checks.append(_record("strip_value_le_bound", value2, bound2, value2 <= bound2))
+    checks.append(bounded_check("strip_bound_matches_measure_formula", abs(bound2 - analytic2), 1e-12))
+    checks.append(bounded_check("strip_value_le_bound", value2, bound2))
     return Report(command="criterion_3_chebyshev", checks=checks)
 
 
@@ -221,9 +212,9 @@ def criterion_weak_derivative() -> Report:
     exact = weak_derivative_check(const, zero2, axis=0, tests=sym_bumps, tol=1e-12)
 
     checks = [
-        _record("x2_candidate_2x_passes", float(sum(c.passed for c in good.checks)), float(len(good.checks)), good.passed, lower=True),
-        _record("x2_candidate_zero_fails_every_bump", float(sum(not c.passed for c in bad.checks)), float(len(bad.checks)), all(not c.passed for c in bad.checks), lower=True),
-        _record("constant_candidate_zero_exact", float(sum(c.passed for c in exact.checks)), float(len(exact.checks)), exact.passed, lower=True),
+        bounded_check("x2_candidate_2x_passes", float(sum(c.passed for c in good.checks)), float(len(good.checks)), lower=True),
+        bounded_check("x2_candidate_zero_fails_every_bump", float(sum(not c.passed for c in bad.checks)), float(len(bad.checks)), lower=True),
+        bounded_check("constant_candidate_zero_exact", float(sum(c.passed for c in exact.checks)), float(len(exact.checks)), lower=True),
     ]
     return Report(command="criterion_4_weak_derivative", checks=checks)
 
@@ -264,9 +255,9 @@ def criterion_norm_equivalence(count: int = 500) -> Report:
         if M == 1:
             worst_scalar = max(worst_scalar, abs(r - w) / (1.0 + w))
     checks = [
-        _record("sweep_r_minus_w_max", worst_r_w, 1e-6, worst_r_w <= 1e-6),
-        _record("sweep_w_minus_sqrtN_r_max", worst_w_sqrt, 1e-6, worst_w_sqrt <= 1e-6),
-        _record("scalar_fields_r_equals_w", worst_scalar, 1e-9, worst_scalar <= 1e-9),
+        bounded_check("sweep_r_minus_w_max", worst_r_w, 1e-6),
+        bounded_check("sweep_w_minus_sqrtN_r_max", worst_w_sqrt, 1e-6),
+        bounded_check("scalar_fields_r_equals_w", worst_scalar, 1e-9),
     ]
 
     # the identity map with sup-norm values: ratio strictly inside (1, sqrt 2)
@@ -276,8 +267,8 @@ def criterion_norm_equivalence(count: int = 500) -> Report:
     w = w_norm(ident, 2.0)
     r = r_norm(ident, 2.0)
     ratio = w / r
-    checks.append(_record("identity_linf_ratio_above_1", ratio, 1.0, ratio > 1.0, lower=True))
-    checks.append(_record("identity_linf_ratio_below_sqrt2", ratio, math.sqrt(2.0), ratio < math.sqrt(2.0)))
+    checks.append(bounded_check("identity_linf_ratio_above_1", ratio, 1.0, lower=True, passed=ratio > 1.0))
+    checks.append(bounded_check("identity_linf_ratio_below_sqrt2", ratio, math.sqrt(2.0), passed=ratio < math.sqrt(2.0)))
     return Report(command="criterion_5_norm_equivalence", checks=checks, meta={"identity_ratio": ratio})
 
 
@@ -299,7 +290,8 @@ def criterion_ftc_ac(ac_curves: int = 100) -> Report:
     diag = Polyline([[0.02, 0.02], [0.98, 0.98]])
     ftc = ftc_along_curve_check(f, G, diag, tol=1e-3)
     worst = max(c.value for c in ftc.checks if c.name.startswith("ftc"))
-    checks.append(_record("ftc_smooth_residual", worst, 1e-3, ftc.passed))
+    # the verdict also carries the report's chain-rule check
+    checks.append(bounded_check("ftc_smooth_residual", worst, 1e-3, passed=ftc.passed))
 
     res2 = 128
     g2 = unit_square_grid(res2)
@@ -316,14 +308,14 @@ def criterion_ftc_ac(ac_curves: int = 100) -> Report:
         c = random_polyline(rng, rng.integers(2, 5))
         rep = ac_bound_check(f2, ones, c, tol=1e-3, num_params=6)
         all_pass = all_pass and rep.passed
-    checks.append(_record("ac_lipschitz_100_random_polylines", float(all_pass), 1.0, all_pass, lower=True))
+    checks.append(bounded_check("ac_lipschitz_100_random_polylines", float(all_pass), 1.0, lower=True))
 
     jump_vals = np.zeros((g2.num_cells, 2))
     jump_vals[centers2[:, 0] >= 0.5, 0] = 1.0
     f_jump = VectorField(grid=g2, values=jump_vals, norm=NormTag.L2)
     straddle = Polyline([[0.3, 0.5], [0.7, 0.5]])
     rep_jump = ac_bound_check(f_jump, ones, straddle, tol=1e-6, num_params=12)
-    checks.append(_record("ac_discontinuous_fixture_fails", float(not rep_jump.passed), 1.0, not rep_jump.passed, lower=True))
+    checks.append(bounded_check("ac_discontinuous_fixture_fails", float(not rep_jump.passed), 1.0, lower=True))
     return Report(command="criterion_6_ftc_ac", checks=checks)
 
 
@@ -346,11 +338,9 @@ def criterion_rnp_dichotomy() -> Report:
     elapsed = time.perf_counter() - t0
 
     checks = list(rep.checks)
-    checks.append(
-        _record("verdict_non_cauchy", float(rep.meta["verdict"] == VERDICT_NON_CAUCHY), 1.0, rep.meta["verdict"] == VERDICT_NON_CAUCHY, lower=True)
-    )
-    checks.append(_record("fixed_M1_control_gap_decays", g_small, 10.0 * g_big, g_small <= 10.0 * g_big))
-    checks.append(_record("runtime_s", elapsed, 10.0, elapsed < 10.0))
+    checks.append(bounded_check("verdict_non_cauchy", float(rep.meta["verdict"] == VERDICT_NON_CAUCHY), 1.0, lower=True))
+    checks.append(bounded_check("fixed_M1_control_gap_decays", g_small, 10.0 * g_big))
+    checks.append(bounded_check("runtime_s", elapsed, 10.0, passed=elapsed < 10.0))
     return Report(command="criterion_7_rnp_dichotomy", checks=checks, series=rep.series, meta=rep.meta)
 
 
@@ -364,11 +354,11 @@ def criterion_fuglede() -> Report:
     decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     total = float(sum(bounds))
     checks = [
-        _record("bounds_strictly_decreasing", float(decreasing), 1.0, decreasing, lower=True),
+        bounded_check("bounds_strictly_decreasing", float(decreasing), 1.0, lower=True),
         # Known red: the selection rule pins n_1 = 2 for this sequence, so
         # the leading bound is (1/4)^2 / (1/2)^2 = 0.25 and the sum is
         # 4/15 ~ 0.2667; the 1e-2 target is unreachable. Kept as stated.
-        _record("bounds_sum_below_1e-2", total, 1e-2, total < 1e-2),
+        bounded_check("bounds_sum_below_1e-2", total, 1e-2, passed=total < 1e-2),
     ]
     return Report(
         command="criterion_8_fuglede",

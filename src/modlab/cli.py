@@ -14,14 +14,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import acceptance
 from .errors import require_keys
 from .geometry import Grid, load_family, load_polyline_csv
 from .modulus import assemble_problem, solve_modulus
-from .report import CheckRecord, Report, format_float, report_to_json, sha256_digest, write_report
+from .report import CheckRecord, Report, bounded_check, format_float, report_to_json, sha256_digest, write_report
 from .reshetnyak import ac_bound_check, norm_equivalence_check
 from .rnp_lab import dichotomy_gap_floor, dichotomy_report
 from .sobolev import TestFunction, weak_derivative_check
@@ -92,27 +92,9 @@ def _cmd_modulus(cfg: RunConfig) -> Report:
     prob = assemble_problem(fam, grid, cfg.p)
     result = solve_modulus(prob, tol=cfg.tol, max_iter=cfg.max_iter)
     checks = [
-        CheckRecord(
-            name="converged",
-            value=float(result.converged),
-            bound=1.0,
-            margin=None,
-            passed=result.converged,
-        ),
-        CheckRecord(
-            name="duality_gap",
-            value=result.gap,
-            bound=cfg.tol * (1.0 + result.value),
-            margin=cfg.tol * (1.0 + result.value) - result.gap,
-            passed=result.gap <= cfg.tol * (1.0 + result.value),
-        ),
-        CheckRecord(
-            name="constraint_violation",
-            value=result.max_constraint_violation,
-            bound=cfg.tol,
-            margin=cfg.tol - result.max_constraint_violation,
-            passed=result.max_constraint_violation <= cfg.tol,
-        ),
+        CheckRecord(name="converged", value=float(result.converged), bound=1.0, passed=result.converged),
+        bounded_check("duality_gap", result.gap, cfg.tol * (1.0 + result.value)),
+        bounded_check("constraint_violation", result.max_constraint_violation, cfg.tol),
     ]
     rho_out = cfg.extra.get("rho_out")
     if rho_out:
@@ -188,20 +170,8 @@ def _cmd_counterexample(cfg: RunConfig) -> Report:
 
 def _cmd_suite(cfg: RunConfig) -> Report:
     reports = acceptance.run_all()
-    checks = []
-    series = []
-    for rep in reports:
-        for c in rep.checks:
-            checks.append(
-                CheckRecord(
-                    name=f"{rep.command}.{c.name}",
-                    value=c.value,
-                    bound=c.bound,
-                    margin=c.margin,
-                    passed=c.passed,
-                )
-            )
-        series.extend(rep.series)
+    checks = [replace(c, name=f"{rep.command}.{c.name}") for rep in reports for c in rep.checks]
+    series = [s for rep in reports for s in rep.series]
     return Report(command="suite", checks=checks, series=series)
 
 

@@ -115,6 +115,27 @@ def _certify(A, w, p, rho_raw, dual_value):
     return rho, value, violation, gap
 
 
+def _certified(prob, rho_raw, dual_value, tol, solver_ok, iterations, diagnostics) -> ModulusResult:
+    """The certified result of a raw density and a dual value: converged when
+    the solver reports success and both certificates meet ``tol``."""
+    cert = _certify(prob.constraint_rows, prob.weights, prob.exponent, rho_raw, dual_value)
+    if cert is None:
+        return _unconverged(
+            prob, iterations, dual_value, dict(diagnostics, message="the raw density left a constraint at zero")
+        )
+    rho, value, violation, gap = cert
+    return ModulusResult(
+        value=value,
+        rho_star=ScalarField(grid=prob.grid, values=rho),
+        max_constraint_violation=violation,
+        iterations=iterations,
+        converged=solver_ok and gap <= tol * (1.0 + value) and violation <= tol,
+        gap=gap,
+        dual_value=dual_value,
+        diagnostics=diagnostics,
+    )
+
+
 def _dual_objective(A, At, w, p, lam):
     s = At @ lam
     rho = _dual_rho(s, w, p)
@@ -208,20 +229,9 @@ def _solve_power(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResu
     )
     lam = np.maximum(res.x, 0.0)
     lam, dual_value, polish_rounds = _newton_polish(A, At, w, p, lam, tol)
-    iterations = int(res.nit) + polish_rounds
-    cert = _certify(A, w, p, _dual_rho(At @ lam, w, p), dual_value)
-    if cert is None:
-        return _unconverged(prob, iterations, dual_value, {"message": "dual iterate left a constraint at zero"})
-    rho, value, violation, gap = cert
-    converged = gap <= tol * (1.0 + value) and violation <= tol
-    return ModulusResult(
-        value=value,
-        rho_star=ScalarField(grid=prob.grid, values=rho),
-        max_constraint_violation=violation,
-        iterations=iterations,
-        converged=converged,
-        gap=gap,
-        dual_value=dual_value,
+    return _certified(
+        prob, _dual_rho(At @ lam, w, p), dual_value, tol, solver_ok=True,
+        iterations=int(res.nit) + polish_rounds,
         diagnostics={"message": str(res.message), "solver": "lbfgsb-dual+newton"},
     )
 
@@ -235,7 +245,7 @@ def _solve_lp(prob: ModulusProblem, tol: float) -> ModulusResult:
         A_ub=-A,
         b_ub=-np.ones(m),
         bounds=(0.0, None),
-        method="highs",
+        method="highs-ipm",
     )
     iterations = int(getattr(res, "nit", 0))
     if res.x is None:
@@ -246,24 +256,10 @@ def _solve_lp(prob: ModulusProblem, tol: float) -> ModulusResult:
     over = float(np.max(col / w)) if col.size else 0.0
     if over > 1.0:
         lam = lam / over
-    dual_value = float(np.sum(lam))
-    cert = _certify(A, w, 1.0, np.asarray(res.x, dtype=float), dual_value)
-    if cert is None:
-        return _unconverged(
-            prob, iterations, dual_value,
-            {"message": "LP solution left a constraint at zero", "solver": "linprog-highs"},
-        )
-    rho, value, violation, gap = cert
-    converged = res.status == 0 and gap <= tol * (1.0 + value) and violation <= tol
-    return ModulusResult(
-        value=value,
-        rho_star=ScalarField(grid=prob.grid, values=rho),
-        max_constraint_violation=violation,
+    return _certified(
+        prob, np.asarray(res.x, dtype=float), float(np.sum(lam)), tol, solver_ok=res.status == 0,
         iterations=iterations,
-        converged=converged,
-        gap=gap,
-        dual_value=dual_value,
-        diagnostics={"message": str(res.message), "solver": "linprog-highs"},
+        diagnostics={"message": str(res.message), "solver": "linprog-highs-ipm"},
     )
 
 
@@ -274,8 +270,8 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     and ``gap`` bounds the objective's distance to the optimum by weak
     duality; ``converged`` records whether both certificates meet ``tol``.
     A modulus program is never infeasible: large densities are admissible.
-    p = 1 is delegated to a linear-programming solve with the same
-    certificates and is typically certified at a looser tolerance.
+    p = 1 is delegated to an interior-point linear-programming solve with the
+    same certificates.
     ``max_iter`` bounds the L-BFGS-B iterations of the p > 1 solve only; the
     p = 1 linear program ignores it.
     """

@@ -1,5 +1,9 @@
 """JSON-serializable records of checks, with deterministic serialization.
 
+Every check of a value against a bound is built by ``bounded_check``, so one
+rule holds in every report: the margin is bound - value (value - bound for a
+lower bound), and it is >= 0 exactly when the check passes.
+
 Reports are byte-stable for a fixed configuration and artifact version,
 except for the wall-time field; floats are emitted with 17 significant
 digits.
@@ -32,6 +36,19 @@ class CheckRecord:
             "margin": self.margin,
             "pass": bool(self.passed),
         }
+
+
+def bounded_check(name: str, value, bound, lower: bool = False, passed: bool | None = None) -> CheckRecord:
+    """A check of value <= bound, or of value >= bound when ``lower``.
+
+    The margin is nonnegative on the passing side. ``passed`` overrides the
+    verdict where the gate is not literally that comparison (a strict
+    inequality, an equality, a rung-by-rung test).
+    """
+    margin = value - bound if lower else bound - value
+    if passed is None:
+        passed = value >= bound if lower else value <= bound
+    return CheckRecord(name=name, value=value, bound=bound, margin=margin, passed=bool(passed))
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Polyline, ScalarField, cell_length_rows, restrict
-from .report import CheckRecord, Report
+from .report import Report, bounded_check
 from .sobolev import _interpolators, finite_diff_gradient, w_norm
 from .vectorvalues import (
     L1_EXACT_MAX_DIM,
@@ -172,25 +172,9 @@ def norm_equivalence_check(
     w = w_norm(f, p)
     r = r_norm(f, p, gstar=ub)
     sqrt_n = float(np.sqrt(f.grid.ndim))
-    checks = [
-        CheckRecord(
-            name="r_le_w" if ub.exact else "r_lower_le_w",
-            value=r,
-            bound=w + tol,
-            margin=float(w + tol - r),
-            passed=bool(r <= w + tol),
-        )
-    ]
+    checks = [bounded_check("r_le_w" if ub.exact else "r_lower_le_w", r, w + tol)]
     if ub.exact:
-        checks.append(
-            CheckRecord(
-                name="w_le_sqrtN_r",
-                value=w,
-                bound=sqrt_n * r + tol,
-                margin=float(sqrt_n * r + tol - w),
-                passed=bool(w <= sqrt_n * r + tol),
-            )
-        )
+        checks.append(bounded_check("w_le_sqrtN_r", w, sqrt_n * r + tol))
     return Report(
         command="norm_equivalence_check",
         checks=checks,
@@ -236,15 +220,6 @@ def ac_bound_check(
     for a in range(len(params)):
         for b in range(a, len(params)):
             s, t = float(params[a]), float(params[b])
-            increment = value_norm(values[b] - values[a], f.norm)
-            bound = prefix[b] - prefix[a] + tol
-            checks.append(
-                CheckRecord(
-                    name=f"ac[{s:.4g},{t:.4g}]",
-                    value=float(increment),
-                    bound=float(bound),
-                    margin=float(bound - increment),
-                    passed=bool(increment <= bound),
-                )
-            )
+            increment = float(value_norm(values[b] - values[a], f.norm))
+            checks.append(bounded_check(f"ac[{s:.4g},{t:.4g}]", increment, float(prefix[b] - prefix[a] + tol)))
     return Report(command="ac_bound_check", checks=checks)

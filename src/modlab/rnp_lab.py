@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .geometry import Grid
-from .report import CheckRecord, Report, Series
+from .report import Report, Series, bounded_check
 from .reshetnyak import r_norm, upper_gradient_star
 from .vectorvalues import NormTag, VectorField, lp_norm
 
@@ -69,25 +69,9 @@ def lipschitz_certificate(f: SinFamilyField, tol: float = 1e-9) -> Report:
     t = f.grid.axis_centers(0)
     slopes = np.abs(np.diff(f.field.values, axis=0)) * (1.0 / np.abs(np.diff(t)))[:, None]
     cert = float(np.max(slopes))
-    checks = [
-        CheckRecord(
-            name="lipschitz_upper",
-            value=cert,
-            bound=1.0 + tol,
-            margin=float(1.0 + tol - cert),
-            passed=bool(cert <= 1.0 + tol),
-        )
-    ]
+    checks = [bounded_check("lipschitz_upper", cert, 1.0 + tol)]
     if f.M >= 8:
-        checks.append(
-            CheckRecord(
-                name="lipschitz_attained",
-                value=cert,
-                bound=0.9,
-                margin=float(cert - 0.9),
-                passed=bool(cert >= 0.9),
-            )
-        )
+        checks.append(bounded_check("lipschitz_attained", cert, 0.9, lower=True))
     return Report(command="lipschitz_certificate", checks=checks, meta={"M": f.M})
 
 
@@ -203,32 +187,14 @@ def dichotomy_report(
         verdict = VERDICT_RNP_LIKE
     else:
         verdict = VERDICT_INCONCLUSIVE
+    # both R-norm verdicts are the ladder's own tests: rung by rung, and
+    # max <= 1.05 * min rather than max / min <= 1.05
     checks = [
-        CheckRecord(
-            name="r_norm_bounded",
-            value=max(rvals),
-            bound=max(lp + 1.0 + 1e-6 for lp in lpvals),
-            margin=float(max(lp + 1.0 + 1e-6 for lp in lpvals) - max(rvals)),
-            passed=r_bounded,
-        ),
-        CheckRecord(
-            name="r_norm_constant_5pct",
-            value=max(rvals) / min(rvals),
-            bound=1.05,
-            margin=float(1.05 - max(rvals) / min(rvals)),
-            passed=r_constant,
-        ),
+        bounded_check("r_norm_bounded", max(rvals), max(lp + 1.0 + 1e-6 for lp in lpvals), passed=r_bounded),
+        bounded_check("r_norm_constant_5pct", max(rvals) / min(rvals), 1.05, passed=r_constant),
     ]
     if gap_floor is not None:
-        checks.append(
-            CheckRecord(
-                name="gap_floor",
-                value=min(gaps),
-                bound=gap_floor,
-                margin=float(min(gaps) - gap_floor),
-                passed=bool(min(gaps) >= gap_floor),
-            )
-        )
+        checks.append(bounded_check("gap_floor", min(gaps), gap_floor, lower=True))
     return Report(
         command="dichotomy_report",
         checks=checks,

@@ -18,7 +18,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError
 from .geometry import Grid, Polyline, ScalarField, restrict
-from .report import CheckRecord, Report
+from .report import Report, bounded_check
 from .vectorvalues import VectorField, lp_norm, scalar_lp_norm, value_norm
 
 
@@ -169,16 +169,7 @@ def weak_derivative_check(
         rhs = vol * (phi @ cand.values[interior])
         residual = value_norm(lhs + rhs, f.norm)
         scale = max(value_norm(lhs, f.norm), value_norm(rhs, f.norm))
-        bound = tol * (1.0 + scale)
-        checks.append(
-            CheckRecord(
-                name=f"bump_{i:02d}",
-                value=float(residual),
-                bound=float(bound),
-                margin=float(bound - residual),
-                passed=bool(residual <= bound),
-            )
-        )
+        checks.append(bounded_check(f"bump_{i:02d}", float(residual), float(tol * (1.0 + scale))))
     return Report(command="weak_derivative_check", checks=checks)
 
 
@@ -246,15 +237,7 @@ def ftc_along_curve_check(
                 path += width * tangent[axis] * np.sum(comp, axis=0)
         s, t = float(params[a]), float(params[b])
         residual = value_norm(values[b] - values[a] - path, tag)
-        checks.append(
-            CheckRecord(
-                name=f"ftc[{s:.4g},{t:.4g}]",
-                value=float(residual),
-                bound=float(tol),
-                margin=float(tol - residual),
-                passed=bool(residual <= tol),
-            )
-        )
+        checks.append(bounded_check(f"ftc[{s:.4g},{t:.4g}]", float(residual), float(tol)))
     # chain-rule bound at the samples along the full curve
     worst = 0.0
     for tangent, _, _ in segments[-1]:
@@ -264,13 +247,5 @@ def ftc_along_curve_check(
         rhs = np.sqrt(sum(value_norm(comp, tag) ** 2 for comp in comps))
         worst = max(worst, float(np.max(lhs - rhs)))
     chain_bound = 1e-12 * (1.0 + max(abs(ck.value) for ck in checks))
-    checks.append(
-        CheckRecord(
-            name="chain_rule_bound",
-            value=worst,
-            bound=chain_bound,
-            margin=float(chain_bound - worst),
-            passed=bool(worst <= chain_bound),
-        )
-    )
+    checks.append(bounded_check("chain_rule_bound", worst, chain_bound))
     return Report(command="ftc_along_curve_check", checks=checks)

@@ -1,0 +1,49 @@
+"""The benchmark's per-layer tracer still finds every function it wraps.
+
+``benchmarks/spans.py`` wraps modlab functions by attribute name (for
+instance ``modulus.linprog`` and ``modulus.minimize``). Renaming or deleting
+one of them breaks ``benchmarks/run.py --trace 1``; this test makes such a
+refactor fail here instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import modlab.cli  # noqa: F401  (every module the tracer reaches is loaded before the snapshot)
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("modlab_benchmark_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _modlab_namespaces() -> dict:
+    return {
+        name: dict(vars(module))
+        for name, module in sys.modules.items()
+        if name == "modlab" or name.startswith("modlab.")
+    }
+
+
+def test_install_wraps_and_uninstall_restores_every_attribute():
+    spans = _load_spans()
+    before = _modlab_namespaces()
+    tracer = spans.Tracer()
+    try:
+        spans.install_modlab(tracer)
+        assert tracer._undo
+        for module, attr, fn in tracer._undo:
+            assert getattr(module, attr) is not fn, f"{module.__name__}.{attr} was not wrapped"
+    finally:
+        tracer.uninstall()
+    after = _modlab_namespaces()
+    assert after.keys() == before.keys()
+    for name, namespace in before.items():
+        assert after[name].keys() == namespace.keys(), name
+        changed = [attr for attr, value in namespace.items() if after[name][attr] is not value]
+        assert not changed, f"{name}: {changed} not restored"

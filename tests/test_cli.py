@@ -19,17 +19,22 @@ from modlab.vectorvalues import save_field_csv, save_scalar_field_csv
 from modlab.geometry import ScalarField, save_polyline_csv
 
 
-@pytest.fixture
-def modulus_inputs(tmp_path):
+def write_row_family(directory):
+    """A 16^2 unit-square grid and its 16 horizontal cell-row segments."""
     g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[16, 16])
-    g.save(tmp_path / "grid.json")
+    g.save(directory / "grid.json")
     h = 1.0 / 16
     fam = CurveFamily(
         curves=[Polyline([[0.0, (j + 0.5) * h], [1.0, (j + 0.5) * h]]) for j in range(16)],
         label="rows",
     )
-    save_family(fam, tmp_path / "fam.json")
-    return tmp_path
+    save_family(fam, directory / "fam.json")
+    return directory
+
+
+@pytest.fixture
+def modulus_inputs(tmp_path):
+    return write_row_family(tmp_path)
 
 
 class TestModulusCommand:
@@ -234,6 +239,77 @@ class TestPlotExport:
         text = files[0].read_text().splitlines()
         assert text[0] == "resolution,value"
         assert text[1].startswith("64")
+
+
+def _modulus_argv(p):
+    def build(d):
+        write_row_family(d)
+        return ["modulus", "--family", str(d / "fam.json"), "--grid", str(d / "grid.json"), "--p", p], 0
+    return build
+
+
+def _norms_argv(tag):
+    def build(d):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[16, 16])
+        c = g.cell_centers()
+        values = np.stack([np.sin(3.0 * c[:, 0]) * np.cos(c[:, 1]), c[:, 0] * c[:, 1]], axis=-1)
+        save_field_csv(VectorField(grid=g, values=values, norm=tag), d / "f.csv")
+        return ["norms", "--f", str(d / "f.csv")], 0
+    return build
+
+
+def _weakcheck_argv(cand, code):
+    def build(d):
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[256])
+        x = g.cell_centers()[:, 0]
+        save_field_csv(VectorField(grid=g, values=(x**2)[:, None], norm=NormTag.L2), d / "f.csv")
+        save_field_csv(VectorField(grid=g, values=cand(x)[:, None], norm=NormTag.L2), d / "cand.csv")
+        (d / "bumps.json").write_text(json.dumps([{"center": [0.5], "radius": 0.25}, {"center": [0.35], "radius": 0.15}]))
+        argv = ["weakcheck", "--f", str(d / "f.csv"), "--cand", str(d / "cand.csv"), "--axis", "0"]
+        return argv + ["--bumps", str(d / "bumps.json")], code
+    return build
+
+
+def _acbound_argv(jump):
+    def build(d):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[32, 32])
+        c = g.cell_centers()
+        if jump:  # a unit jump across x = 0.5, which the majorant 1 cannot dominate
+            values = np.stack([(c[:, 0] >= 0.5).astype(float), np.zeros(g.num_cells)], axis=-1)
+            curve = [[0.3, 0.5], [0.7, 0.5]]
+        else:
+            values = np.stack([np.sin(c[:, 0]), np.cos(c[:, 1])], axis=-1)
+            curve = [[0.1, 0.1], [0.8, 0.6]]
+        save_field_csv(VectorField(grid=g, values=values, norm=NormTag.L2), d / "f.csv")
+        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(g.num_cells)), d / "g.csv")
+        save_polyline_csv(Polyline(curve), d / "c.csv")
+        return ["acbound", "--f", str(d / "f.csv"), "--g", str(d / "g.csv"), "--curve", str(d / "c.csv")], int(jump)
+    return build
+
+
+CHECK_RULE_CASES = {
+    "modulus-p1": _modulus_argv("1"),
+    "modulus-p2": _modulus_argv("2"),
+    "norms-l1": _norms_argv(NormTag.L1),
+    "norms-l2": _norms_argv(NormTag.L2),
+    "norms-linf": _norms_argv(NormTag.LINF),
+    "weakcheck-exit0": _weakcheck_argv(lambda x: 2.0 * x, 0),
+    "weakcheck-exit1": _weakcheck_argv(np.zeros_like, 1),
+    "acbound-exit0": _acbound_argv(jump=False),
+    "acbound-exit1": _acbound_argv(jump=True),
+    "counterexample": lambda d: (["counterexample", "--ladder", "1e-1,1e-2", "--resolution", "128"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_RULE_CASES))
+def test_every_margin_is_nonnegative_exactly_when_its_check_passes(tmp_path, case):
+    argv, code = CHECK_RULE_CASES[case](tmp_path)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == code
+    bounded = [c for c in json.loads(out.read_text())["checks"] if c["margin"] is not None]
+    assert bounded
+    for check in bounded:
+        assert (check["margin"] >= 0) == check["pass"], check
 
 
 def assert_exit_2_without_report(argv, out, capsys, *names):

@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,6 +162,19 @@ class TestSolve:
         assert not result.converged
         assert result.gap == float("inf") and result.iterations == 3
         assert np.all(result.rho_star.values == 0.0)
+
+    def test_lp_certifies_a_family_the_simplex_left_unconverged(self):
+        # 200 random polylines (695 vertices) on 48^2: the benchmark's modulus
+        # workload, seed 0, operation 6. The dual simplex left a relative gap
+        # of 3.0e-7 here once its duals were rescaled to A^T lam <= w.
+        data = json.loads((Path(__file__).parent / "data" / "lp_gap_family.json").read_text())
+        vertices = np.array(data["vertices"])
+        curves = np.split(vertices, np.cumsum(data["counts"])[:-1])
+        fam = CurveFamily(curves=[Polyline(c) for c in curves])
+        result = solve_modulus(assemble_problem(fam, unit_grid(data["resolution"]), 1.0), tol=1e-8)
+        assert result.converged
+        assert result.gap <= 1e-8 * (1.0 + result.value)
+        assert result.max_constraint_violation <= 1e-8
 
 
 class TestAnalyticParallelSegments:

@@ -1,6 +1,7 @@
 import json
+import math
 
-from modlab.report import CheckRecord, Report, Series, format_float, report_to_json, write_report
+from modlab.report import CheckRecord, Report, Series, bounded_check, format_float, report_to_json, write_report
 
 
 def sample_report():
@@ -52,3 +53,35 @@ class TestReportSerialization:
     def test_nan_and_inf_render(self):
         r = Report(command="x", checks=[CheckRecord(name="n", value=float("nan"), passed=True)])
         assert "NaN" in report_to_json(r)
+
+
+class TestBoundedCheck:
+    def test_value_at_the_bound_passes_with_zero_margin(self):
+        for lower in (False, True):
+            c = bounded_check("eq", 0.25, 0.25, lower=lower)
+            assert c.passed and c.margin == 0.0
+
+    def test_upper_bound_margin_is_bound_minus_value(self):
+        ok, bad = bounded_check("ok", 0.5, 0.75), bounded_check("bad", 1.0, 0.75)
+        assert (ok.margin, ok.passed) == (0.25, True)
+        assert (bad.margin, bad.passed) == (-0.25, False)
+
+    def test_lower_bound_margin_is_value_minus_bound(self):
+        ok, bad = bounded_check("ok", 1.0, 0.75, lower=True), bounded_check("bad", 0.5, 0.75, lower=True)
+        assert (ok.margin, ok.passed) == (0.25, True)
+        assert (bad.margin, bad.passed) == (-0.25, False)
+
+    def test_nan_value_fails_on_either_side(self):
+        for lower in (False, True):
+            c = bounded_check("nan", float("nan"), 1.0, lower=lower)
+            assert not c.passed and math.isnan(c.margin)
+            assert (c.margin >= 0) == c.passed
+
+    def test_given_verdict_overrides_the_comparison(self):
+        strict = bounded_check("strict", 1.0, 1.0, passed=1.0 < 1.0)
+        assert strict.margin == 0.0 and strict.passed is False
+        assert bounded_check("b", 2.0, 1.0, passed=True).passed is True
+
+    def test_to_dict_carries_the_derived_fields(self):
+        d = bounded_check("x", 0.5, 1.0).to_dict()
+        assert d == {"name": "x", "value": 0.5, "bound": 1.0, "margin": 0.5, "pass": True}
