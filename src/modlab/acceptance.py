@@ -39,14 +39,14 @@ def unit_square_grid(res: int) -> Grid:
     return Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[res, res])
 
 
-def horizontal_segment_family(res: int, count: int, label: str = "") -> CurveFamily:
+def horizontal_segment_family(res: int, count: int) -> CurveFamily:
     """Unit-length horizontal segments at the first ``count`` cell-row centers."""
     curves = []
     h = 1.0 / res
     for j in range(count):
         y = (j + 0.5) * h
         curves.append(Polyline([[0.0, y], [1.0, y]]))
-    return CurveFamily(curves=curves, label=label)
+    return CurveFamily(curves=curves)
 
 
 def random_polyline(rng, num_vertices: int = 3, lo: float = 0.05, hi: float = 0.95) -> Polyline:
@@ -99,7 +99,7 @@ def criterion_segment_families() -> Report:
 # ---------------------------------------------------------------------------
 # 2. Outer-measure axioms on randomized families.
 
-def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Report:
+def criterion_outer_measure() -> Report:
     g = unit_square_grid(32)
     p = 2.0
     rng = np.random.default_rng(20260809)
@@ -110,7 +110,7 @@ def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Repo
 
     worst_mono = math.inf
     worst_subadd = math.inf
-    for _ in range(trials):
+    for _ in range(50):
         base = [random_polyline(rng, rng.integers(2, 5)) for _ in range(rng.integers(1, 4))]
         extra = [random_polyline(rng, rng.integers(2, 5)) for _ in range(rng.integers(1, 3))]
         other = [random_polyline(rng, rng.integers(2, 5)) for _ in range(rng.integers(1, 4))]
@@ -124,7 +124,7 @@ def criterion_outer_measure(trials: int = 50, disjoint_trials: int = 10) -> Repo
     checks.append(bounded_check("subadditivity_margin", worst_subadd, -1e-4, lower=True))
 
     worst_rel = 0.0
-    for _ in range(disjoint_trials):
+    for _ in range(10):
         left = [random_polyline(rng, rng.integers(2, 5), 0.03, 0.45) for _ in range(rng.integers(1, 4))]
         right = [random_polyline(rng, rng.integers(2, 5), 0.55, 0.97) for _ in range(rng.integers(1, 4))]
         v_l = solve_modulus(assemble_problem(CurveFamily(curves=left), g, p)).value
@@ -150,12 +150,12 @@ def _smooth_positive_field(g: Grid, rng) -> ScalarField:
     return ScalarField(grid=g, values=vals)
 
 
-def criterion_chebyshev_bounds(triples: int = 20) -> Report:
+def criterion_chebyshev_bounds() -> Report:
     g = unit_square_grid(32)
     rng = np.random.default_rng(1723)
     checks = []
     worst_excess = -math.inf
-    for i in range(triples):
+    for i in range(20):
         p = (1.5, 2.0, 3.0)[i % 3]
         h = _smooth_positive_field(g, rng)
         curves = [random_polyline(rng, rng.integers(2, 5)) for _ in range(5)]
@@ -233,7 +233,7 @@ def _random_smooth_vector_field(g: Grid, M: int, tag: NormTag, rng) -> VectorFie
     return VectorField(grid=g, values=values, norm=tag)
 
 
-def criterion_norm_equivalence(count: int = 500) -> Report:
+def criterion_norm_equivalence() -> Report:
     g = unit_square_grid(16)
     rng = np.random.default_rng(99)
     tags = [NormTag.L1, NormTag.L2, NormTag.LINF]
@@ -242,7 +242,7 @@ def criterion_norm_equivalence(count: int = 500) -> Report:
     worst_r_w = -math.inf
     worst_w_sqrt = -math.inf
     worst_scalar = 0.0
-    for i in range(count):
+    for i in range(500):
         tag = tags[i % 3]
         M = dims[(i // 3) % 3]
         p = ps[(i // 9) % 2]
@@ -275,7 +275,7 @@ def criterion_norm_equivalence(count: int = 500) -> Report:
 # ---------------------------------------------------------------------------
 # 6. Fundamental-theorem and absolute-continuity bounds along curves.
 
-def criterion_ftc_ac(ac_curves: int = 100) -> Report:
+def criterion_ftc_ac() -> Report:
     checks = []
 
     res = 256
@@ -304,7 +304,7 @@ def criterion_ftc_ac(ac_curves: int = 100) -> Report:
     ones = ScalarField(grid=g2, values=np.ones(g2.num_cells))
     rng = np.random.default_rng(7)
     all_pass = True
-    for _ in range(ac_curves):
+    for _ in range(100):
         c = random_polyline(rng, rng.integers(2, 5))
         rep = ac_bound_check(f2, ones, c, tol=1e-3, num_params=6)
         all_pass = all_pass and rep.passed

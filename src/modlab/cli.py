@@ -1,10 +1,13 @@
 """Command-line entry point: data ingestion, dispatch, JSON report emission.
 
-Exit status: 0 when every check passes, 1 on check failures, 2 on parse or
-precondition errors. Reports are written even when checks fail; identical
-configuration and inputs give byte-identical reports apart from the
-wall-time field. All numeric work runs sequentially with fixed reduction
-order.
+Each command is declared once, in ``_build_parser``: its flags, its required
+file inputs, whose SHA-256 digests go into the report's ``inputs``, and its
+handler. Exit status: 0 when every check passes, 1 on check failures, 2 on
+parse or precondition errors. Parameters, input files and output paths are
+checked before any computation. Reports are written even when checks fail;
+identical configuration and inputs give byte-identical reports apart from
+the wall-time field. All numeric work runs sequentially with fixed
+reduction order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import acceptance
@@ -28,44 +31,29 @@ from .sobolev import TestFunction, weak_derivative_check
 from .vectorvalues import load_field_csv, load_scalar_field_csv, lp_norm, save_scalar_field_csv
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: command, input paths, numeric parameters."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    p: float = 2.0
-    tol: float = 1e-6
-    max_iter: int = 2000
-    seed: int = 0
-    out: Path | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 1.0 <= self.p < math.inf:
-            raise ValueError("p must be finite and >= 1")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("--max-iter must be at least 1")
-        for name, path in self.inputs.items():
-            if not Path(path).is_file():
-                raise ValueError(f"input file for --{name} not found: {path}")
-
-
-def _digests(cfg: RunConfig) -> dict:
-    return {name: sha256_digest(path) for name, path in cfg.inputs.items()}
-
-
-def _finalize(report: Report, cfg: RunConfig, started: float) -> int:
-    report.inputs = _digests(cfg)
-    report.wall_time_s = time.perf_counter() - started
-    report.meta.setdefault("seed", cfg.seed)
-    if cfg.out is not None:
-        write_report(report, cfg.out)
-    else:
-        sys.stdout.write(report_to_json(report))
-    return 0 if report.passed else 1
+def _validate(args) -> None:
+    """Reject bad parameters, missing inputs and unwritable outputs, in that order."""
+    if "p" in args and not 1.0 <= args.p < math.inf:
+        raise ValueError("p must be finite and >= 1")
+    if "tol" in args and not 0.0 < args.tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    if "max_iter" in args and args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
+    for name in args.inputs:
+        path = getattr(args, name)
+        if not path.is_file():
+            raise ValueError(f"input file for --{name} not found: {path}")
+    for dest in ("out", "rho_out", "export_plots"):
+        if not getattr(args, dest, None):
+            continue
+        path, flag = Path(getattr(args, dest)), "--" + dest.replace("_", "-")
+        if dest == "export_plots":
+            if path.exists() and not path.is_dir():
+                raise ValueError(f"{flag} is not a directory: {path}")
+        elif path.is_dir():
+            raise ValueError(f"{flag} is a directory: {path}")
+        elif not path.parent.is_dir():
+            raise ValueError(f"output directory for {flag} not found: {path.parent}")
 
 
 def export_plot_data(report: Report, path) -> list:
@@ -86,19 +74,18 @@ def export_plot_data(report: Report, path) -> list:
     return out
 
 
-def _cmd_modulus(cfg: RunConfig) -> Report:
-    grid = Grid.load(cfg.inputs["grid"])
-    fam = load_family(cfg.inputs["family"])
-    prob = assemble_problem(fam, grid, cfg.p)
-    result = solve_modulus(prob, tol=cfg.tol, max_iter=cfg.max_iter)
+def _cmd_modulus(args) -> Report:
+    grid = Grid.load(args.grid)
+    fam = load_family(args.family)
+    prob = assemble_problem(fam, grid, args.p)
+    result = solve_modulus(prob, tol=args.tol, max_iter=args.max_iter)
     checks = [
         CheckRecord(name="converged", value=float(result.converged), bound=1.0, passed=result.converged),
-        bounded_check("duality_gap", result.gap, cfg.tol * (1.0 + result.value)),
-        bounded_check("constraint_violation", result.max_constraint_violation, cfg.tol),
+        bounded_check("duality_gap", result.gap, args.tol * (1.0 + result.value)),
+        bounded_check("constraint_violation", result.max_constraint_violation, args.tol),
     ]
-    rho_out = cfg.extra.get("rho_out")
-    if rho_out:
-        save_scalar_field_csv(result.rho_star, rho_out)
+    if args.rho_out:
+        save_scalar_field_csv(result.rho_star, args.rho_out)
     return Report(
         command="modulus",
         checks=checks,
@@ -108,67 +95,70 @@ def _cmd_modulus(cfg: RunConfig) -> Report:
             "iterations": result.iterations,
             "gap": result.gap,
             "dual_value": result.dual_value,
-            "p": cfg.p,
+            "p": args.p,
             "curves": len(fam),
             "label": fam.label,
         },
     )
 
 
-def _cmd_norms(cfg: RunConfig) -> Report:
-    f = load_field_csv(cfg.inputs["f"])
-    rep = norm_equivalence_check(f, cfg.p, tol=cfg.tol, seed=cfg.seed)
-    lp = lp_norm(f, cfg.p)
+def _cmd_norms(args) -> Report:
+    f = load_field_csv(args.f)
+    rep = norm_equivalence_check(f, args.p, tol=args.tol, seed=args.seed)
+    lp = lp_norm(f, args.p)
     rep.meta.update(
         {
             "lp": lp,
             "sqrtN_margin": rep.meta["sqrtN"] * rep.meta["r_norm"] - rep.meta["w_norm"],
-            "p": cfg.p,
+            "p": args.p,
         }
     )
     rep.command = "norms"
     return rep
 
 
-def _cmd_weakcheck(cfg: RunConfig) -> Report:
-    f = load_field_csv(cfg.inputs["f"])
-    cand = load_field_csv(cfg.inputs["cand"])
-    bumps_spec = json.loads(Path(cfg.inputs["bumps"]).read_text())
+def _cmd_weakcheck(args) -> Report:
+    f = load_field_csv(args.f)
+    cand = load_field_csv(args.cand)
+    bumps_spec = json.loads(args.bumps.read_text())
     if not isinstance(bumps_spec, list) or not all(isinstance(b, dict) for b in bumps_spec):
         raise ValueError("the bump battery must be a JSON list of {center, radius} objects")
     for i, b in enumerate(bumps_spec):
-        require_keys(b, ("center", "radius"), f"bump {i} in {cfg.inputs['bumps']}")
+        require_keys(b, ("center", "radius"), f"bump {i} in {args.bumps}")
     tests = [TestFunction(center=b["center"], radius=b["radius"]) for b in bumps_spec]
-    rep = weak_derivative_check(f, cand, axis=cfg.extra["axis"], tests=tests, tol=cfg.tol)
+    rep = weak_derivative_check(f, cand, axis=args.axis, tests=tests, tol=args.tol)
     rep.command = "weakcheck"
-    rep.meta.update({"axis": cfg.extra["axis"], "tol": cfg.tol, "bumps": len(tests)})
+    rep.meta.update({"axis": args.axis, "tol": args.tol, "bumps": len(tests)})
     return rep
 
 
-def _cmd_acbound(cfg: RunConfig) -> Report:
-    f = load_field_csv(cfg.inputs["f"])
-    g = load_scalar_field_csv(cfg.inputs["g"])
-    curve = load_polyline_csv(cfg.inputs["curve"])
-    rep = ac_bound_check(f, g, curve, tol=cfg.tol)
+def _cmd_acbound(args) -> Report:
+    f = load_field_csv(args.f)
+    g = load_scalar_field_csv(args.g)
+    curve = load_polyline_csv(args.curve)
+    rep = ac_bound_check(f, g, curve, tol=args.tol)
     rep.command = "acbound"
     return rep
 
 
-def _cmd_counterexample(cfg: RunConfig) -> Report:
-    fixture = dichotomy_gap_floor()
+def _cmd_counterexample(args) -> Report:
+    try:
+        ladder = [float(x) for x in args.ladder.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--ladder must be comma-separated numbers: {args.ladder!r}") from None
     rep = dichotomy_report(
-        t=cfg.extra["t"],
-        h_ladder=cfg.extra["ladder"],
-        p=cfg.p,
-        resolution=cfg.extra["resolution"],
-        fixed_M=cfg.extra.get("fixed_m"),
-        gap_floor=fixture["c0"] if cfg.extra.get("fixed_m") is None else None,
+        t=args.t,
+        h_ladder=ladder,
+        p=args.p,
+        resolution=args.resolution,
+        fixed_M=args.fixed_m,
+        gap_floor=dichotomy_gap_floor()["c0"] if args.fixed_m is None else None,
     )
     rep.command = "counterexample"
     return rep
 
 
-def _cmd_suite(cfg: RunConfig) -> Report:
+def _cmd_suite(args) -> Report:
     reports = acceptance.run_all()
     checks = [replace(c, name=f"{rep.command}.{c.name}") for rep in reports for c in rep.checks]
     series = [s for rep in reports for s in rep.series]
@@ -179,116 +169,66 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("modulus", help="solve the p-modulus of a curve family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--grid", required=True)
+    def command(name, handler, help, inputs=()):
+        """A subcommand with its required file flags, ``--out`` and its handler."""
+        sp = sub.add_parser(name, help=help)
+        for flag in inputs:
+            sp.add_argument(f"--{flag}", type=Path, required=True)
+        sp.add_argument("--out")
+        sp.set_defaults(handler=handler, inputs=inputs)
+        return sp
+
+    sp = command("modulus", _cmd_modulus, "solve the p-modulus of a curve family", ("family", "grid"))
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--max-iter", type=int, default=2000, help="L-BFGS-B iteration cap of the p > 1 solve; p = 1 ignores it")
-    sp.add_argument("--out")
     sp.add_argument("--rho-out", help="optional CSV dump of the optimal density")
 
-    sp = sub.add_parser("norms", help="L^p, Sobolev and Reshetnyak norms of a field")
-    sp.add_argument("--f", required=True)
+    sp = command("norms", _cmd_norms, "L^p, Sobolev and Reshetnyak norms of a field", ("f",))
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled-dual fallback mode")
-    sp.add_argument("--out")
 
-    sp = sub.add_parser("weakcheck", help="verify a weak-derivative candidate")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--cand", required=True)
+    sp = command("weakcheck", _cmd_weakcheck, "verify a weak-derivative candidate", ("f", "cand", "bumps"))
     sp.add_argument("--axis", type=int, required=True)
-    sp.add_argument("--bumps", required=True)
     sp.add_argument("--tol", type=float, default=5e-3)
-    sp.add_argument("--out")
 
-    sp = sub.add_parser("acbound", help="absolute-continuity bound along a curve")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--curve", required=True)
+    sp = command("acbound", _cmd_acbound, "absolute-continuity bound along a curve", ("f", "g", "curve"))
     sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--out")
 
-    sp = sub.add_parser("counterexample", help="RNP dichotomy ladder report")
+    sp = command("counterexample", _cmd_counterexample, "RNP dichotomy ladder report")
     sp.add_argument("--t", type=float, default=0.7071067811865476)
     sp.add_argument("--ladder", default="1e-1,1e-2,1e-3,1e-4")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--resolution", type=int, default=512)
     sp.add_argument("--fixed-m", type=int, default=None)
-    sp.add_argument("--out")
     sp.add_argument("--export-plots")
 
-    sp = sub.add_parser("suite", help="run the full acceptance battery")
-    sp.add_argument("--out")
+    sp = command("suite", _cmd_suite, "run the full acceptance battery")
     sp.add_argument("--export-plots")
 
     return parser
 
 
-_HANDLERS = {
-    "modulus": _cmd_modulus,
-    "norms": _cmd_norms,
-    "weakcheck": _cmd_weakcheck,
-    "acbound": _cmd_acbound,
-    "counterexample": _cmd_counterexample,
-    "suite": _cmd_suite,
-}
-
-_INPUT_FLAGS = {
-    "modulus": ["family", "grid"],
-    "norms": ["f"],
-    "weakcheck": ["f", "cand", "bumps"],
-    "acbound": ["f", "g", "curve"],
-    "counterexample": [],
-    "suite": [],
-}
-
-
-def _config_from_args(args) -> RunConfig:
-    inputs = {name: Path(getattr(args, name)) for name in _INPUT_FLAGS[args.command]}
-    extra = {}
-    if args.command == "weakcheck":
-        extra["axis"] = args.axis
-    if args.command == "modulus":
-        extra["rho_out"] = getattr(args, "rho_out", None)
-    if args.command == "counterexample":
-        ladder = [float(x) for x in str(args.ladder).split(",") if x.strip()]
-        extra.update(
-            {
-                "t": args.t,
-                "ladder": ladder,
-                "resolution": args.resolution,
-                "fixed_m": args.fixed_m,
-            }
-        )
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        p=getattr(args, "p", 2.0),
-        tol=getattr(args, "tol", 1e-6),
-        max_iter=getattr(args, "max_iter", 2000),
-        seed=getattr(args, "seed", 0),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        extra=extra,
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = _config_from_args(args)
-        report = _HANDLERS[cfg.command](cfg)
+        _validate(args)
+        report = args.handler(args)
+        report.inputs = {name: sha256_digest(getattr(args, name)) for name in args.inputs}
+        report.wall_time_s = time.perf_counter() - started
+        report.meta.setdefault("seed", getattr(args, "seed", 0))
+        if args.out:
+            write_report(report, args.out)
+        else:
+            sys.stdout.write(report_to_json(report))
+        if getattr(args, "export_plots", None):
+            export_plot_data(report, args.export_plots)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"modlab: error: {exc}", file=sys.stderr)
         return 2
-    status = _finalize(report, cfg, started)
-    plots_dir = getattr(args, "export_plots", None)
-    if plots_dir:
-        export_plot_data(report, plots_dir)
-    return status
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -149,8 +149,8 @@ def _projected_grad_norm(lam: np.ndarray, grad: np.ndarray) -> float:
     return float(np.max(viol, initial=0.0))
 
 
-def _newton_polish(A, At, w, p, lam, tol, max_rounds: int = 60):
-    """Projected Newton ascent on the concave dual to tighten the gap.
+def _newton_polish(A, At, w, p, lam, tol):
+    """Projected Newton ascent on the concave dual to tighten the gap, at most 60 rounds.
 
     The Hessian restricted to the free multipliers is -A D A^T with the
     diagonal curvature D = d rho / d s; a ridge keeps duplicated rows
@@ -161,7 +161,7 @@ def _newton_polish(A, At, w, p, lam, tol, max_rounds: int = 60):
     """
     obj, grad, s, rho = _dual_objective(A, At, w, p, lam)
     rounds = 0
-    for _ in range(max_rounds):
+    for _ in range(60):
         margins = 1.0 - grad
         mmin = float(np.min(margins))
         if mmin > 0.0:

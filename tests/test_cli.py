@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from modlab import (
     VectorField,
     save_family,
 )
+from modlab import cli as cli_mod
 from modlab.cli import export_plot_data, main
 from modlab.vectorvalues import save_field_csv, save_scalar_field_csv
 from modlab.geometry import ScalarField, save_polyline_csv
@@ -312,6 +315,41 @@ def test_every_margin_is_nonnegative_exactly_when_its_check_passes(tmp_path, cas
         assert (check["margin"] >= 0) == check["pass"], check
 
 
+# The file flags of each command: every one is required, and a report's
+# ``inputs`` holds the SHA-256 digest of each, keyed by the flag name.
+FILE_FLAGS = {
+    "modulus": ("family", "grid"),
+    "norms": ("f",),
+    "weakcheck": ("f", "cand", "bumps"),
+    "acbound": ("f", "g", "curve"),
+    "counterexample": (),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_RULE_CASES))
+def test_report_inputs_are_the_digests_of_the_file_flags(tmp_path, case):
+    argv, code = CHECK_RULE_CASES[case](tmp_path)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == code
+    expected = {
+        flag: hashlib.sha256(Path(argv[argv.index(f"--{flag}") + 1]).read_bytes()).hexdigest()
+        for flag in FILE_FLAGS[argv[0]]
+    }
+    assert json.loads(out.read_text())["inputs"] == expected
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_RULE_CASES))
+def test_identical_runs_give_identical_reports_apart_from_wall_time(tmp_path, case):
+    argv, code = CHECK_RULE_CASES[case](tmp_path)
+    texts = []
+    for name in ("first.json", "second.json"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == code
+        lines = (tmp_path / name).read_text().splitlines()
+        texts.append([line for line in lines if '"wall_time_s"' not in line])
+        assert len(texts[-1]) == len(lines) - 1
+    assert texts[0] == texts[1]
+
+
 def assert_exit_2_without_report(argv, out, capsys, *names):
     """Exit 2 with one error line that mentions every one of ``names``."""
     status = main(argv + ["--out", str(out)])
@@ -320,6 +358,28 @@ def assert_exit_2_without_report(argv, out, capsys, *names):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert all(name in err for name in names), err
     assert not out.exists()
+
+
+def assert_exit_2_writing_nothing(argv, directory, capsys, flag):
+    """Exit 2 with one error line naming ``flag``; no file under ``directory`` appears or goes."""
+    before = sorted(directory.rglob("*"))
+    status = main(argv)
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert flag in err, err
+    assert sorted(directory.rglob("*")) == before
+
+
+@pytest.fixture
+def no_computation(monkeypatch):
+    """Make every command's computation fail the test if it starts."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the computation started")
+
+    for name in ("solve_modulus", "dichotomy_report"):
+        monkeypatch.setattr(cli_mod, name, unreachable)
+    monkeypatch.setattr(cli_mod.acceptance, "run_all", unreachable)
 
 
 class TestMalformedInputsExit2:
@@ -397,8 +457,12 @@ class TestMalformedInputsExit2:
 
     @pytest.mark.parametrize(
         "args,named",
-        [(["--fixed-m", "0", "--ladder", "1e-1,1e-2"], "fixed_M"), (["--t", "0.5", "--ladder=-1e-2,-1e-1"], "h_ladder")],
-        ids=["fixed-m-0", "negative-steps"],
+        [
+            (["--fixed-m", "0", "--ladder", "1e-1,1e-2"], "fixed_M"),
+            (["--t", "0.5", "--ladder=-1e-2,-1e-1"], "h_ladder"),
+            (["--ladder", "1e-1,abc"], "--ladder"),
+        ],
+        ids=["fixed-m-0", "negative-steps", "unparsable-ladder"],
     )
     def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, args, named):
         argv = ["counterexample", "--resolution", "64"] + args
@@ -466,3 +530,44 @@ class TestMalformedInputsExit2:
     def test_acbound_curve_of_another_dimension(self, tmp_path, capsys):
         argv = self._acbound_argv(tmp_path, "0.1,0.1,0.1\n0.5,0.5,0.5\n")
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "3 coordinates", "2 axes")
+
+    @pytest.mark.parametrize(
+        "case,flag",
+        [(case, flag) for case in ("modulus-p2", "norms-l2", "weakcheck-exit0", "acbound-exit0")
+         for flag in FILE_FLAGS[case.split("-")[0]]],
+    )
+    def test_missing_input_file_names_its_flag(self, tmp_path, capsys, case, flag):
+        argv, _ = CHECK_RULE_CASES[case](tmp_path)
+        argv[argv.index(f"--{flag}") + 1] = str(tmp_path / "missing")
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, f"input file for --{flag} not found")
+
+    def test_suite_out_under_a_missing_directory(self, tmp_path, capsys, no_computation):
+        argv = ["suite", "--out", str(tmp_path / "nodir" / "s.json")]
+        assert_exit_2_writing_nothing(argv, tmp_path, capsys, "--out")
+
+    def test_out_set_to_a_directory(self, modulus_inputs, capsys, no_computation):
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_writing_nothing(argv + ["--out", str(modulus_inputs)], modulus_inputs, capsys, "--out")
+
+    def test_rho_out_under_a_missing_directory(self, modulus_inputs, capsys, no_computation):
+        argv = [
+            "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
+            "--out", str(modulus_inputs / "r.json"), "--rho-out", str(modulus_inputs / "nodir" / "rho.csv"),
+        ]
+        assert_exit_2_writing_nothing(argv, modulus_inputs, capsys, "--rho-out")
+
+    def test_export_plots_set_to_a_file(self, tmp_path, capsys, no_computation):
+        (tmp_path / "plots").write_text("not a directory\n")
+        argv = ["counterexample", "--ladder", "1e-1,1e-2", "--resolution", "64",
+                "--out", str(tmp_path / "r.json"), "--export-plots", str(tmp_path / "plots")]
+        assert_exit_2_writing_nothing(argv, tmp_path, capsys, "--export-plots")
+        assert (tmp_path / "plots").read_text() == "not a directory\n"
+
+    def test_plot_export_that_fails_at_write_time(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        argv = ["counterexample", "--ladder", "1e-1,1e-2", "--resolution", "64",
+                "--out", str(tmp_path / "r.json"), "--export-plots", str(tmp_path / "file" / "plots")]
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1 and "plots" in err, err
