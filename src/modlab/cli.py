@@ -48,8 +48,10 @@ def _validate(args) -> None:
             continue
         path, flag = Path(getattr(args, dest)), "--" + dest.replace("_", "-")
         if dest == "export_plots":
-            if path.exists() and not path.is_dir():
-                raise ValueError(f"{flag} is not a directory: {path}")
+            # the export creates missing directories, so the nearest existing one decides
+            existing = next(p for p in (path, *path.parents) if p.exists())
+            if not existing.is_dir():
+                raise ValueError(f"{flag} is not a directory: {existing}")
         elif path.is_dir():
             raise ValueError(f"{flag} is a directory: {path}")
         elif not path.parent.is_dir():

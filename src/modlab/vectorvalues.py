@@ -22,6 +22,8 @@ from .geometry import Grid, ScalarField
 DUAL_NORM_SLACK = 1e-12
 
 # Exact sign-vector enumeration for l1-valued fields caps at 2^16 functionals.
+# l1 g* enumerates sign vectors only on grids with N >= 3 axes; on 1-D and
+# 2-D grids it is exact for every M without them.
 L1_EXACT_MAX_DIM = 16
 
 

@@ -563,8 +563,20 @@ class TestMalformedInputsExit2:
         assert_exit_2_writing_nothing(argv, tmp_path, capsys, "--export-plots")
         assert (tmp_path / "plots").read_text() == "not a directory\n"
 
-    def test_plot_export_that_fails_at_write_time(self, tmp_path, capsys):
-        (tmp_path / "file").write_text("")
+    def test_export_plots_under_a_file(self, tmp_path, capsys, no_computation):
+        (tmp_path / "file").write_text("not a directory\n")
+        argv = ["counterexample", "--ladder", "1e-1,1e-2", "--resolution", "64",
+                "--out", str(tmp_path / "r.json"), "--export-plots", str(tmp_path / "file" / "plots")]
+        assert_exit_2_writing_nothing(argv, tmp_path, capsys, "--export-plots")
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    def test_plot_export_that_fails_at_write_time(self, tmp_path, capsys, monkeypatch):
+        # the blocking file appears after validation, while the ladder runs
+        def ladder_then_file(*args, real=cli_mod.dichotomy_report, **kwargs):
+            (tmp_path / "file").write_text("")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "dichotomy_report", ladder_then_file)
         argv = ["counterexample", "--ladder", "1e-1,1e-2", "--resolution", "64",
                 "--out", str(tmp_path / "r.json"), "--export-plots", str(tmp_path / "file" / "plots")]
         status = main(argv)

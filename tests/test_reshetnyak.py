@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from modlab import (
     w_norm,
 )
 from modlab.geometry import curve_integral, restrict
-from modlab.reshetnyak import _jacobian, _spectral_norms
+from modlab import reshetnyak
+from modlab.reshetnyak import _jacobian, _planar_l1_gstar, _spectral_norms, _sup_over_directions
 from modlab.sobolev import gradient_length
 
 
@@ -29,9 +31,53 @@ def square_grid(res):
     return Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[res, res])
 
 
+def cube_grid(res):
+    return Grid(box_min=[0.0, 0.0, 0.0], box_max=[1.0, 1.0, 1.0], resolution=[res, res, res])
+
+
 def identity_field(res, tag):
     g = square_grid(res)
     return VectorField(grid=g, values=g.cell_centers().copy(), norm=tag)
+
+
+def walk_bound(J):
+    """The planar walk's roundoff bound per cell: 4 (M + 2) eps sum_i ||j_i||."""
+    return 4 * (J.shape[2] + 2) * np.finfo(float).eps * np.sum(np.sqrt(np.sum(J * J, axis=1)), axis=1)
+
+
+def enumerated_l1_gstar(J):
+    """max over all s in {-1, 1}^M with s_1 = +1 of ||J s||, 2^15 sign vectors at a time.
+
+    For M <= 16 this is one call on the sign matrix ``upper_gradient_star``
+    builds for N >= 3, in the same column order.
+    """
+    M = J.shape[2]
+    low = min(M - 1, 15)
+    tail = np.array(list(itertools.product((1.0, -1.0), repeat=low))).reshape(2**low, low)
+    best = np.zeros(J.shape[0])
+    for head in itertools.product((1.0, -1.0), repeat=M - 1 - low):
+        signs = np.hstack([np.tile([1.0, *head], (2**low, 1)), tail])
+        best = np.maximum(best, _sup_over_directions(J, signs.T.copy()))
+    return best
+
+
+def arc_bisector_l1_gstar(J):
+    """O(M^2) oracle for N = 2: one sign vector per arc of directions, no sort, no cumsum.
+
+    sign(J^T u) changes only where u is orthogonal to a column. For each such
+    breakpoint the next one counterclockwise is the nearest by angle; u at the
+    arc's bisector gives s = sign(J^T u), and ||J s|| is summed directly.
+    """
+    out = np.zeros(J.shape[0])
+    for c, Jc in enumerate(J):
+        theta = np.arctan2(Jc[1], Jc[0])
+        breaks = np.concatenate([theta + np.pi / 2, theta - np.pi / 2]) % (2 * np.pi)
+        gaps = (breaks[None, :] - breaks[:, None]) % (2 * np.pi)
+        gaps[gaps == 0.0] = 2 * np.pi
+        phi = breaks + gaps.min(axis=1) / 2
+        S = np.sign(Jc.T @ np.stack([np.cos(phi), np.sin(phi)]))
+        out[c] = np.max(np.sqrt(np.sum((Jc @ S) ** 2, axis=0)))
+    return out
 
 
 class TestUpperGradientStar:
@@ -85,12 +131,21 @@ class TestUpperGradientStar:
         assert np.allclose(ub.gstar.values, worst, atol=1e-12)
 
     def test_l1_large_m_falls_back_to_sampled(self, rng):
-        g = square_grid(4)
+        g = cube_grid(4)
         f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 20)), norm=NormTag.L1)
         ub = upper_gradient_star(f, sample_count=32, seed=5)
         assert not ub.exact
         assert "sampled(count=32,seed=5)" in ub.dual_set_descriptor
         assert "warning" in ub.dual_set_descriptor
+
+    def test_planar_l1_large_m_is_exact(self, rng):
+        g = square_grid(4)
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 20)), norm=NormTag.L1)
+        ub = upper_gradient_star(f, sample_count=32, seed=5)
+        assert ub.exact
+        assert ub.dual_set_descriptor == "exact-extreme-points"
+        J = _jacobian(f)
+        assert np.all(np.abs(ub.gstar.values - enumerated_l1_gstar(J)) <= walk_bound(J))
 
     def test_spectral_norm_matches_svd_oracle(self, rng):
         J = rng.normal(size=(50, 2, 4))
@@ -138,6 +193,102 @@ class TestUpperGradientStar:
         small = sampled_upper_gradient(f, sample_count=16, seed=9)
         large = sampled_upper_gradient(f, sample_count=64, seed=9)
         assert np.all(large.gstar.values >= small.gstar.values - 1e-15)
+
+
+class TestPlanarL1Walk:
+    @pytest.mark.parametrize("M", range(1, 17))
+    def test_random_fields_match_the_enumeration(self, rng, M):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, M)), norm=NormTag.L1)
+        ub = upper_gradient_star(f)
+        assert ub.exact and ub.dual_set_descriptor == "exact-extreme-points"
+        J = _jacobian(f)
+        assert np.all(np.abs(ub.gstar.values - enumerated_l1_gstar(J)) <= walk_bound(J))
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_adversarial_columns_match_the_enumeration(self, M):
+        rng = np.random.default_rng(100 + M)
+        cells = 250
+        direction = rng.normal(size=(cells, 2, 1))
+        cases = [
+            # zero columns, signed zeros included
+            rng.normal(size=(cells, 2, M)) * (rng.random((cells, 1, M)) < 0.5)
+            * rng.choice([-1.0, 1.0], (cells, 2, M)),
+            # columns on the x axis with y = +0.0 or -0.0 among free columns
+            np.where(rng.random((cells, 1, M)) < 0.5,
+                     np.stack([rng.normal(size=(cells, M)), rng.choice([-0.0, 0.0], (cells, M))], axis=1),
+                     rng.normal(size=(cells, 2, M))),
+            # parallel and antiparallel columns
+            direction * rng.normal(size=(cells, 1, M)),
+            # integer columns: tied angles, ties across the flip, axis-aligned columns
+            rng.integers(-2, 3, size=(cells, 2, M)).astype(float),
+            # integer multiples of one integer direction next to free columns
+            np.concatenate(
+                [rng.integers(-3, 4, size=(cells, 1, 1)) * rng.integers(-2, 3, size=(cells, 2, 1)),
+                 rng.integers(-3, 4, size=(cells, 2, M - 1)).astype(float)], axis=2),
+        ]
+        for J in cases:
+            walk = _planar_l1_gstar(J)
+            assert np.all(np.abs(walk - enumerated_l1_gstar(J)) <= walk_bound(J))
+
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_interval_closed_form_matches_the_enumeration(self, rng, M):
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[65])
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, M)), norm=NormTag.L1)
+        ub = upper_gradient_star(f)
+        assert ub.exact and ub.dual_set_descriptor == "exact-extreme-points"
+        J = _jacobian(f)
+        assert np.all(np.abs(ub.gstar.values - enumerated_l1_gstar(J)) <= walk_bound(J))
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_large_m_matches_the_arc_bisector_oracle(self, rng, M):
+        g = square_grid(5)
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, M)), norm=NormTag.L1)
+        ub = upper_gradient_star(f)
+        assert ub.exact and ub.dual_set_descriptor == "exact-extreme-points"
+        J = _jacobian(f)
+        assert np.all(np.abs(ub.gstar.values - arc_bisector_l1_gstar(J)) <= walk_bound(J))
+
+    def test_planar_and_interval_fields_never_enumerate_sign_vectors(self, rng, monkeypatch):
+        def enumeration(*args, **kwargs):
+            raise AssertionError("the 2^(M-1) sign-vector enumeration ran")
+
+        monkeypatch.setattr(reshetnyak, "_sup_over_directions", enumeration)
+        for g, M in ((square_grid(8), 12), (Grid(box_min=[0.0], box_max=[1.0], resolution=[64]), 12)):
+            f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, M)), norm=NormTag.L1)
+            assert upper_gradient_star(f).exact
+
+    def test_three_axes_keep_the_enumeration_bit_for_bit(self, rng):
+        g = cube_grid(4)
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 5)), norm=NormTag.L1)
+        ub = upper_gradient_star(f)
+        assert ub.exact and ub.dual_set_descriptor == "exact-extreme-points"
+        assert ub.gstar.values.tobytes() == enumerated_l1_gstar(_jacobian(f)).tobytes()
+
+    def test_symmetries_leave_gstar_unchanged(self, rng):
+        # each walk is within walk_bound of the exact g*, so two walks on
+        # symmetric Jacobians agree within twice it
+        M, shape = 9, (12, 9)
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.5, 1.0], resolution=list(shape))
+        cube = rng.normal(size=(*shape, M))
+
+        def gstar(grid, cube):
+            f = VectorField(grid=grid, values=cube.reshape(-1, M), norm=NormTag.L1)
+            return upper_gradient_star(f).gstar.values.reshape(grid.shape)
+
+        base = gstar(g, cube)
+        J = _jacobian(VectorField(grid=g, values=cube.reshape(-1, M), norm=NormTag.L1))
+        tol = 2 * walk_bound(J).reshape(shape)
+        perm, signs = rng.permutation(M), rng.choice([-1.0, 1.0], size=M)
+        swapped = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.5], resolution=list(shape[::-1]))
+        variants = [
+            ("signed permutation of V", gstar(g, cube[..., perm] * signs)),
+            ("swapped grid axes", gstar(swapped, cube.transpose(1, 0, 2)).T),
+            ("reflected axis 0", gstar(g, cube[::-1])[::-1]),
+            ("reflected axis 1", gstar(g, cube[:, ::-1])[:, ::-1]),
+        ]
+        for name, values in variants:
+            assert np.all(np.abs(values - base) <= tol), name
 
 
 class TestRNorm:
@@ -191,7 +342,7 @@ class TestNormEquivalence:
                     assert report.passed, (tag, M, p, report.meta)
 
     def test_sampled_mode_downgrades_to_one_sided(self, rng):
-        g = square_grid(6)
+        g = cube_grid(6)
         f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 20)), norm=NormTag.L1)
         report = norm_equivalence_check(f, 2.0)
         assert report.meta["one_sided"]
