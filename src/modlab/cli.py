@@ -2,12 +2,14 @@
 
 Each command is declared once, in ``_build_parser``: its flags, its required
 file inputs, whose SHA-256 digests go into the report's ``inputs``, and its
-handler. Exit status: 0 when every check passes, 1 on check failures, 2 on
-parse or precondition errors. Parameters, input files and output paths are
-checked before any computation. Reports are written even when checks fail;
-identical configuration and inputs give byte-identical reports apart from
-the wall-time field. All numeric work runs sequentially with fixed
-reduction order.
+handler, which returns the report and adds any further output file to a dict
+of ``{path: text}``. Exit status: 0 when every check passes, 1 on check
+failures, 2 on parse or precondition errors. Parameters, input files and
+output paths are checked before any computation. Reports are written even
+when checks fail; identical configuration and inputs give byte-identical
+reports apart from the wall-time field. The output files (the report,
+``--rho-out`` and the plot data) are all written or none is. All numeric
+work runs sequentially with fixed reduction order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -24,11 +27,11 @@ from . import acceptance
 from .errors import require_keys
 from .geometry import Grid, load_family, load_polyline_csv
 from .modulus import assemble_problem, solve_modulus
-from .report import CheckRecord, Report, bounded_check, format_float, report_to_json, sha256_digest, write_report
+from .report import CheckRecord, Report, bounded_check, format_float, report_to_json, sha256_digest
 from .reshetnyak import ac_bound_check, norm_equivalence_check
 from .rnp_lab import dichotomy_gap_floor, dichotomy_report
 from .sobolev import TestFunction, weak_derivative_check
-from .vectorvalues import load_field_csv, load_scalar_field_csv, lp_norm, save_scalar_field_csv
+from .vectorvalues import field_csv_files, load_field_csv, load_scalar_field_csv, lp_norm
 
 
 def _validate(args) -> None:
@@ -58,25 +61,48 @@ def _validate(args) -> None:
             raise ValueError(f"output directory for {flag} not found: {path.parent}")
 
 
-def export_plot_data(report: Report, path) -> list:
-    """Write one headered CSV per series, rows sorted by the first column."""
-    out = []
+def write_files(files: dict) -> None:
+    """Write every ``{path: text}``, all or none.
+
+    Each text goes to a temporary name beside its target, in a directory
+    made if missing; the temporaries are renamed onto the targets only after
+    every write succeeded. On a failure the temporaries and the directories
+    made here are removed, and the error propagates.
+    """
+    made, staged = [], []
+    try:
+        for target, text in files.items():
+            target = Path(target)
+            for d in reversed([d for d in (target.parent, *target.parent.parents) if not d.exists()]):
+                d.mkdir()
+                made.append(d)
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((temporary, target))
+            temporary.write_text(text)
+        for temporary, target in staged:
+            temporary.replace(target)
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        for d in reversed(made):
+            d.rmdir()
+        raise
+
+
+def plot_files(report: Report, path) -> dict:
+    """One headered CSV text per series, rows sorted by the first column, keyed by its path."""
+    files = {}
     if not report.series:
-        print("export_plot_data: report contains no series; nothing to export")
-        return out
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+        print("plot export: report contains no series; nothing to export")
     for s in report.series:
         rows = sorted(s.rows, key=lambda r: r[0])
-        target = path / f"{s.name}.csv"
         lines = [",".join(s.columns)]
         lines += [",".join(format_float(float(x)) for x in row) for row in rows]
-        target.write_text("\n".join(lines) + "\n")
-        out.append(target)
-    return out
+        files[Path(path) / f"{s.name}.csv"] = "\n".join(lines) + "\n"
+    return files
 
 
-def _cmd_modulus(args) -> Report:
+def _cmd_modulus(args, files: dict) -> Report:
     grid = Grid.load(args.grid)
     fam = load_family(args.family)
     prob = assemble_problem(fam, grid, args.p)
@@ -87,7 +113,7 @@ def _cmd_modulus(args) -> Report:
         bounded_check("constraint_violation", result.max_constraint_violation, args.tol),
     ]
     if args.rho_out:
-        save_scalar_field_csv(result.rho_star, args.rho_out)
+        files.update(field_csv_files(result.rho_star, args.rho_out))
     return Report(
         command="modulus",
         checks=checks,
@@ -104,7 +130,7 @@ def _cmd_modulus(args) -> Report:
     )
 
 
-def _cmd_norms(args) -> Report:
+def _cmd_norms(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     rep = norm_equivalence_check(f, args.p, tol=args.tol, seed=args.seed)
     lp = lp_norm(f, args.p)
@@ -119,7 +145,7 @@ def _cmd_norms(args) -> Report:
     return rep
 
 
-def _cmd_weakcheck(args) -> Report:
+def _cmd_weakcheck(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     cand = load_field_csv(args.cand)
     bumps_spec = json.loads(args.bumps.read_text())
@@ -134,7 +160,7 @@ def _cmd_weakcheck(args) -> Report:
     return rep
 
 
-def _cmd_acbound(args) -> Report:
+def _cmd_acbound(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     g = load_scalar_field_csv(args.g)
     curve = load_polyline_csv(args.curve)
@@ -143,7 +169,7 @@ def _cmd_acbound(args) -> Report:
     return rep
 
 
-def _cmd_counterexample(args) -> Report:
+def _cmd_counterexample(args, files: dict) -> Report:
     try:
         ladder = [float(x) for x in args.ladder.split(",") if x.strip()]
     except ValueError:
@@ -160,7 +186,7 @@ def _cmd_counterexample(args) -> Report:
     return rep
 
 
-def _cmd_suite(args) -> Report:
+def _cmd_suite(args, files: dict) -> Report:
     reports = acceptance.run_all()
     checks = [replace(c, name=f"{rep.command}.{c.name}") for rep in reports for c in rep.checks]
     series = [s for rep in reports for s in rep.series]
@@ -217,16 +243,19 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         _validate(args)
-        report = args.handler(args)
+        files = {}
+        report = args.handler(args, files)
         report.inputs = {name: sha256_digest(getattr(args, name)) for name in args.inputs}
         report.wall_time_s = time.perf_counter() - started
         report.meta.setdefault("seed", getattr(args, "seed", 0))
+        text = report_to_json(report)
         if args.out:
-            write_report(report, args.out)
-        else:
-            sys.stdout.write(report_to_json(report))
+            files[Path(args.out)] = text
         if getattr(args, "export_plots", None):
-            export_plot_data(report, args.export_plots)
+            files.update(plot_files(report, args.export_plots))
+        write_files(files)
+        if not args.out:
+            sys.stdout.write(text)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"modlab: error: {exc}", file=sys.stderr)
         return 2

@@ -358,7 +358,10 @@ def load_polyline_csv(path) -> Polyline:
             raise ValueError(
                 f"line {number} of {path} has {len(parts)} columns where the first row has {len(rows[0])}"
             )
-        rows.append([float(x) for x in parts])
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError:
+            raise ValueError(f"line {number} of {path} holds a coordinate that is not a number: {line!r}") from None
     if not rows:
         raise ValueError(f"empty polyline file: {path}")
     return Polyline(np.asarray(rows))

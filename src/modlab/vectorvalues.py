@@ -183,7 +183,13 @@ def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def save_field_csv(f: VectorField, path) -> None:
+def field_csv_files(f: VectorField | ScalarField, path) -> dict:
+    """A field's CSV and sidecar texts, keyed by the paths they belong at.
+
+    A scalar field is written as one l2 value column.
+    """
+    if isinstance(f, ScalarField):
+        f = VectorField(grid=f.grid, values=f.values[:, None], norm=NormTag.L2)
     path = Path(path)
     g = f.grid
     idx = np.stack(np.unravel_index(np.arange(g.num_cells), g.shape), axis=-1)
@@ -192,12 +198,84 @@ def save_field_csv(f: VectorField, path) -> None:
     for row_idx, row_val in zip(idx, f.values):
         cells = [str(int(i)) for i in row_idx] + [format(x, ".17g") for x in row_val]
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
     sidecar = {"norm_tag": f.norm.value, "dim_M": f.dim_M, "grid": g.to_json()}
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
+    return {path: "\n".join(lines) + "\n", _sidecar_path(path): json.dumps(sidecar, indent=2) + "\n"}
+
+
+def save_field_csv(f: VectorField | ScalarField, path) -> None:
+    for target, text in field_csv_files(f, path).items():
+        target.write_text(text)
+
+
+def _body_line_numbers(lines) -> list:
+    """1-based line numbers of the body rows: the non-blank lines after the header."""
+    return [n for n, ln in enumerate(lines, 1) if ln.strip()][1:]
+
+
+def _c_reader_rows(text, body, N, M):
+    """(indices, values) of the body from numpy's C reader, or None where it must not decide.
+
+    That reader misreads non-ASCII digits (it reads U+01FE then '7' as the
+    integer 4627) and strips U+001F as whitespace, where Python's int and
+    float refuse both, so it only sees ASCII text without U+001F; on such
+    text both accept the same tokens with the same values. The first row's
+    width is checked before it sizes the row type, so a sidecar's ``dim_M``
+    of 1e15 reaches the per-row loop's columns message, not a numpy error.
+    """
+    if not text.isascii() or "\x1f" in text or body[0].count(",") != N + M - 1:
+        return None
+    row = np.dtype([("i", np.int64, (N,)), ("v", np.float64, (M,))])
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=row)
+    except ValueError:
+        return None
+    return table["i"], table["v"]
+
+
+def _python_rows(path, lines, N, M):
+    """(indices, values) of the body parsed row by row with Python's int and float.
+
+    Raises a ValueError naming the file, the 1-based line and the rule of the
+    first row that breaks one.
+    """
+    indices, row_values = [], []
+    numbers = _body_line_numbers(lines)
+    for number in numbers:
+        parts = lines[number - 1].split(",")
+        if len(parts) != N + M:
+            raise ValueError(
+                f"line {number} of {path} has {len(parts)} columns; every row needs {N} index and {M} value columns"
+            )
+        try:
+            indices.extend(map(int, parts[:N]))
+            row_values.extend(map(float, parts[N:]))
+        except ValueError:
+            for k, token in enumerate(parts):
+                try:
+                    (int if k < N else float)(token)
+                except ValueError:
+                    rule = "index {!r} is not an integer" if k < N else "value {!r} is not a number"
+                    raise ValueError(f"line {number} of {path}: " + rule.format(token.strip())) from None
+    try:
+        multi = np.array(indices, dtype=np.int64).reshape(-1, N)
+    except OverflowError:
+        k = next(k for k, i in enumerate(indices) if not -(2**63) <= i < 2**63)
+        raise ValueError(f"line {numbers[k // N]} of {path}: index {indices[k]} does not fit in int64") from None
+    return multi, np.array(row_values).reshape(-1, M)
 
 
 def load_field_csv(path) -> VectorField:
+    """Read a field CSV and its sidecar ``<path>.json``.
+
+    The body goes to numpy's C reader in one call. The per-row loop of
+    Python's int and float stays for the bodies that reader refuses: it is
+    the only path that reads the spellings Python accepts and the reader
+    does not (``1_000``, non-ASCII digits, an index beyond int64, which then
+    exits on the int64 rule), and the only one that can name the line of a
+    bad token. Every fault names the file, the 1-based line of the row (blank
+    lines counted) and the rule it breaks; the grid bounds, the one-row-per-
+    cell rule and finiteness are checked once over all rows.
+    """
     path = Path(path)
     sidecar = json.loads(_sidecar_path(path).read_text())
     if not isinstance(sidecar, dict):
@@ -210,25 +288,22 @@ def load_field_csv(path) -> VectorField:
         raise ValueError(f"dim_M in the sidecar of {path} must be an integer >= 1")
     M = int(M)
     tag = NormTag(sidecar["norm_tag"])
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    body = lines[1:]  # header row
+    text = path.read_text()
+    lines = text.splitlines()
+    body = [ln for ln in lines if ln.strip()][1:]  # header row
     if len(body) != grid.num_cells:
         raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
     N = grid.ndim
-    columns = f"every row of {path} needs {N} index and {M} value columns"
-    # one pass checks each row's width and parses its tokens with Python's
-    # int and float; the index checks and the scatter then run once over all rows
-    indices, row_values = [], []
-    for ln in body:
-        parts = ln.split(",")
-        if len(parts) != N + M:
-            raise ValueError(columns)
-        indices.extend(map(int, parts[:N]))
-        row_values.extend(map(float, parts[N:]))
-    try:
-        multi = np.array(indices, dtype=np.int64).reshape(-1, N)
-    except OverflowError:
-        raise ValueError(f"an index in {path} does not fit in int64") from None
+    multi, row_values = _c_reader_rows(text, body, N, M) or _python_rows(path, lines, N, M)
+
+    def fault(row, rule):
+        return ValueError(f"line {_body_line_numbers(lines)[row]} of {path}: {rule}")
+
+    outside = np.any((multi < 0) | (multi >= np.array(grid.shape)), axis=1)
+    if outside.any():
+        row = int(np.argmax(outside))
+        cell = tuple(int(i) for i in multi[row])
+        raise fault(row, f"cell {cell} lies outside the grid of shape {grid.shape}")
     flat = np.ravel_multi_index(multi.T, grid.shape)
     # with one row per cell, a repeated index is also a missing one; name the
     # first row, in file order, whose cell an earlier row already holds
@@ -236,15 +311,20 @@ def load_field_csv(path) -> VectorField:
     if first.size < flat.size:
         repeat = np.ones(flat.size, dtype=bool)
         repeat[first] = False
-        cell = tuple(int(i) for i in multi[np.argmax(repeat)])
-        raise ValueError(f"cell {cell} appears twice in {path}; every cell needs exactly one row")
+        row = int(np.argmax(repeat))
+        cell = tuple(int(i) for i in multi[row])
+        raise fault(row, f"cell {cell} appears twice; every cell needs exactly one row")
+    finite = np.isfinite(row_values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise fault(row, f"values must be finite, found {row_values[row].tolist()}")
     values = np.empty((grid.num_cells, M))
-    values[flat] = np.array(row_values).reshape(-1, M)
+    values[flat] = row_values
     return VectorField(grid=grid, values=values, norm=tag)
 
 
 def save_scalar_field_csv(s: ScalarField, path) -> None:
-    save_field_csv(VectorField(grid=s.grid, values=s.values[:, None], norm=NormTag.L2), path)
+    save_field_csv(s, path)
 
 
 def load_scalar_field_csv(path) -> ScalarField:

@@ -17,7 +17,7 @@ from modlab import (
     save_family,
 )
 from modlab import cli as cli_mod
-from modlab.cli import export_plot_data, main
+from modlab.cli import main, plot_files
 from modlab.vectorvalues import save_field_csv, save_scalar_field_csv
 from modlab.geometry import ScalarField, save_polyline_csv
 
@@ -223,8 +223,7 @@ class TestSuiteCommand:
 
 class TestPlotExport:
     def test_empty_report_is_a_notice_noop(self, tmp_path, capsys):
-        written = export_plot_data(Report(command="none"), tmp_path / "plots")
-        assert written == []
+        assert plot_files(Report(command="none"), tmp_path / "plots") == {}
         assert "no series" in capsys.readouterr().out
 
     def test_series_sorted_and_headered(self, tmp_path):
@@ -238,8 +237,9 @@ class TestPlotExport:
                 )()
             ],
         )
-        files = export_plot_data(rep, tmp_path)
-        text = files[0].read_text().splitlines()
+        files = plot_files(rep, tmp_path)
+        assert list(files) == [tmp_path / "refine.csv"]
+        text = files[tmp_path / "refine.csv"].splitlines()
         assert text[0] == "resolution,value"
         assert text[1].startswith("64")
 
@@ -527,6 +527,10 @@ class TestMalformedInputsExit2:
         argv = self._acbound_argv(tmp_path, "0.1,0.1\n\n0.5,0.5\n0.6,0.6,0.6\n0.7,0.7\n")
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "c.csv"), "line 4")
 
+    def test_unparsable_polyline_coordinate(self, tmp_path, capsys):
+        argv = self._acbound_argv(tmp_path, "0.1,0.1\n\n0.5,x\n0.7,0.7\n")
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "c.csv"), "line 3")
+
     def test_acbound_curve_of_another_dimension(self, tmp_path, capsys):
         argv = self._acbound_argv(tmp_path, "0.1,0.1,0.1\n0.5,0.5,0.5\n")
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "3 coordinates", "2 axes")
@@ -583,3 +587,25 @@ class TestMalformedInputsExit2:
         err = capsys.readouterr().err
         assert status == 2
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1 and "plots" in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no report, no temporary
+
+    def test_report_that_fails_at_write_time_leaves_no_rho(self, modulus_inputs, capsys, monkeypatch):
+        # --rho-out is staged first; the report's directory turns into a file while the solve runs
+        (modulus_inputs / "sub").mkdir()
+
+        def solve_then_file(*args, real=cli_mod.solve_modulus, **kwargs):
+            (modulus_inputs / "sub").rmdir()
+            (modulus_inputs / "sub").write_text("")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "solve_modulus", solve_then_file)
+        before = sorted(p.name for p in modulus_inputs.iterdir())
+        argv = [
+            "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
+            "--out", str(modulus_inputs / "sub" / "r.json"), "--rho-out", str(modulus_inputs / "rho.csv"),
+        ]
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert sorted(p.name for p in modulus_inputs.iterdir()) == before

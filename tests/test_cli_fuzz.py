@@ -4,9 +4,10 @@ Each test keeps every input but one well formed and draws the remaining one
 (grid JSON, family manifest, field sidecar, bump battery) from near-valid
 records, records missing one key, arbitrary small JSON values and raw
 bytes; a field CSV body is a valid file's rows, shuffled and respelled,
-with one or two drawn faults (and once with none). ``main`` must not raise, must return 0, 1 or 2,
-and on 2 must print one line that is more than a bare key and write no
-report.
+with one or two drawn faults (and once with none), or rows drawn from the
+token grammar of ``field_csv_faults.token_rows``. ``main`` must not raise,
+must return 0, 1 or 2, and on 2 must print one line that is more than a
+bare key and write no report.
 Sizes stay small so that a well-formed draw runs in milliseconds.
 """
 
@@ -24,7 +25,7 @@ from modlab import CurveFamily, Grid, NormTag, Polyline, VectorField, save_famil
 from modlab.cli import main
 from modlab.geometry import save_polyline_csv
 from modlab.vectorvalues import save_field_csv
-from field_csv_faults import FAULTS, add_fault, respelled, shuffled_rows, write_field
+from field_csv_faults import FAULTS, add_fault, respelled, shuffled_rows, token_rows, write_field
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -178,3 +179,10 @@ def test_field_csv_body(work, seed, faults):
         add_fault(fault, rows, field_grid, rng)
     write_field(work / "w.csv", field_grid, 2, rows, rng)
     run_main(["norms", "--f", str(work / "w.csv")], work / "r.json")
+
+
+@FUZZ
+@given(rows=token_rows(field_grid, 2))
+def test_field_csv_tokens(work, rows):
+    write_field(work / "t.csv", field_grid, 2, rows, np.random.default_rng(0))
+    run_main(["norms", "--f", str(work / "t.csv")], work / "r.json")

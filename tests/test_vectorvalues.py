@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modlab import (
@@ -16,8 +16,9 @@ from modlab import (
     scalarize,
     value_norm,
 )
+from modlab import vectorvalues
 from modlab.vectorvalues import dual_norm, load_field_csv, save_field_csv
-from field_csv_faults import FAULTS, add_fault, respelled, shuffled_rows, write_field
+from field_csv_faults import FAULTS, add_fault, line_of, respelled, shuffled_rows, token_rows, write_field
 from oracles import load_field_csv_rows
 
 TAGS = [NormTag.L1, NormTag.L2, NormTag.LINF]
@@ -237,28 +238,122 @@ class TestFieldLoaderMatchesPerRowOracle:
         assert new.values.tobytes() == old.values.tobytes()
         assert new.norm is old.norm and np.array_equal(new.grid.resolution, old.grid.resolution)
 
+    RULES = {
+        "short-row": "columns", "long-row": "columns", "float-index": "is not an integer",
+        "negative-index": "outside the grid", "index-past-the-grid": "outside the grid",
+        "index-at-int64-max": "outside the grid", "repeated-cell": "appears twice",
+        "two-repeated-cells": "appears twice", "missing-row": "rows in", "extra-row": "rows in",
+        "inf": "must be finite", "-inf": "must be finite", "nan": "must be finite", "NaN": "must be finite",
+        "text-value": "is not a number",
+    }
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_a_single_fault_gives_the_same_message(self, tmp_path, N, fault):
+    def test_a_single_fault_names_the_file_line_and_rule(self, tmp_path, N, fault):
         rng = np.random.default_rng(100 * N + FAULTS.index(fault))
         g = LOADER_GRIDS[N]
         M = 1 + FAULTS.index(fault) % 4
         rows = [[respelled(t, rng) for t in row] for row in shuffled_rows(g, M, rng)]
-        path = write_field(tmp_path / "f.csv", g, M, add_fault(fault, rows, g, rng), rng)
-        with pytest.raises(ValueError) as old:
+        named = add_fault(fault, rows, g, rng)
+        path = write_field(tmp_path / "f.csv", g, M, rows, rng)
+        with pytest.raises(ValueError):
             load_field_csv_rows(path)
         with pytest.raises(ValueError) as new:
             load_field_csv(path)
-        assert str(new.value) == str(old.value)
+        message = str(new.value)
+        assert str(path) in message and self.RULES[fault] in message, message
+        if named is not None:
+            assert message.startswith(f"line {line_of(path, rows[named])} of {path}"), message
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_an_index_beyond_int64_is_a_value_error_naming_the_file(self, tmp_path, N):
         rng = np.random.default_rng(N)
         g = LOADER_GRIDS[N]
-        rows = add_fault("index-beyond-int64", shuffled_rows(g, 2, rng), g, rng)
+        rows = shuffled_rows(g, 2, rng)
+        named = add_fault("index-beyond-int64", rows, g, rng)
         path = write_field(tmp_path / "f.csv", g, 2, rows, rng)
         with pytest.raises(TypeError):  # the per-row reader let numpy's error escape
             load_field_csv_rows(path)
         with pytest.raises(ValueError, match="int64") as err:
             load_field_csv(path)
-        assert str(path) in str(err.value)
+        assert str(err.value).startswith(f"line {line_of(path, rows[named])} of {path}")
+
+
+SMALL_GRIDS = [
+    Grid(box_min=[0.0], box_max=[1.0], resolution=[4]),
+    Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[2, 3]),
+    Grid(box_min=[0.0, 0.0, 0.0], box_max=[1.0, 1.0, 1.0], resolution=[2, 1, 2]),
+]
+
+
+def _load_or_none(load, path, errors):
+    try:
+        return load(path)
+    except errors:
+        return None
+
+
+class TestFieldLoaderPaths:
+    """numpy's C reader reads what save_field_csv writes; Python's loop reads only what that reader refuses."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_saved_files_never_reach_the_per_row_loop(self, tmp_path, monkeypatch, N, M):
+        def unreachable(*args):
+            raise AssertionError("the per-row loop ran")
+
+        monkeypatch.setattr(vectorvalues, "_python_rows", unreachable)
+        g = LOADER_GRIDS[N]
+        values = np.random.default_rng(N + M).standard_normal((g.num_cells, M)) * 10.0 ** np.arange(-300, 300, 600 / M)
+        f = make_field(g, values)
+        save_field_csv(f, tmp_path / "f.csv")
+        assert load_field_csv(tmp_path / "f.csv").values.tobytes() == f.values.tobytes()
+
+    # Python's int reads the first two; it refuses the last two, which numpy's
+    # C reader would read as 10 and as 4640
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661\u0660", "\x1f10", "\u01fe0"])
+    def test_a_spelling_the_c_reader_refuses_goes_to_the_per_row_loop(self, tmp_path, monkeypatch, spelling):
+        calls = []
+
+        def spy(*args, real=vectorvalues._python_rows):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vectorvalues, "_python_rows", spy)
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[12])
+        save_field_csv(make_field(g, np.arange(12.0)), tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        assert lines[11] == "10,10"
+        lines[11] = f"{spelling},10"
+        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+        if spelling in ("\x1f10", "\u01fe0"):
+            with pytest.raises(ValueError, match="line 12 of .* is not an integer"):
+                load_field_csv(tmp_path / "f.csv")
+        else:
+            assert np.array_equal(load_field_csv(tmp_path / "f.csv").values[:, 0], np.arange(12.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim_M", [3, 10**15])
+    def test_a_sidecar_wider_than_the_rows_gives_the_columns_message(self, tmp_path, dim_M):
+        # the first row's width is checked before dim_M sizes the C reader's row type
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[4])
+        save_field_csv(make_field(g, np.arange(4.0)), tmp_path / "f.csv")
+        side = tmp_path / "f.csv.json"
+        side.write_text(side.read_text().replace('"dim_M": 1', f'"dim_M": {dim_M}'))
+        with pytest.raises(ValueError, match=f"line 2 of .* has 2 columns; every row needs 1 index and {dim_M} value"):
+            load_field_csv(tmp_path / "f.csv")
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    def test_loader_and_per_row_oracle_agree_on_drawn_tokens(self, tmp_path, data):
+        g = data.draw(st.sampled_from(SMALL_GRIDS))
+        M = data.draw(st.integers(1, 3))
+        rows = data.draw(token_rows(g, M))
+        path = write_field(tmp_path / "f.csv", g, M, rows, np.random.default_rng(0))
+        # the per-row oracle lets numpy's TypeError escape for an index beyond int64
+        old = _load_or_none(load_field_csv_rows, path, (ValueError, TypeError))
+        new = _load_or_none(load_field_csv, path, ValueError)
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert new.values.tobytes() == old.values.tobytes()
