@@ -40,7 +40,6 @@ from .reshetnyak import (
     ac_bound_check,
     norm_equivalence_check,
     r_norm,
-    sampled_upper_gradient,
     upper_gradient_star,
 )
 from .rnp_lab import (

@@ -132,7 +132,7 @@ def _cmd_modulus(args, files: dict) -> Report:
 
 def _cmd_norms(args, files: dict) -> Report:
     f = load_field_csv(args.f)
-    rep = norm_equivalence_check(f, args.p, tol=args.tol, seed=args.seed)
+    rep = norm_equivalence_check(f, args.p, tol=args.tol)
     lp = lp_norm(f, args.p)
     rep.meta.update(
         {
@@ -215,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("norms", _cmd_norms, "L^p, Sobolev and Reshetnyak norms of a field", ("f",))
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled-dual fallback mode")
 
     sp = command("weakcheck", _cmd_weakcheck, "verify a weak-derivative candidate", ("f", "cand", "bumps"))
     sp.add_argument("--axis", type=int, required=True)
@@ -247,7 +246,7 @@ def main(argv=None) -> int:
         report = args.handler(args, files)
         report.inputs = {name: sha256_digest(getattr(args, name)) for name in args.inputs}
         report.wall_time_s = time.perf_counter() - started
-        report.meta.setdefault("seed", getattr(args, "seed", 0))
+        report.meta.setdefault("seed", 0)
         text = report_to_json(report)
         if args.out:
             files[Path(args.out)] = text

@@ -102,7 +102,11 @@ def finite_diff_gradient(f: VectorField) -> GradientField:
     cube = f.values.reshape(*g.shape, f.dim_M)
     comps = []
     for axis in range(g.ndim):
-        d = np.gradient(cube, g.spacing[axis], axis=axis)
+        try:
+            with np.errstate(over="raise"):
+                d = np.gradient(cube, g.spacing[axis], axis=axis)
+        except FloatingPointError:
+            raise ValueError(f"the field's finite differences along axis {axis} overflow float64") from None
         comps.append(VectorField(grid=g, values=d.reshape(-1, f.dim_M), norm=f.norm))
     return GradientField(components=tuple(comps), source=f)
 

@@ -21,9 +21,8 @@ from .geometry import Grid, ScalarField
 
 DUAL_NORM_SLACK = 1e-12
 
-# Exact sign-vector enumeration for l1-valued fields caps at 2^16 functionals.
-# l1 g* enumerates sign vectors only on grids with N >= 3 axes; on 1-D and
-# 2-D grids it is exact for every M without them.
+# dual_ball_extreme_points lists the 2^M sign vectors of the l1 dual ball only
+# up to this M; l1 g* needs no such list and is exact for every M.
 L1_EXACT_MAX_DIM = 16
 
 
@@ -146,7 +145,7 @@ def dual_ball_extreme_points(tag: NormTag, M: int) -> list[DualFunctional]:
         return [DualFunctional(s * e, tag) for e in eye for s in (1.0, -1.0)]
     if M > L1_EXACT_MAX_DIM:
         raise CapacityError(
-            f"exact sign-vector enumeration needs 2^{M} functionals; use sampled mode"
+            f"the l1 dual ball has 2^{M} extreme points; they are listed only for M <= {L1_EXACT_MAX_DIM}"
         )
     return [DualFunctional(np.array(s, dtype=float), tag) for s in itertools.product((1.0, -1.0), repeat=M)]
 

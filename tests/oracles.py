@@ -5,6 +5,7 @@ loops, closed forms, brute-force sweeps) rather than through the library
 paths it is used to check.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -41,6 +42,44 @@ def brute_force_quotient_gap(t: float, h: float, hprime: float, M: int) -> float
         b = (math.sin(n * (t + hprime)) - math.sin(n * t)) / (n * hprime)
         worst = max(worst, abs(a - b))
     return worst
+
+
+def enumerated_l1_gstar(J: np.ndarray) -> np.ndarray:
+    """Per cell, max over all s in {-1, 1}^M with s_1 = +1 of ||J s||, for J of shape (cells, N, M).
+
+    The brute-force sweep, 2^10 sign vectors at a time.
+    """
+    M = J.shape[2]
+    low = min(M - 1, 10)
+    tail = np.array(list(itertools.product((1.0, -1.0), repeat=low))).reshape(2**low, low)
+    best = np.zeros(J.shape[0])
+    for head in itertools.product((1.0, -1.0), repeat=M - 1 - low):
+        signs = np.hstack([np.tile([1.0, *head], (2**low, 1)), tail])
+        sums = np.einsum("cnm,sm->cns", J, signs)
+        best = np.maximum(best, np.sqrt(np.sum(sums * sums, axis=1)).max(axis=1))
+    return best
+
+
+def ray_l1_gstar(J: np.ndarray) -> np.ndarray:
+    """Per cell, max over s in {-1, 1}^M of ||J s|| for N = 3 columns in general position.
+
+    Each vertex of the zonotope sum_i [-j_i, j_i] is J sign(J^T u) for u
+    inside a region of the arrangement of the planes j_i^perp. In general
+    position every region is a pointed cone whose extreme rays are the lines
+    j_a^perp & j_b^perp, on which every other column has a nonzero sign;
+    the region takes one of the 4 sign pairs on (a, b). So the sign vectors
+    at the rays u = j_a x j_b, completed by those 4 pairs, meet every
+    vertex. O(M^3) per cell.
+    """
+    M = J.shape[2]
+    best = np.zeros(J.shape[0])
+    for a, b in itertools.combinations(range(M), 2):
+        s = np.sign(np.einsum("cnm,cn->cm", J, np.cross(J[:, :, a], J[:, :, b])))
+        for sa, sb in itertools.product((1.0, -1.0), repeat=2):
+            s[:, a], s[:, b] = sa, sb
+            v = np.einsum("cnm,cm->cn", J, s)
+            best = np.maximum(best, np.sqrt(np.sum(v * v, axis=1)))
+    return best
 
 
 def midpoint_quadrature(fn, a: float, b: float, n: int = 4096) -> float:

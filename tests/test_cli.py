@@ -122,6 +122,17 @@ class TestNormsCommand:
             assert key in record["meta"]
         assert 1.0 < record["meta"]["ratio"] < math.sqrt(2.0)
 
+    def test_three_axes_l1_with_twenty_columns_is_two_sided(self, tmp_path):
+        g = Grid(box_min=[0.0, 0.0, 0.0], box_max=[1.0, 1.0, 1.0], resolution=[4, 4, 4])
+        f = VectorField(grid=g, values=np.random.default_rng(3).normal(size=(64, 20)), norm=NormTag.L1)
+        save_field_csv(f, tmp_path / "f.csv")
+        out = tmp_path / "norms.json"
+        assert main(["norms", "--f", str(tmp_path / "f.csv"), "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert [c["name"] for c in record["checks"]] == ["r_le_w", "w_le_sqrtN_r"]
+        assert record["meta"]["one_sided"] is False
+        assert record["meta"]["gstar_mode"] == "exact-extreme-points"
+
     def test_invalid_p_exits_2(self, tmp_path):
         g = Grid(box_min=[0.0], box_max=[1.0], resolution=[16])
         f = VectorField(grid=g, values=np.zeros((16, 1)), norm=NormTag.L2)
@@ -403,6 +414,14 @@ class TestMalformedInputsExit2:
             sidecar = json.dumps(record)
         side.write_text(sidecar)
         assert_exit_2_without_report(["norms", "--f", str(tmp_path / "f.csv")], tmp_path / "r.json", capsys)
+
+    def test_field_whose_finite_differences_overflow(self, tmp_path, capsys, recwarn):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
+        values = np.array([1.7e308, -1.7e308] * 5)[:9, None]
+        save_field_csv(VectorField(grid=g, values=values, norm=NormTag.L2), tmp_path / "f.csv")
+        argv = ["norms", "--f", str(tmp_path / "f.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "axis 0", "overflow")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_field_row_missing_a_value(self, tmp_path, capsys):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])

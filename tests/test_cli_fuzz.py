@@ -5,9 +5,9 @@ Each test keeps every input but one well formed and draws the remaining one
 records, records missing one key, arbitrary small JSON values and raw
 bytes; a field CSV body is a valid file's rows, shuffled and respelled,
 with one or two drawn faults (and once with none), or rows drawn from the
-token grammar of ``field_csv_faults.token_rows``. ``main`` must not raise,
-must return 0, 1 or 2, and on 2 must print one line that is more than a
-bare key and write no report.
+token grammar of ``field_csv_faults.token_rows``. ``main`` must not raise
+or warn, must return 0, 1 or 2, and on 2 must print one line that is more
+than a bare key and write no report.
 Sizes stay small so that a well-formed draw runs in milliseconds.
 """
 
@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -76,7 +77,9 @@ def run_main(argv, out):
     if out.exists():
         out.unlink()
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    # a RuntimeWarning is a second line on stderr; here it raises instead
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         status = main(argv + ["--out", str(out)])
     assert status in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
