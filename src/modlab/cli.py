@@ -246,7 +246,6 @@ def main(argv=None) -> int:
         report = args.handler(args, files)
         report.inputs = {name: sha256_digest(getattr(args, name)) for name in args.inputs}
         report.wall_time_s = time.perf_counter() - started
-        report.meta.setdefault("seed", 0)
         text = report_to_json(report)
         if args.out:
             files[Path(args.out)] = text

@@ -9,7 +9,9 @@ are computed in closed form.
 Per-cell traversal lengths are computed in one place, ``cell_length_rows``,
 which splits every segment of a whole family at its cell-plane crossings in
 one vectorized pass. ``cell_lengths`` is its one-curve case, and a line
-integral of a cell field is such a row times the cell values.
+integral of a cell field is such a row times the cell values. The split
+itself, ``_split_segments``, also cuts curves where an interpolated field
+changes formula, for the exact line integrals of ``sobolev``.
 """
 
 from __future__ import annotations
@@ -273,6 +275,34 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     return seg[order], t[order]
 
 
+def _split_segments(curves, g: Grid) -> tuple:
+    """The nonconstant segments of ``curves`` cut at the interior cell planes of ``g``.
+
+    Returns six arrays with one entry per piece, in curve, segment and then
+    parameter order: the curve, the start p, difference d and length of the
+    piece's segment, and the parameters t0 <= t1 of the piece on it, which
+    spans p + t0 d to p + t1 d. The pieces of a segment tile [0, 1].
+    """
+    verts = np.concatenate([c.vertices for c in curves])
+    owner = np.repeat(np.arange(len(curves)), [c.vertices.shape[0] for c in curves])
+    p, q = verts[:-1], verts[1:]
+    d = q - p
+    seg_len = np.sqrt(np.sum(d * d, axis=1))
+    live = (owner[:-1] == owner[1:]) & (seg_len > 0.0)
+    p, q, d, seg_len, seg_curve = p[live], q[live], d[live], seg_len[live], owner[:-1][live]
+    # breakpoints of segment s: 0, its sorted crossings, 1, laid out in blocks
+    cseg, ct = _plane_crossings(g, p, q)
+    ncross = np.bincount(cseg, minlength=len(p))
+    ends = np.cumsum(ncross + 2) - 1
+    t = np.empty(len(ct) + 2 * len(p))
+    t[ends - ncross - 1] = 0.0
+    t[ends] = 1.0
+    t[np.arange(len(ct)) + 2 * cseg + 1] = ct
+    left = np.delete(np.arange(t.size), ends)
+    seg = np.repeat(np.arange(len(p)), ncross + 1)
+    return seg_curve[seg], p[seg], d[seg], seg_len[seg], t[left], t[left + 1]
+
+
 def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
     """Arc length of each curve inside each cell, as a len(curves) x num_cells matrix.
 
@@ -289,32 +319,14 @@ def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
         raise ValueError("curve dimension does not match grid dimension")
     if not curves:
         return sp.csr_matrix((0, n))
-    verts = np.concatenate([c.vertices for c in curves])
-    if not g.contains(verts):
+    if not g.contains(np.concatenate([c.vertices for c in curves])):
         raise DomainError("curve exits the grid box")
-    owner = np.repeat(np.arange(len(curves)), [c.vertices.shape[0] for c in curves])
-    p, q = verts[:-1], verts[1:]
-    d = q - p
-    seg_len = np.sqrt(np.sum(d * d, axis=1))
-    live = (owner[:-1] == owner[1:]) & (seg_len > 0.0)
-    p, q, d, seg_len, seg_curve = p[live], q[live], d[live], seg_len[live], owner[:-1][live]
-
-    # breakpoints of segment s: 0, its sorted crossings, 1, laid out in blocks
-    cseg, ct = _plane_crossings(g, p, q)
-    ncross = np.bincount(cseg, minlength=len(p))
-    ends = np.cumsum(ncross + 2) - 1
-    t = np.empty(len(ct) + 2 * len(p))
-    t[ends - ncross - 1] = 0.0
-    t[ends] = 1.0
-    t[np.arange(len(ct)) + 2 * cseg + 1] = ct
-    left = np.delete(np.arange(t.size), ends)
-    piece_seg = np.repeat(np.arange(len(p)), ncross + 1)
-    a, b = t[left], t[left + 1]
-    widths = (b - a) * seg_len[piece_seg]
-    mids = p[piece_seg] + (0.5 * (a + b))[:, None] * d[piece_seg]
+    curve, p, d, seg_len, a, b = _split_segments(curves, g)
+    widths = (b - a) * seg_len
+    mids = p + (0.5 * (a + b))[:, None] * d
 
     # sum each (row, cell) in piece order and drop cells with zero total
-    keys, slot = np.unique(seg_curve[piece_seg] * n + g.locate(mids), return_inverse=True)
+    keys, slot = np.unique(curve * n + g.locate(mids), return_inverse=True)
     data = np.bincount(slot, weights=widths, minlength=keys.size)
     keys, data = keys[data != 0.0], data[data != 0.0]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=len(curves)))])

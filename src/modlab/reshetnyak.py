@@ -58,12 +58,12 @@ def _spectral_norms(J: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0))
 
 
-def _walk(X: np.ndarray, first: int) -> np.ndarray:
+def _walk(P: np.ndarray, J: np.ndarray) -> np.ndarray:
     """The planar walk: per cell, vertices v_0..v_{M-1} of the zonotope
     sum_i [-j_i, j_i] whose +-v_k include every vertex, shape (N, cells, M).
 
-    Rows 0 and 1 of X hold the columns' plane coordinates p_i, and rows
-    first.. the columns j_i themselves (first = 0 when they are the same).
+    P, shape (2, cells, M), holds the columns' plane coordinates p_i, and
+    J, shape (N, cells, M), the columns j_i themselves.
     The vertex exposed by a direction u (no column orthogonal to u) is sum_i
     sign(<p_i, u>) j_i. Flip each column so that its p_i lies in the upper
     half-plane, w_i = sigma_i j_i with angle in [0, pi), and sort by that
@@ -75,15 +75,15 @@ def _walk(X: np.ndarray, first: int) -> np.ndarray:
     columns (a zero column may sort anywhere) only add splits inside a tie
     group; each such v_k is still J s for a sign vector s, so it is a lower
     bound and removes no vertex. The walk is O(M log M) per cell. With
-    first = 0 its roundoff is about 3 M eps sum_i ||j_i|| against the exact
+    P = J its roundoff is about 3 M eps sum_i ||j_i|| against the exact
     maximum, and it differs from the sign-vector enumeration, which sums in
     another order, by at most 4 (M + 2) eps sum_i ||j_i||.
     """
-    x, y = X[0], X[1]
+    x, y = P[0], P[1]
     sigma = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
-    w = X * sigma
+    w = P * sigma
     order = np.argsort(np.arctan2(w[1], w[0]), axis=1, kind="stable")
-    w = np.take_along_axis(w[first:], order[None], axis=2)
+    w = np.take_along_axis(J * sigma, order[None], axis=2)
     start = -w.sum(axis=2, keepdims=True)
     return np.concatenate([start, start + 2.0 * np.cumsum(w[:, :, :-1], axis=2)], axis=2)
 
@@ -121,7 +121,7 @@ def _facet_l1_gstar(P: np.ndarray, J: np.ndarray, offsets: np.ndarray) -> np.nda
     """
     n = P.shape[0]
     if n == 2:
-        v = _walk(np.concatenate([P, J]), 2)
+        v = _walk(P, J)
         best = np.zeros(J.shape[1])
         for o in offsets:
             d = o[:, :, None] + v
@@ -149,14 +149,11 @@ def _facet_l1_gstar(P: np.ndarray, J: np.ndarray, offsets: np.ndarray) -> np.nda
 
 def _l1_gstar(J: np.ndarray) -> np.ndarray:
     """Per cell, max over s in {-1, 1}^M of ||J s|| for J of shape (cells, N, M):
-    sum_i |j_i| for N = 1, the walk's largest vertex for N = 2 and its facet
-    recursion for N >= 3."""
+    sum_i |j_i| for N = 1, and for N >= 2 _facet_l1_gstar from one zero
+    offset, which is the walk's largest vertex for N = 2."""
     if J.shape[1] == 1:
         return np.sum(np.abs(J[:, 0, :]), axis=1)
     J = J.transpose(1, 0, 2)
-    if J.shape[0] == 2:
-        v = _walk(J, 0)
-        return np.sqrt(np.max(np.sum(v * v, axis=0), axis=1))
     return _facet_l1_gstar(J, J, np.zeros((1, *J.shape[:2])))
 
 

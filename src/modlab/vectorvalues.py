@@ -108,15 +108,22 @@ def bochner_integral(f: VectorField) -> np.ndarray:
 
 def lp_norm(f: VectorField, p: float) -> float:
     """(integral of ||f||^p)^(1/p) over the box."""
-    if p < 1.0:
-        raise ValueError("lp_norm requires p >= 1")
-    return float(np.sum(f.norms() ** p * f.grid.cell_volume) ** (1.0 / p))
+    try:
+        with np.errstate(over="raise"):
+            norms = f.norms()
+    except FloatingPointError:
+        raise ValueError(f"the {f.norm.value} value norms of the field overflow float64") from None
+    return scalar_lp_norm(ScalarField(grid=f.grid, values=norms), p)
 
 
 def scalar_lp_norm(s: ScalarField, p: float) -> float:
     if p < 1.0:
         raise ValueError("lp_norm requires p >= 1")
-    return float(np.sum(np.abs(s.values) ** p * s.grid.cell_volume) ** (1.0 / p))
+    try:
+        with np.errstate(over="raise"):
+            return float(np.sum(np.abs(s.values) ** p * s.grid.cell_volume) ** (1.0 / p))
+    except FloatingPointError:
+        raise ValueError(f"the L^{p:g} norm overflows float64") from None
 
 
 def scalarize(f: VectorField, v: DualFunctional) -> ScalarField:

@@ -133,13 +133,15 @@ def dense_cell_length_rows(curves, g) -> np.ndarray:
     return rows
 
 
-def ftc_residuals(f, G, c, num_params: int, step: float) -> list:
+def ftc_residuals(f, G, c, num_params: int) -> list:
     """Per parameter pair s < t, ||f(c(t)) - f(c(s)) - int_s^t grad f . c'||.
 
-    The plain per-pair loop: restrict the curve to [s, t], build fresh
-    linear interpolators of the gradient components, add up each segment's
-    midpoint rule over ceil(length / step) equal subdivisions, and evaluate
-    f at the two endpoints one point at a time.
+    The plain per-pair loop: build fresh linear interpolators, restrict the
+    curve to [s, t], cut each of its segments where it crosses a plane of
+    interior cell centres, found one axis at a time, and apply
+    Gauss-Legendre with ndim // 2 + 1 nodes to each piece, on which the
+    interpolated gradient is a polynomial of degree <= ndim. f is evaluated
+    at the two endpoints one point at a time.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -158,24 +160,29 @@ def ftc_residuals(f, G, c, num_params: int, step: float) -> list:
         "linf": lambda v: np.max(np.abs(v)),
     }
     norm = norms[f.norm.value]
-    f_interp = interpolator(f.values)
+    x, w = np.polynomial.legendre.leggauss(g.ndim // 2 + 1)
     params = np.linspace(0.0, c.length, num_params)
     out = []
     for a in range(num_params):
         for b in range(a + 1, num_params):
             s, t = float(params[a]), float(params[b])
-            sub = restrict(c, s, t)
+            f_interp = interpolator(f.values)
             grads = [interpolator(comp.values) for comp in G.components]
+            sub = restrict(c, s, t)
             path = np.zeros(f.dim_M)
-            for p, q, seg_len in zip(sub.vertices[:-1], sub.vertices[1:], sub.segment_lengths):
-                if seg_len == 0.0:
-                    continue
-                n = max(1, int(np.ceil(seg_len / step)))
-                tt = np.linspace(0.0, 1.0, n + 1)
-                mids = p + (0.5 * (tt[:-1] + tt[1:]))[:, None] * (q - p)
-                tangent = (q - p) / seg_len
-                for axis, interp in enumerate(grads):
-                    path += seg_len / n * tangent[axis] * np.sum(interp(mids), axis=0)
+            for p, q in zip(sub.vertices[:-1], sub.vertices[1:]):
+                d = q - p
+                cuts = [0.0, 1.0]
+                for i in range(g.ndim):
+                    for centre in axes[i][1:-1]:
+                        if d[i] != 0.0 and 0.0 < (centre - p[i]) / d[i] < 1.0:
+                            cuts.append((centre - p[i]) / d[i])
+                cuts.sort()
+                for u0, u1 in zip(cuts[:-1], cuts[1:]):
+                    for xj, wj in zip(x, w):
+                        point = p + (u0 + (u1 - u0) * (1.0 + xj) / 2.0) * d
+                        for i, interp in enumerate(grads):
+                            path += (u1 - u0) * wj / 2.0 * d[i] * interp(point[None])[0]
             increment = f_interp(c.points_at([t]))[0] - f_interp(c.points_at([s]))[0]
             out.append(float(norm(increment - path)))
     return out

@@ -423,6 +423,18 @@ class TestMalformedInputsExit2:
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "axis 0", "overflow")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "tag,names",
+        [(NormTag.L2, ("l2 value norms", "overflow")), (NormTag.LINF, ("L^2", "overflow"))],
+        ids=["l2", "linf"],
+    )
+    def test_huge_constant_field_whose_norms_overflow(self, tmp_path, capsys, recwarn, tag, names):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
+        save_field_csv(VectorField(grid=g, values=np.full((9, 1), 1e200), norm=tag), tmp_path / "f.csv")
+        argv = ["norms", "--f", str(tmp_path / "f.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, *names)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_field_row_missing_a_value(self, tmp_path, capsys):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
         save_field_csv(VectorField(grid=g, values=np.ones((16, 2)), norm=NormTag.L2), tmp_path / "f.csv")

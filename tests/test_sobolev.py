@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modlab import (
+    GradientField,
     Grid,
     NormTag,
     Polyline,
@@ -257,6 +258,19 @@ class TestFtcAlongCurve:
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_residuals_equal_the_per_pair_oracle(self, rng, ndim):
+        """The library and the oracle integrate the same polynomials exactly,
+        so they differ by roundoff only. Each side sums fewer than 2^9
+        rounded terms per component: at most 11 segments (4 of the curve,
+        cut at up to 7 interior parameter points) and 64 centre-plane
+        crossings (4 segments, 16 planes) make at most 75 pieces, times 2
+        nodes and 3 axes, plus the 16 additions of the prefix sums. The
+        interpolant extrapolates by at most half a cell, so at a node it is
+        at most 2^N Gmax, and the terms add up to at most 2^N sqrt(N) L Gmax.
+        A recursive sum of K terms errs by at most K eps times the sum of
+        their sizes, and a norm on R^M is at most M times the largest
+        component. So the residuals differ by at most
+        M eps (2 2^9 2^3 sqrt(3) L Gmax + 2^5 Fmax) <= 2^14 eps M (L Gmax + Fmax).
+        """
         tags = [NormTag.L1, NormTag.L2, NormTag.LINF]
         for case in range(8):
             res = rng.integers(3, 9 if ndim < 3 else 6, size=ndim)
@@ -272,7 +286,26 @@ class TestFtcAlongCurve:
                 verts = np.vstack([verts[:1], verts])  # repeated vertex
             c = Polyline(verts)
             num_params = int(rng.integers(2, 10))
-            step = None if case % 2 else float(rng.uniform(0.05, 0.4))
-            report = ftc_along_curve_check(f, G, c, tol=1e-2, num_params=num_params, step=step)
-            expected = ftc_residuals(f, G, c, num_params, step or float(np.min(g.spacing)) / 2.0)
-            assert [ck.value for ck in report.checks[:-1]] == expected
+            report = ftc_along_curve_check(f, G, c, tol=1e-2, num_params=num_params)
+            expected = ftc_residuals(f, G, c, num_params)
+            g_max = max(np.max(np.abs(comp.values)) for comp in G.components)
+            bound = 2.0**14 * np.finfo(float).eps * M * (c.length * g_max + np.max(np.abs(f.values)))
+            assert len(report.checks) == len(expected) + 1
+            assert np.all(np.abs(np.array([ck.value for ck in report.checks[:-1]]) - expected) <= bound)
+
+    def test_bilinear_gradient_along_the_diagonal(self):
+        """G = (x y, 0) is bilinear, so the interpolant reproduces it, also in
+        the boundary half-cells. With f = 0 the residual of a pair s < t is
+        the integral of x y dx = u^2 du along x = y = u, that is
+        (u_t^3 - u_s^3) / 3 with u_s = s / sqrt(2) at arc length s."""
+        g = square_grid(16)
+        centers = g.cell_centers()
+        f = VectorField(grid=g, values=np.zeros((g.num_cells, 1)), norm=NormTag.L2)
+        xy = VectorField(grid=g, values=(centers[:, 0] * centers[:, 1])[:, None], norm=NormTag.L2)
+        G = GradientField(components=(xy, f), source=f)
+        c = Polyline([[0.0, 0.0], [1.0, 1.0]])
+        report = ftc_along_curve_check(f, G, c, tol=1.0)
+        u = np.linspace(0.0, 1.0, 8)
+        expected = [(u[b] ** 3 - u[a] ** 3) / 3.0 for a in range(8) for b in range(a + 1, 8)]
+        assert len(report.checks) == 29
+        assert np.allclose([ck.value for ck in report.checks[:-1]], expected, rtol=1e-14, atol=0.0)
