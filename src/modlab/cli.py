@@ -123,6 +123,8 @@ def _cmd_modulus(args, files: dict) -> Report:
             "iterations": result.iterations,
             "gap": result.gap,
             "dual_value": result.dual_value,
+            "solver": result.diagnostics["solver"],
+            "max_iter_hit": result.diagnostics["max_iter_hit"],
             "p": args.p,
             "curves": len(fam),
             "label": fam.label,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog, minimize
 
 from .errors import ScheduleError
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
@@ -76,6 +75,21 @@ def assemble_problem(fam: CurveFamily, g: Grid, p: float) -> ModulusProblem:
     A = cell_length_rows(fam.curves, g)
     w = np.full(g.num_cells, g.cell_volume)
     return ModulusProblem(constraint_rows=A, weights=w, exponent=p, grid=g)
+
+
+def linprog(c, A_ub, b_ub, bounds, method):
+    """scipy.optimize.linprog, imported on the first call so that importing
+    modlab does not load scipy.optimize."""
+    from scipy.optimize import linprog
+
+    return linprog(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+
+
+def minimize(fun, x0, jac, method, bounds, options):
+    """scipy.optimize.minimize, imported on the first call like ``linprog``."""
+    from scipy.optimize import minimize
+
+    return minimize(fun, x0, jac=jac, method=method, bounds=bounds, options=options)
 
 
 def _dual_rho(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
@@ -232,7 +246,9 @@ def _solve_power(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResu
     return _certified(
         prob, _dual_rho(At @ lam, w, p), dual_value, tol, solver_ok=True,
         iterations=int(res.nit) + polish_rounds,
-        diagnostics={"message": str(res.message), "solver": "lbfgsb-dual+newton"},
+        diagnostics={
+            "message": str(res.message), "solver": "lbfgsb-dual+newton", "max_iter_hit": int(res.nit) >= max_iter,
+        },
     )
 
 
@@ -248,8 +264,9 @@ def _solve_lp(prob: ModulusProblem, tol: float) -> ModulusResult:
         method="highs-ipm",
     )
     iterations = int(getattr(res, "nit", 0))
+    diagnostics = {"message": str(res.message), "solver": "linprog-highs-ipm", "max_iter_hit": False}
     if res.x is None:
-        return _unconverged(prob, iterations, float("nan"), {"message": str(res.message)})
+        return _unconverged(prob, iterations, float("nan"), diagnostics)
     lam = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
     # scale the multipliers into the dual-feasible region A^T lam <= w
     col = A.T @ lam
@@ -258,8 +275,7 @@ def _solve_lp(prob: ModulusProblem, tol: float) -> ModulusResult:
         lam = lam / over
     return _certified(
         prob, np.asarray(res.x, dtype=float), float(np.sum(lam)), tol, solver_ok=res.status == 0,
-        iterations=iterations,
-        diagnostics={"message": str(res.message), "solver": "linprog-highs-ipm"},
+        iterations=iterations, diagnostics=diagnostics,
     )
 
 
@@ -273,7 +289,8 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     p = 1 is delegated to an interior-point linear-programming solve with the
     same certificates.
     ``max_iter`` bounds the L-BFGS-B iterations of the p > 1 solve only; the
-    p = 1 linear program ignores it.
+    p = 1 linear program ignores it. ``diagnostics`` names the ``solver`` that
+    ran and says whether L-BFGS-B stopped at ``max_iter`` (``max_iter_hit``).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -282,6 +299,7 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
         return ModulusResult(
             value=0.0, rho_star=zero, max_constraint_violation=0.0,
             iterations=0, converged=True, gap=0.0, dual_value=0.0,
+            diagnostics={"solver": "none", "max_iter_hit": False},
         )
     if prob.exponent == 1.0:
         return _solve_lp(prob, tol)

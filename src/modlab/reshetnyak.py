@@ -55,6 +55,9 @@ def _spectral_norms(J: np.ndarray) -> np.ndarray:
         G = np.einsum("cim,cin->cmn", J, J)
     else:
         G = np.einsum("cim,cjm->cij", J, J)
+    if not np.all(np.isfinite(G)):
+        # einsum ignores np.errstate, so its overflow is raised here
+        raise FloatingPointError("overflow in the Gram matrix")
     return np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0))
 
 
@@ -162,25 +165,26 @@ def upper_gradient_star(f: VectorField) -> UpperBoundField:
 
     linf values: the signed coordinate functionals. l2 values: the Jacobian
     spectral norm. l1 values: sum_i |J_i| on 1-D grids, the zonotope vertex
-    walk on 2-D grids and its facet recursion for N >= 3.
+    walk on 2-D grids and its facet recursion for N >= 3. Raises ValueError
+    when an intermediate, such as a squared Jacobian entry, overflows float64.
     """
     J = _jacobian(f)
-    if f.norm is NormTag.L2:
-        return UpperBoundField(
-            gstar=ScalarField(grid=f.grid, values=_spectral_norms(J)),
-            dual_set_descriptor="spectral",
-            exact=True,
-        )
-    if f.norm is NormTag.L1:
-        gstar = _l1_gstar(J)
-    elif f.grid.ndim == 1:
-        # sqrt(fl(x * x)) == |x| in binary64 unless x * x under- or overflows
-        gstar = np.max(np.abs(J[:, 0, :]), axis=1)
-    else:
-        gstar = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
+    try:
+        with np.errstate(over="raise"):
+            if f.norm is NormTag.L2:
+                gstar = _spectral_norms(J)
+            elif f.norm is NormTag.L1:
+                gstar = _l1_gstar(J)
+            elif f.grid.ndim == 1:
+                # sqrt(fl(x * x)) == |x| in binary64 unless x * x under- or overflows
+                gstar = np.max(np.abs(J[:, 0, :]), axis=1)
+            else:
+                gstar = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
+    except FloatingPointError:
+        raise ValueError(f"computing the {f.norm.value} g* of the field overflows float64") from None
     return UpperBoundField(
         gstar=ScalarField(grid=f.grid, values=gstar),
-        dual_set_descriptor="exact-extreme-points",
+        dual_set_descriptor="spectral" if f.norm is NormTag.L2 else "exact-extreme-points",
         exact=True,
     )
 
@@ -243,16 +247,19 @@ def ac_bound_check(
         raise DomainError("curve exits the grid box")
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
+    if num_params < 2:
+        raise ValueError(f"num_params must be at least 2, got {num_params}")
     (interp,) = _interpolators(grid, [f.values])
     params = np.linspace(0.0, c.length, num_params)
     values = interp(c.points_at(params))
     # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
     pieces = [restrict(c, s, t) for s, t in zip(params[:-1], params[1:])]
     prefix = np.concatenate([[0.0], np.cumsum(cell_length_rows(pieces, g.grid) @ g.values)])
-    checks = []
-    for a in range(len(params)):
-        for b in range(a, len(params)):
-            s, t = float(params[a]), float(params[b])
-            increment = float(value_norm(values[b] - values[a], f.norm))
-            checks.append(bounded_check(f"ac[{s:.4g},{t:.4g}]", increment, float(prefix[b] - prefix[a] + tol)))
+    a, b = np.triu_indices(num_params)
+    increments = value_norm(values[b] - values[a], f.norm)
+    bounds = prefix[b] - prefix[a] + tol
+    checks = [
+        bounded_check(f"ac[{params[i]:.4g},{params[j]:.4g}]", float(inc), float(bound))
+        for i, j, inc, bound in zip(a, b, increments, bounds)
+    ]
     return Report(command="ac_bound_check", checks=checks)

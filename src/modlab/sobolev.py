@@ -6,6 +6,9 @@ candidate field against the integration-by-parts identity over a battery of
 smooth compactly supported bumps. Point evaluation along curves uses
 multilinear interpolation of the cell-centered samples so that the
 fundamental-theorem residuals shrink at second order under refinement. The
+interpolant is computed here, not by scipy: on the lattice of cell centres it
+is the usual tensor-product formula, and in the half-cells along the box
+faces each axis extends its first or last interval's linear formula. The
 interpolated gradient is integrated along the curve exactly: segments are cut
 at the planes of cell centres, where the interpolant changes formula, and
 each piece takes Gauss-Legendre nodes, so there is no quadrature step to set.
@@ -13,11 +16,11 @@ each piece takes Gauss-Legendre nodes, so there is no quadrature step to set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError
 from .geometry import Grid, Polyline, ScalarField, _split_segments, restrict
@@ -118,8 +121,12 @@ def gradient_length(G: GradientField) -> ScalarField:
     """Pointwise (sum_i ||df/dx_i||^2)^(1/2) with the field's value norm."""
     tag = G.source.norm
     sq = np.zeros(G.grid.num_cells)
-    for comp in G.components:
-        sq += value_norm(comp.values, tag) ** 2
+    try:
+        with np.errstate(over="raise"):
+            for comp in G.components:
+                sq += value_norm(comp.values, tag) ** 2
+    except FloatingPointError:
+        raise ValueError("the gradient length of the field overflows float64") from None
     return ScalarField(grid=G.grid, values=np.sqrt(sq))
 
 
@@ -181,14 +188,41 @@ def weak_derivative_check(
 
 
 def _interpolators(g: Grid, fields: list) -> list:
-    axes = [g.axis_centers(i) for i in range(g.ndim)]
-    out = []
-    for values in fields:
-        cube = values.reshape(*g.shape, -1)
-        out.append(
-            RegularGridInterpolator(axes, cube, method="linear", bounds_error=False, fill_value=None)
-        )
-    return out
+    """Multilinear interpolants of cell-centred (num_cells, M) arrays, each a
+    map from (k, N) points to (k, M) values.
+
+    Along an axis with centres c_0 < ... < c_{n-1}, a point x takes the
+    interval [c_j, c_{j+1}] that holds it, clipped to the first or last, and
+    the weight t = (x - c_j) / (c_{j+1} - c_j), left unclipped: in the
+    half-cells along the box faces the neighbouring interval's linear formula
+    extends to the face. An axis with a single cell is dropped, so the value
+    does not depend on that coordinate. The 2^N corner terms are formed and
+    summed in the order scipy's RegularGridInterpolator (linear,
+    fill_value=None) uses, with the same arithmetic.
+    """
+    axes = [i for i in range(g.ndim) if g.resolution[i] > 1]
+    centres = [g.axis_centers(i) for i in axes]
+    shape = tuple(g.shape[i] for i in axes)
+
+    def interpolator(cube):
+        def interp(points):
+            lower, upper = [], []
+            for c, x in zip(centres, points[:, axes].T):
+                j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+                t = (x - c[j]) / (c[j + 1] - c[j])
+                lower.append((j, 1 - t))
+                upper.append((j + 1, t))
+            value = np.zeros((len(points), cube.shape[-1]))
+            for corner in itertools.product(*zip(lower, upper)):
+                weight = np.ones(len(points))
+                for _, w in corner:
+                    weight = weight * w
+                value = value + cube[tuple(j for j, _ in corner)] * weight[:, None]
+            return value
+
+        return interp
+
+    return [interpolator(values.reshape(*shape, values.shape[-1])) for values in fields]
 
 
 def ftc_along_curve_check(
@@ -213,6 +247,8 @@ def ftc_along_curve_check(
     the quadrature nodes, which holds for the interpolated values exactly.
     """
     g = f.grid
+    if num_params < 2:
+        raise ValueError(f"num_params must be at least 2, got {num_params}")
     if not g.contains(c.vertices):
         raise DomainError("curve exits the grid box")
     tag = f.norm

@@ -133,26 +133,30 @@ def dense_cell_length_rows(curves, g) -> np.ndarray:
     return rows
 
 
+def scipy_interpolator(g: Grid, values: np.ndarray):
+    """scipy's multilinear interpolant of cell-centred (num_cells, M) values,
+    extended linearly into the boundary half-cells (fill_value=None)."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    axes = [g.axis_centers(i) for i in range(g.ndim)]
+    cube = values.reshape(*g.shape, -1)
+    return RegularGridInterpolator(axes, cube, method="linear", bounds_error=False, fill_value=None)
+
+
 def ftc_residuals(f, G, c, num_params: int) -> list:
     """Per parameter pair s < t, ||f(c(t)) - f(c(s)) - int_s^t grad f . c'||.
 
-    The plain per-pair loop: build fresh linear interpolators, restrict the
+    The plain per-pair loop: build fresh scipy interpolators, restrict the
     curve to [s, t], cut each of its segments where it crosses a plane of
     interior cell centres, found one axis at a time, and apply
     Gauss-Legendre with ndim // 2 + 1 nodes to each piece, on which the
     interpolated gradient is a polynomial of degree <= ndim. f is evaluated
     at the two endpoints one point at a time.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     from modlab.geometry import restrict
 
     g = f.grid
     axes = [g.axis_centers(i) for i in range(g.ndim)]
-
-    def interpolator(values):
-        cube = values.reshape(*g.shape, -1)
-        return RegularGridInterpolator(axes, cube, method="linear", bounds_error=False, fill_value=None)
 
     norms = {
         "l1": lambda v: np.sum(np.abs(v)),
@@ -166,8 +170,8 @@ def ftc_residuals(f, G, c, num_params: int) -> list:
     for a in range(num_params):
         for b in range(a + 1, num_params):
             s, t = float(params[a]), float(params[b])
-            f_interp = interpolator(f.values)
-            grads = [interpolator(comp.values) for comp in G.components]
+            f_interp = scipy_interpolator(g, f.values)
+            grads = [scipy_interpolator(g, comp.values) for comp in G.components]
             sub = restrict(c, s, t)
             path = np.zeros(f.dim_M)
             for p, q in zip(sub.vertices[:-1], sub.vertices[1:]):

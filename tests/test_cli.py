@@ -93,6 +93,17 @@ class TestModulusCommand:
         assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
         assert not out.exists() and captured.out == ""
 
+    def test_meta_names_the_solver_and_a_max_iter_stop(self, modulus_inputs, capsys, rng):
+        # oblique curves: on the row family the uniform start is already optimal
+        fam = CurveFamily(curves=[Polyline(rng.uniform(0.05, 0.95, size=(3, 2))) for _ in range(12)])
+        save_family(fam, modulus_inputs / "oblique.json")
+        main([
+            "modulus", "--family", str(modulus_inputs / "oblique.json"), "--grid", str(modulus_inputs / "grid.json"),
+            "--p", "3", "--max-iter", "1",
+        ])
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["solver"] == "lbfgsb-dual+newton" and meta["max_iter_hit"] is True
+
     def test_report_meta_is_machine_independent(self, modulus_inputs, capsys):
         status = main([
             "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
@@ -432,6 +443,25 @@ class TestMalformedInputsExit2:
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
         save_field_csv(VectorField(grid=g, values=np.full((9, 1), 1e200), norm=tag), tmp_path / "f.csv")
         argv = ["norms", "--f", str(tmp_path / "f.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, *names)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "tag,res,p,names",
+        [
+            (NormTag.L2, [3, 3], "2", ("l2 g*", "overflow")),
+            (NormTag.LINF, [3, 3], "2", ("linf g*", "overflow")),
+            (NormTag.L1, [3, 3], "2", ("l1 g*", "overflow")),
+            (NormTag.LINF, [9], "1", ("gradient length", "overflow")),
+        ],
+        ids=["l2", "linf", "l1", "gradient-length"],
+    )
+    def test_field_whose_squared_differences_overflow(self, tmp_path, capsys, recwarn, tag, res, p, names):
+        # the values and their finite differences are finite; their squares are not
+        g = Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res)
+        values = np.outer(np.arange(9.0) * 1e160, [1.0, 1.0])
+        save_field_csv(VectorField(grid=g, values=values, norm=tag), tmp_path / "f.csv")
+        argv = ["norms", "--f", str(tmp_path / "f.csv"), "--p", p]
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, *names)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -92,6 +92,18 @@ class TestSolve:
             assert res.value == pytest.approx(value_oracle, rel=1e-8)
             assert np.allclose(res.rho_star.values, rho_oracle, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "p,max_iter,solver,hit",
+        [(3.0, 1, "lbfgsb-dual+newton", True), (2.0, 2000, "lbfgsb-dual+newton", False),
+         (1.0, 1, "linprog-highs-ipm", False)],
+        ids=["p3-max-iter-1", "p2-default", "p1"],
+    )
+    def test_diagnostics_name_the_solver_and_a_max_iter_stop(self, rng, p, max_iter, solver, hit):
+        prob = assemble_problem(CurveFamily(curves=random_curves(rng, 12)), unit_grid(8), p)
+        diagnostics = solve_modulus(prob, max_iter=max_iter).diagnostics
+        assert diagnostics["solver"] == solver
+        assert diagnostics["max_iter_hit"] is hit
+
     def test_parallel_segments_match_analytic_value(self):
         res = 16
         g = unit_grid(res)

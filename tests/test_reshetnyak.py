@@ -17,11 +17,12 @@ from modlab import (
     sampled_dual_functionals,
     scalarize,
     upper_gradient_star,
+    value_norm,
     w_norm,
 )
 from modlab.geometry import curve_integral, restrict
 from modlab.reshetnyak import _jacobian, _l1_gstar, _spectral_norms
-from modlab.sobolev import gradient_length
+from modlab.sobolev import _interpolators, gradient_length
 from oracles import enumerated_l1_gstar, ray_l1_gstar
 
 
@@ -359,20 +360,32 @@ class TestAcBound:
         with pytest.raises(ValueError):
             ac_bound_check(f, bad, Polyline([[0.2, 0.2], [0.8, 0.8]]), tol=1e-6)
 
+    @pytest.mark.parametrize("num_params", [0, 1])
+    def test_fewer_than_two_parameters_rejected(self, num_params):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=np.zeros((g.num_cells, 1)), norm=NormTag.L2)
+        ones = ScalarField(grid=g, values=np.ones(g.num_cells))
+        with pytest.raises(ValueError, match="num_params"):
+            ac_bound_check(f, ones, Polyline([[0.2, 0.2], [0.8, 0.8]]), tol=1e-6, num_params=num_params)
+
     def test_bounds_match_pairwise_oracle(self, rng):
         # each bound is a difference of one prefix sum; the oracle integrates
-        # g over every restriction c|[s, t] separately
+        # g over every restriction c|[s, t] separately. Each increment is the
+        # norm of the difference of the two interpolated values, pair by pair.
         g = square_grid(24)
         for tag in (NormTag.L1, NormTag.L2, NormTag.LINF):
             f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 2)), norm=tag)
-            for _ in range(5):
+            (interp,) = _interpolators(g, [f.values])
+            for num_params in (2, 3, 5, 8, 12):
                 c = Polyline(rng.uniform(0.0, 1.0, size=(int(rng.integers(2, 6)), 2)))
                 majorant = ScalarField(grid=g, values=rng.uniform(0.0, 2.0, size=g.num_cells))
-                report = ac_bound_check(f, majorant, c, tol=0.0)
-                params = np.linspace(0.0, c.length, 12)
+                report = ac_bound_check(f, majorant, c, tol=0.0, num_params=num_params)
+                params = np.linspace(0.0, c.length, num_params)
                 pairs = [(s, t) for i, s in enumerate(params) for t in params[i:]]
                 assert len(report.checks) == len(pairs)
                 for ck, (s, t) in zip(report.checks, pairs):
                     assert ck.name == f"ac[{s:.4g},{t:.4g}]"
                     oracle = curve_integral(majorant, restrict(c, s, t)) if t > s else 0.0
                     assert abs(ck.bound - oracle) <= 1e-13 * oracle
+                    ends = interp(c.points_at([s, t]))
+                    assert ck.value == value_norm(ends[1] - ends[0], tag)

@@ -16,7 +16,8 @@ from modlab import (
     w_norm,
     weak_derivative_check,
 )
-from oracles import ftc_residuals, midpoint_quadrature
+from modlab.sobolev import _interpolators
+from oracles import ftc_residuals, midpoint_quadrature, scipy_interpolator
 
 
 def interval_grid(res):
@@ -209,6 +210,80 @@ class TestWNorm:
             w_norm(f, 0.5)
 
 
+def interpolant_bound(ndim: int, fmax: float) -> float:
+    """Roundoff bound between two evaluations of the multilinear interpolant
+    of values at most fmax in size, at points in the closed box.
+
+    In the box every weight t lies in [-1/2, 3/2], so |1 - t| + |t| <= 2 and
+    the 2^N corner terms add up to at most 2^N fmax in size. One evaluation
+    errs by at most: 4 eps (|1 - t| + |t|) per factor from forming t and
+    1 - t (three roundings and one), which over the N factors and the 2^N
+    corners is at most 8 N eps 2^N fmax; N eps relative per term from its N
+    products; and 2^N eps times the terms' size from the sum. So one
+    evaluation errs by at most 2^N (9 N + 2^N) eps fmax, and two, in any
+    order of summation, differ by at most twice that.
+    """
+    return 2.0 ** (ndim + 1) * (9 * ndim + 2.0**ndim) * np.finfo(float).eps * fmax
+
+
+def box_points(rng, g: Grid, count: int) -> np.ndarray:
+    """Random points of the box, its corners, and points in the half-cells
+    between each face and the first or last plane of cell centres."""
+    random = rng.uniform(g.box_min, g.box_max, size=(count, g.ndim))
+    corners = np.array(list(np.ndindex(*[2] * g.ndim))) * (g.box_max - g.box_min) + g.box_min
+    half = []
+    for axis in range(g.ndim):
+        for face, inward in ((g.box_min[axis], 1.0), (g.box_max[axis], -1.0)):
+            pts = rng.uniform(g.box_min, g.box_max, size=(8, g.ndim))
+            pts[:, axis] = face + inward * rng.uniform(0.0, 0.5, 8) * g.spacing[axis]
+            half.append(pts)
+    return np.vstack([random, corners, *half])
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize(
+        "resolution",
+        [[7], [6, 6], [5, 9], [4, 3, 5], [1, 8], [5, 1, 4], [1, 1]],
+        ids=["1d", "square", "non-square", "3d", "single-cell-axis", "single-cell-middle-axis", "one-cell"],
+    )
+    def test_matches_scipy_within_roundoff(self, rng, resolution):
+        ndim = len(resolution)
+        lo = rng.uniform(-2.0, 1.0, ndim)
+        g = Grid(box_min=lo, box_max=lo + rng.uniform(0.5, 3.0, ndim), resolution=resolution)
+        values = rng.normal(size=(g.num_cells, 3))
+        points = box_points(rng, g, 200)
+        (interp,) = _interpolators(g, [values])
+        got = interp(points)
+        assert got.shape == (len(points), 3)
+        expected = scipy_interpolator(g, values)(points)
+        assert np.all(np.abs(got - expected) <= interpolant_bound(ndim, np.max(np.abs(values))))
+
+    def test_single_cell_axis_is_ignored(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[1, 8])
+        (interp,) = _interpolators(g, [np.arange(8.0)[:, None]])
+        out = interp(np.array([[x, 0.3] for x in (0.0, 0.1, 0.5, 0.9, 1.0)]))
+        assert np.all(out == out[0])
+
+    @pytest.mark.parametrize("resolution", [[6], [5, 7], [3, 4, 5]], ids=["1d", "2d", "3d"])
+    def test_multilinear_field_is_reproduced_in_the_whole_box(self, rng, resolution):
+        """prod_i (a_i + b_i x_i) and a + sum_i b_i x_i are affine in each
+        coordinate separately, so each is its own interpolant on every
+        lattice cell, extended linearly into the boundary half-cells. The
+        coefficients and the box are positive, so evaluating them here errs
+        by a few eps of their size, well inside the bound."""
+        ndim = len(resolution)
+        g = Grid(box_min=np.full(ndim, 0.25), box_max=np.full(ndim, 1.75), resolution=resolution)
+        a, b = rng.uniform(0.5, 2.0, size=(2, ndim))
+
+        def f(x):
+            return np.stack([np.prod(a + b * x, axis=1), a[0] + x @ b], axis=1)
+
+        points = box_points(rng, g, 200)
+        (interp,) = _interpolators(g, [f(g.cell_centers())])
+        expected = f(points)
+        assert np.all(np.abs(interp(points) - expected) <= interpolant_bound(ndim, np.max(expected)))
+
+
 class TestFtcAlongCurve:
     def test_affine_field_is_exact(self):
         g = square_grid(32)
@@ -246,6 +321,13 @@ class TestFtcAlongCurve:
 
         same = restrict(c, 0.3, 0.3)
         assert same.length == 0.0
+
+    @pytest.mark.parametrize("num_params", [0, 1])
+    def test_fewer_than_two_parameters_rejected(self, num_params):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=np.zeros((g.num_cells, 1)), norm=NormTag.L2)
+        with pytest.raises(ValueError, match="num_params"):
+            ftc_along_curve_check(f, finite_diff_gradient(f), Polyline([[0.2, 0.2], [0.8, 0.8]]), 1e-6, num_params)
 
     def test_chain_rule_bound_holds(self, rng):
         g = square_grid(24)
