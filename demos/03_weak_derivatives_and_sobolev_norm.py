@@ -61,4 +61,4 @@ diagonal = Polyline([[0.05, 0.05], [0.95, 0.95]])
 report = ftc_along_curve_check(smooth, gradient, diagonal, tol=5e-3, num_params=4)
 worst = max(c.value for c in report.checks if c.name.startswith("ftc"))
 print(f"  worst increment-vs-integral residual: {worst:.2e}  passed={report.passed}")
-print(f"  gradient length at the center cell: {gradient_length(gradient).values[grid2.num_cells // 2]:.4f}")
+print(f"  gradient length at the center cell: {gradient_length(gradient, smooth.norm)[grid2.num_cells // 2]:.4f}")

@@ -51,7 +51,6 @@ from .rnp_lab import (
     sin_family,
 )
 from .sobolev import (
-    GradientField,
     TestFunction,
     finite_diff_gradient,
     ftc_along_curve_check,

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .geometry import Polyline, ScalarField, cell_length_rows, restrict
+from .geometry import Polyline, ScalarField, cell_length_rows
 from .report import Report, bounded_check
-from .sobolev import _interpolators, finite_diff_gradient, w_norm
+from .sobolev import _sample_curve, finite_diff_gradient, w_norm
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
 
 # A column whose projection onto a facet hyperplane is at most this times n
@@ -37,12 +36,6 @@ class UpperBoundField:
     gstar: ScalarField
     dual_set_descriptor: str
     exact: bool
-
-
-def _jacobian(f: VectorField) -> np.ndarray:
-    """Stacked finite-difference Jacobian, shape (num_cells, N, M)."""
-    G = finite_diff_gradient(f)
-    return np.stack([comp.values for comp in G.components], axis=1)
 
 
 def _spectral_norms(J: np.ndarray) -> np.ndarray:
@@ -168,7 +161,7 @@ def upper_gradient_star(f: VectorField) -> UpperBoundField:
     walk on 2-D grids and its facet recursion for N >= 3. Raises ValueError
     when an intermediate, such as a squared Jacobian entry, overflows float64.
     """
-    J = _jacobian(f)
+    J = finite_diff_gradient(f)
     try:
         with np.errstate(over="raise"):
             if f.norm is NormTag.L2:
@@ -237,27 +230,22 @@ def ac_bound_check(
 
     This is the computable face of absolute continuity along the curve: the
     increments of f are dominated by the integral of the fixed majorant g.
+    Raises ValueError when an intermediate overflows float64.
     """
-    grid = f.grid
-    if c.ndim != grid.ndim:
-        raise ValueError(
-            f"the curve has {c.ndim} coordinates per vertex but the field's grid has {grid.ndim} axes"
-        )
-    if not grid.contains(c.vertices):
-        raise DomainError("curve exits the grid box")
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
-    if num_params < 2:
-        raise ValueError(f"num_params must be at least 2, got {num_params}")
-    (interp,) = _interpolators(grid, [f.values])
-    params = np.linspace(0.0, c.length, num_params)
-    values = interp(c.points_at(params))
-    # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
-    pieces = [restrict(c, s, t) for s, t in zip(params[:-1], params[1:])]
-    prefix = np.concatenate([[0.0], np.cumsum(cell_length_rows(pieces, g.grid) @ g.values)])
-    a, b = np.triu_indices(num_params)
-    increments = value_norm(values[b] - values[a], f.norm)
-    bounds = prefix[b] - prefix[a] + tol
+    try:
+        # f and g are finite; an inf from the sparse product, which ignores
+        # np.errstate, turns into a NaN in the pairs (a, a)
+        with np.errstate(over="raise", invalid="raise"):
+            params, values, pieces = _sample_curve(f, c, num_params)
+            # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
+            prefix = np.concatenate([[0.0], np.cumsum(cell_length_rows(pieces, g.grid) @ g.values)])
+            a, b = np.triu_indices(num_params)
+            increments = value_norm(values[b] - values[a], f.norm)
+            bounds = prefix[b] - prefix[a] + tol
+    except FloatingPointError:
+        raise ValueError("the AC bound check along the curve overflows float64") from None
     checks = [
         bounded_check(f"ac[{params[i]:.4g},{params[j]:.4g}]", float(inc), float(bound))
         for i, j, inc, bound in zip(a, b, increments, bounds)

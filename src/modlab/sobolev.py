@@ -1,6 +1,10 @@
 """Classical W^{1,p} side: discrete gradients, weak-derivative verification,
 the W-norm, and fundamental-theorem checks along curves.
 
+The discrete derivative is one Jacobian array J, shape (num_cells, N, M),
+which the W-norm and g* read; gradient_length(J, tag) is |grad f| for any
+stack (..., N, M), and the FTC check takes a candidate gradient of J's shape.
+
 The weak-derivative checker is a verifier, not a solver: it certifies a
 candidate field against the integration-by-parts identity over a battery of
 smooth compactly supported bumps. Point evaluation along curves uses
@@ -25,27 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import Grid, Polyline, ScalarField, _split_segments, restrict
 from .report import Report, bounded_check
-from .vectorvalues import VectorField, lp_norm, scalar_lp_norm, value_norm
-
-
-@dataclass
-class GradientField:
-    """Per-axis partial derivatives of a vector field, on the same grid."""
-
-    components: tuple
-    source: VectorField
-
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        for comp in self.components:
-            if comp.grid is not self.source.grid and comp.grid.shape != self.source.grid.shape:
-                raise ValueError("gradient components must live on the source grid")
-            if comp.norm is not self.source.norm:
-                raise ValueError("gradient components must carry the source norm tag")
-
-    @property
-    def grid(self) -> Grid:
-        return self.source.grid
+from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
 
 
 @dataclass
@@ -99,42 +83,46 @@ class TestFunction:
         )
 
 
-def finite_diff_gradient(f: VectorField) -> GradientField:
-    """Finite-difference gradient: central in the interior, one-sided at the
-    boundary; exact for componentwise-affine fields in the interior."""
+def finite_diff_gradient(f: VectorField) -> np.ndarray:
+    """Finite-difference Jacobian, shape (num_cells, N, M): row i of a cell
+    is df/dx_i there, central in the interior and one-sided at the boundary,
+    so exact for componentwise-affine fields in the interior."""
     g = f.grid
     if np.any(g.resolution < 3):
         raise ValueError("finite differences need resolution >= 3 per axis")
     cube = f.values.reshape(*g.shape, f.dim_M)
-    comps = []
+    parts = []
     for axis in range(g.ndim):
         try:
             with np.errstate(over="raise"):
-                d = np.gradient(cube, g.spacing[axis], axis=axis)
+                parts.append(np.gradient(cube, g.spacing[axis], axis=axis))
         except FloatingPointError:
             raise ValueError(f"the field's finite differences along axis {axis} overflow float64") from None
-        comps.append(VectorField(grid=g, values=d.reshape(-1, f.dim_M), norm=f.norm))
-    return GradientField(components=tuple(comps), source=f)
+    # stacked once all parts exist: filling a preallocated J axis by axis
+    # holds it beside np.gradient's temporaries
+    return np.stack(parts, axis=-2).reshape(g.num_cells, g.ndim, f.dim_M)
 
 
-def gradient_length(G: GradientField) -> ScalarField:
-    """Pointwise (sum_i ||df/dx_i||^2)^(1/2) with the field's value norm."""
-    tag = G.source.norm
-    sq = np.zeros(G.grid.num_cells)
+def gradient_length(J: np.ndarray, tag: NormTag) -> np.ndarray:
+    """(sum_i ||J[..., i, :]||^2)^(1/2) with value norm ``tag``, summed in axis
+    order, for a Jacobian stack J of shape (..., N, M)."""
+    sq = np.zeros(J.shape[:-2])
     try:
         with np.errstate(over="raise"):
-            for comp in G.components:
-                sq += value_norm(comp.values, tag) ** 2
+            norms = value_norm(J, tag)
+            for i in range(J.shape[-2]):
+                sq += norms[..., i] ** 2
     except FloatingPointError:
         raise ValueError("the gradient length of the field overflows float64") from None
-    return ScalarField(grid=G.grid, values=np.sqrt(sq))
+    return np.sqrt(sq)
 
 
 def w_norm(f: VectorField, p: float) -> float:
     """Sobolev norm ||f||_p + || |grad f| ||_p with the discrete gradient."""
     if p < 1.0:
         raise ValueError("w_norm requires p >= 1")
-    return lp_norm(f, p) + scalar_lp_norm(gradient_length(finite_diff_gradient(f)), p)
+    length = gradient_length(finite_diff_gradient(f), f.norm)
+    return lp_norm(f, p) + scalar_lp_norm(ScalarField(grid=f.grid, values=length), p)
 
 
 def _interior_mask(g: Grid) -> np.ndarray:
@@ -163,8 +151,10 @@ def weak_derivative_check(
     and the check passes when every residual norm is <= tol * (1 + scale).
     """
     g = f.grid
-    if cand.grid.shape != g.shape or cand.norm is not f.norm or cand.dim_M != f.dim_M:
-        raise ValueError("candidate must match the field's grid, norm tag and dimension")
+    if not all(np.array_equal(getattr(cand.grid, k), getattr(g, k)) for k in ("box_min", "box_max", "resolution")):
+        raise ValueError("the candidate's grid (box_min, box_max, resolution) must equal the field's")
+    if cand.norm is not f.norm or cand.dim_M != f.dim_M:
+        raise ValueError("candidate must match the field's norm tag and dimension")
     if not 0 <= axis < g.ndim:
         raise ValueError("axis out of range")
     for t in tests:
@@ -187,9 +177,10 @@ def weak_derivative_check(
     return Report(command="weak_derivative_check", checks=checks)
 
 
-def _interpolators(g: Grid, fields: list) -> list:
-    """Multilinear interpolants of cell-centred (num_cells, M) arrays, each a
-    map from (k, N) points to (k, M) values.
+def _interpolator(g: Grid, values: np.ndarray):
+    """Multilinear interpolant of a cell-centred (num_cells, C) array, a map
+    from (k, N) points to (k, C) values; columns are interpolated apart, so
+    C columns at once give the bits of C single ones.
 
     Along an axis with centres c_0 < ... < c_{n-1}, a point x takes the
     interval [c_j, c_{j+1}] that holds it, clipped to the first or last, and
@@ -202,37 +193,54 @@ def _interpolators(g: Grid, fields: list) -> list:
     """
     axes = [i for i in range(g.ndim) if g.resolution[i] > 1]
     centres = [g.axis_centers(i) for i in axes]
-    shape = tuple(g.shape[i] for i in axes)
+    cube = values.reshape(*(g.shape[i] for i in axes), values.shape[-1])
 
-    def interpolator(cube):
-        def interp(points):
-            lower, upper = [], []
-            for c, x in zip(centres, points[:, axes].T):
-                j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
-                t = (x - c[j]) / (c[j + 1] - c[j])
-                lower.append((j, 1 - t))
-                upper.append((j + 1, t))
-            value = np.zeros((len(points), cube.shape[-1]))
-            for corner in itertools.product(*zip(lower, upper)):
-                weight = np.ones(len(points))
-                for _, w in corner:
-                    weight = weight * w
-                value = value + cube[tuple(j for j, _ in corner)] * weight[:, None]
-            return value
+    def interp(points):
+        lower, upper = [], []
+        for c, x in zip(centres, points[:, axes].T):
+            j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+            t = (x - c[j]) / (c[j + 1] - c[j])
+            lower.append((j, 1 - t))
+            upper.append((j + 1, t))
+        value = np.zeros((len(points), cube.shape[-1]))
+        for corner in itertools.product(*zip(lower, upper)):
+            weight = np.ones(len(points))
+            for _, w in corner:
+                weight = weight * w
+            value = value + cube[tuple(j for j, _ in corner)] * weight[:, None]
+        return value
 
-        return interp
+    return interp
 
-    return [interpolator(values.reshape(*shape, values.shape[-1])) for values in fields]
+
+def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
+    """The start both curve checks share: check that c has one coordinate per
+    grid axis and stays in the box and that num_params >= 2, then return the
+    num_params equispaced arc-length parameters, f interpolated at their
+    points, and the num_params - 1 consecutive pieces of c between them."""
+    g = f.grid
+    if c.ndim != g.ndim:
+        raise ValueError(f"the curve has {c.ndim} coordinates per vertex but the field's grid has {g.ndim} axes")
+    if not g.contains(c.vertices):
+        raise DomainError("curve exits the grid box")
+    if num_params < 2:
+        raise ValueError(f"num_params must be at least 2, got {num_params}")
+    params = np.linspace(0.0, c.length, num_params)
+    values = _interpolator(g, f.values)(c.points_at(params))
+    pieces = [restrict(c, s, t) for s, t in zip(params[:-1], params[1:])]
+    return params, values, pieces
 
 
 def ftc_along_curve_check(
     f: VectorField,
-    G: GradientField,
+    G: np.ndarray,
     c: Polyline,
     tol: float,
     num_params: int = 8,
 ) -> Report:
-    """Check f(c(t)) - f(c(s)) = int_s^t (grad f . tangent) along the curve.
+    """Check f(c(t)) - f(c(s)) = int_s^t (G . tangent) along the curve, for a
+    candidate gradient G of shape (num_cells, N, M), such as
+    finite_diff_gradient(f).
 
     The integrals are exact for the interpolated gradient. Inside one cell
     of the lattice of cell centres, the multilinear interpolant restricted
@@ -243,39 +251,43 @@ def ftc_along_curve_check(
     N // 2 + 1 nodes, exact up to degree 2 (N // 2) + 1 >= N, and the
     integral over a pair's sub-curve is a difference of prefix sums.
 
-    Also asserts the chain-rule bound ||(grad f . tangent)|| <= |grad f| at
-    the quadrature nodes, which holds for the interpolated values exactly.
+    Also asserts the chain-rule bound ||(G . tangent)|| <= |G| at the
+    quadrature nodes, which holds for the interpolated values exactly.
+    Raises ValueError when an intermediate overflows float64.
     """
     g = f.grid
-    if num_params < 2:
-        raise ValueError(f"num_params must be at least 2, got {num_params}")
-    if not g.contains(c.vertices):
-        raise DomainError("curve exits the grid box")
+    shape = (g.num_cells, g.ndim, f.dim_M)
+    if np.shape(G) != shape:
+        raise ValueError(f"the gradient must have shape (num_cells, N, M) = {shape}, got {np.shape(G)}")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("the gradient must be finite")
     tag = f.norm
-    f_interp, *interps = _interpolators(g, [f.values] + [comp.values for comp in G.components])
-    params = np.linspace(0.0, c.length, num_params)
-    values = f_interp(c.points_at(params))
-    # the interior planes of this grid are all the planes of cell centres
-    centres = Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
-    pieces = [restrict(c, s, t) for s, t in zip(params[:-1], params[1:])]
-    piece, p, d, seg_len, t0, t1 = _split_segments(pieces, centres)
-    x, w = np.polynomial.legendre.leggauss(g.ndim // 2 + 1)
-    nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
-    grads = [interp(nodes.reshape(-1, g.ndim)).reshape(*nodes.shape[:2], f.dim_M) for interp in interps]
-    tangent = d / seg_len[:, None]
-    directional = sum(tangent[:, axis, None, None] * comp for axis, comp in enumerate(grads))
-    integrals = np.zeros((num_params - 1, f.dim_M))
-    np.add.at(integrals, piece, ((t1 - t0) * seg_len)[:, None] * np.einsum("j,kjm->km", w / 2, directional))
-    prefix = np.concatenate([np.zeros((1, f.dim_M)), np.cumsum(integrals, axis=0)])
-    a, b = np.triu_indices(num_params, 1)
-    residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
+    try:
+        # einsum ignores np.errstate; its sums overflow only where the squares
+        # in gradient_length do, and invalid="raise" stops their NaNs first
+        with np.errstate(over="raise", invalid="raise"):
+            params, values, pieces = _sample_curve(f, c, num_params)
+            # the interior planes of this grid are all the planes of cell centres
+            centres = Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
+            piece, p, d, seg_len, t0, t1 = _split_segments(pieces, centres)
+            x, w = np.polynomial.legendre.leggauss(g.ndim // 2 + 1)
+            nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
+            grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))
+            grads = grads.reshape(*nodes.shape[:2], *shape[1:])
+            tangent = d / seg_len[:, None]
+            directional = sum(tangent[:, i, None, None] * grads[:, :, i] for i in range(g.ndim))
+            integrals = np.zeros((num_params - 1, f.dim_M))
+            np.add.at(integrals, piece, ((t1 - t0) * seg_len)[:, None] * np.einsum("j,kjm->km", w / 2, directional))
+            prefix = np.concatenate([np.zeros((1, f.dim_M)), np.cumsum(integrals, axis=0)])
+            a, b = np.triu_indices(num_params, 1)
+            residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
+            worst = float(np.max(value_norm(directional, tag) - gradient_length(grads, tag), initial=0.0))
+    except FloatingPointError:
+        raise ValueError("the FTC check along the curve overflows float64") from None
     checks = [
         bounded_check(f"ftc[{params[i]:.4g},{params[j]:.4g}]", float(r), float(tol))
         for i, j, r in zip(a, b, residuals)
     ]
-    lhs = value_norm(directional, tag)
-    rhs = np.sqrt(sum(value_norm(comp, tag) ** 2 for comp in grads))
-    worst = float(np.max(lhs - rhs, initial=0.0))
     chain_bound = 1e-12 * (1.0 + max(abs(ck.value) for ck in checks))
     checks.append(bounded_check("chain_rule_bound", worst, chain_bound))
     return Report(command="ftc_along_curve_check", checks=checks)

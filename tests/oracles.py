@@ -171,7 +171,7 @@ def ftc_residuals(f, G, c, num_params: int) -> list:
         for b in range(a + 1, num_params):
             s, t = float(params[a]), float(params[b])
             f_interp = scipy_interpolator(g, f.values)
-            grads = [scipy_interpolator(g, comp.values) for comp in G.components]
+            grads = [scipy_interpolator(g, G[:, i, :]) for i in range(g.ndim)]
             sub = restrict(c, s, t)
             path = np.zeros(f.dim_M)
             for p, q in zip(sub.vertices[:-1], sub.vertices[1:]):

@@ -465,6 +465,30 @@ class TestMalformedInputsExit2:
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, *names)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_acbound_whose_squared_increments_overflow(self, tmp_path, capsys, recwarn):
+        # the interpolated values are finite; the squares in their l2 increments are not
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
+        values = np.outer(np.arange(9.0) * 1e160, [1.0, 1.0])
+        save_field_csv(VectorField(grid=g, values=values, norm=NormTag.L2), tmp_path / "f.csv")
+        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(9)), tmp_path / "g.csv")
+        save_polyline_csv(Polyline([[0.1, 0.1], [0.9, 0.9]]), tmp_path / "c.csv")
+        argv = ["acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
+                "--curve", str(tmp_path / "c.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "AC bound", "overflow")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_weakcheck_candidate_on_another_box(self, tmp_path, capsys):
+        # same shape, so only the sidecars' boxes tell the grids apart
+        for name, box_max in (("f", 1.0), ("cand", 2.0)):
+            g = Grid(box_min=[0.0, 0.0], box_max=[box_max, box_max], resolution=[16, 16])
+            save_field_csv(VectorField(grid=g, values=np.zeros((256, 1)), norm=NormTag.L2), tmp_path / f"{name}.csv")
+        (tmp_path / "bumps.json").write_text(json.dumps([{"center": [0.5, 0.5], "radius": 0.2}]))
+        argv = [
+            "weakcheck", "--f", str(tmp_path / "f.csv"), "--cand", str(tmp_path / "cand.csv"),
+            "--axis", "0", "--bumps", str(tmp_path / "bumps.json"),
+        ]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "candidate's grid")
+
     def test_field_row_missing_a_value(self, tmp_path, capsys):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
         save_field_csv(VectorField(grid=g, values=np.ones((16, 2)), norm=NormTag.L2), tmp_path / "f.csv")

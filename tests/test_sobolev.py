@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from modlab import (
-    GradientField,
     Grid,
     NormTag,
     Polyline,
+    ScalarField,
     TestFunction,
     VectorField,
+    ac_bound_check,
     finite_diff_gradient,
     ftc_along_curve_check,
     gradient_length,
     w_norm,
     weak_derivative_check,
 )
-from modlab.sobolev import _interpolators
+from modlab.sobolev import _interpolator
 from oracles import ftc_residuals, midpoint_quadrature, scipy_interpolator
 
 
@@ -38,14 +39,13 @@ class TestFiniteDiffGradient:
         g = interval_grid(32)
         f = field_from(g, lambda x: x[:, 0], 1)
         G = finite_diff_gradient(f)
-        assert np.allclose(G.components[0].values, 1.0)
+        assert np.allclose(G[:, 0, :], 1.0)
 
     def test_constant_field_has_zero_gradient(self):
         g = square_grid(8)
         f = VectorField(grid=g, values=np.full((g.num_cells, 2), 3.0), norm=NormTag.L2)
         G = finite_diff_gradient(f)
-        for comp in G.components:
-            assert np.allclose(comp.values, 0.0)
+        assert np.allclose(G, 0.0)
 
     def test_polynomial_field_matches_analytic_partials(self):
         g = square_grid(64)
@@ -58,8 +58,8 @@ class TestFiniteDiffGradient:
         dx_exact = np.stack([2 * x, y], axis=-1)
         dy_exact = np.stack([np.zeros_like(x), x], axis=-1)
         # central differences are exact for quadratics; tolerance covers roundoff
-        assert np.max(np.abs(G.components[0].values[interior] - dx_exact[interior])) < 1e-10
-        assert np.max(np.abs(G.components[1].values[interior] - dy_exact[interior])) < 1e-10
+        assert np.max(np.abs(G[interior, 0, :] - dx_exact[interior])) < 1e-10
+        assert np.max(np.abs(G[interior, 1, :] - dy_exact[interior])) < 1e-10
 
     def test_second_order_convergence_for_smooth_fields(self):
         errors = []
@@ -70,10 +70,21 @@ class TestFiniteDiffGradient:
             f = VectorField(grid=g, values=np.sin(3.0 * x)[:, None], norm=NormTag.L2)
             G = finite_diff_gradient(f)
             interior = slice(1, -1)
-            err = np.max(np.abs(G.components[0].values[interior, 0] - 3.0 * np.cos(3.0 * x[interior])))
+            err = np.max(np.abs(G[interior, 0, 0] - 3.0 * np.cos(3.0 * x[interior])))
             errors.append(err)
         rates = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
         assert min(rates) >= 1.8
+
+    @pytest.mark.parametrize("resolution", [[9], [5, 7], [3, 4, 5], [3, 4, 3, 5]], ids=["1d", "2d", "3d", "4d"])
+    def test_rows_are_np_gradient_along_each_axis(self, rng, resolution):
+        ndim, M = len(resolution), 3
+        g = Grid(box_min=[0.0] * ndim, box_max=rng.uniform(0.5, 2.0, ndim), resolution=resolution)
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, M)), norm=NormTag.L2)
+        J = finite_diff_gradient(f)
+        assert J.shape == (g.num_cells, ndim, M)
+        cube = f.values.reshape(*g.shape, M)
+        for i in range(ndim):
+            assert J[:, i, :].tobytes() == np.gradient(cube, g.spacing[i], axis=i).reshape(-1, M).tobytes()
 
     def test_low_resolution_rejected(self):
         g = interval_grid(2)
@@ -137,6 +148,19 @@ class TestWeakDerivativeCheck:
         with pytest.raises(ValueError):
             weak_derivative_check(f, f, 0, [TestFunction([0.1], 0.2)], tol=1e-3)
 
+    @pytest.mark.parametrize(
+        "box_min,box_max,resolution",
+        [([0.0], [2.0], [64]), ([-1.0], [1.0], [64]), ([0.0], [1.0], [32])],
+        ids=["box_max", "box_min", "resolution"],
+    )
+    def test_candidate_on_another_grid_rejected(self, box_min, box_max, resolution):
+        g = interval_grid(64)
+        f = VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2)
+        other = Grid(box_min=box_min, box_max=box_max, resolution=resolution)
+        cand = VectorField(grid=other, values=np.zeros((other.num_cells, 1)), norm=NormTag.L2)
+        with pytest.raises(ValueError, match="candidate's grid"):
+            weak_derivative_check(f, cand, 0, [TestFunction([0.5], 0.2)], tol=1e-3)
+
     def test_2d_identity(self):
         g = square_grid(64)
         centers = g.cell_centers()
@@ -161,22 +185,22 @@ class TestGradientLength:
     def test_identity_map_linf(self):
         g = square_grid(16)
         f = VectorField(grid=g, values=g.cell_centers().copy(), norm=NormTag.LINF)
-        gl = gradient_length(finite_diff_gradient(f))
+        gl = gradient_length(finite_diff_gradient(f), f.norm)
         # each partial is a coordinate vector of sup norm 1
-        assert np.allclose(gl.values, math.sqrt(2.0))
+        assert np.allclose(gl, math.sqrt(2.0))
 
     def test_constant_field(self):
         g = square_grid(8)
         f = VectorField(grid=g, values=np.ones((g.num_cells, 3)), norm=NormTag.L1)
-        assert np.allclose(gradient_length(finite_diff_gradient(f)).values, 0.0)
+        assert np.allclose(gradient_length(finite_diff_gradient(f), f.norm), 0.0)
 
     def test_scaling_homogeneity(self, rng):
         g = square_grid(8)
         vals = rng.normal(size=(g.num_cells, 2))
         f1 = VectorField(grid=g, values=vals, norm=NormTag.L2)
         f2 = VectorField(grid=g, values=-3.0 * vals, norm=NormTag.L2)
-        g1 = gradient_length(finite_diff_gradient(f1)).values
-        g2 = gradient_length(finite_diff_gradient(f2)).values
+        g1 = gradient_length(finite_diff_gradient(f1), f1.norm)
+        g2 = gradient_length(finite_diff_gradient(f2), f2.norm)
         assert np.allclose(g2, 3.0 * g1)
 
 
@@ -252,15 +276,24 @@ class TestInterpolant:
         g = Grid(box_min=lo, box_max=lo + rng.uniform(0.5, 3.0, ndim), resolution=resolution)
         values = rng.normal(size=(g.num_cells, 3))
         points = box_points(rng, g, 200)
-        (interp,) = _interpolators(g, [values])
+        interp = _interpolator(g, values)
         got = interp(points)
         assert got.shape == (len(points), 3)
         expected = scipy_interpolator(g, values)(points)
         assert np.all(np.abs(got - expected) <= interpolant_bound(ndim, np.max(np.abs(values))))
 
+    @pytest.mark.parametrize("resolution", [[7], [5, 9], [4, 1, 5]], ids=["1d", "2d", "single-cell-axis"])
+    def test_columns_at_once_equal_columns_apart(self, rng, resolution):
+        ndim = len(resolution)
+        g = Grid(box_min=[0.0] * ndim, box_max=rng.uniform(0.5, 2.0, ndim), resolution=resolution)
+        values = rng.normal(size=(g.num_cells, 5))
+        points = box_points(rng, g, 100)
+        apart = np.hstack([_interpolator(g, values[:, [k]])(points) for k in range(5)])
+        assert _interpolator(g, values)(points).tobytes() == apart.tobytes()
+
     def test_single_cell_axis_is_ignored(self):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[1, 8])
-        (interp,) = _interpolators(g, [np.arange(8.0)[:, None]])
+        interp = _interpolator(g, np.arange(8.0)[:, None])
         out = interp(np.array([[x, 0.3] for x in (0.0, 0.1, 0.5, 0.9, 1.0)]))
         assert np.all(out == out[0])
 
@@ -279,7 +312,7 @@ class TestInterpolant:
             return np.stack([np.prod(a + b * x, axis=1), a[0] + x @ b], axis=1)
 
         points = box_points(rng, g, 200)
-        (interp,) = _interpolators(g, [f(g.cell_centers())])
+        interp = _interpolator(g, f(g.cell_centers()))
         expected = f(points)
         assert np.all(np.abs(interp(points) - expected) <= interpolant_bound(ndim, np.max(expected)))
 
@@ -329,6 +362,58 @@ class TestFtcAlongCurve:
         with pytest.raises(ValueError, match="num_params"):
             ftc_along_curve_check(f, finite_diff_gradient(f), Polyline([[0.2, 0.2], [0.8, 0.8]]), 1e-6, num_params)
 
+    @pytest.mark.parametrize("shape", [(64, 2, 1), (64, 1, 2), (64, 4), (63, 2, 2), (64, 2, 2, 1)])
+    def test_gradient_of_another_shape_rejected(self, shape):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=np.zeros((g.num_cells, 2)), norm=NormTag.L2)
+        with pytest.raises(ValueError, match=r"shape \(num_cells, N, M\) = \(64, 2, 2\)"):
+            ftc_along_curve_check(f, np.zeros(shape), Polyline([[0.2, 0.2], [0.8, 0.8]]), 1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=np.zeros((g.num_cells, 2)), norm=NormTag.L2)
+        G = finite_diff_gradient(f)
+        G[17, 1, 0] = bad
+        with pytest.raises(ValueError, match="gradient must be finite"):
+            ftc_along_curve_check(f, G, Polyline([[0.2, 0.2], [0.8, 0.8]]), 1e-6)
+
+    @pytest.mark.parametrize(
+        "vertices", [[[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]], [[0.2], [0.8]]], ids=["3-coordinates", "1-coordinate"]
+    )
+    def test_curve_with_another_coordinate_count_gets_the_ac_message(self, vertices):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=np.zeros((g.num_cells, 2)), norm=NormTag.L2)
+        c = Polyline(vertices)
+        with pytest.raises(ValueError) as ac:
+            ac_bound_check(f, ScalarField(grid=g, values=np.ones(g.num_cells)), c, 1e-6)
+        with pytest.raises(ValueError, match="coordinates per vertex") as ftc:
+            ftc_along_curve_check(f, finite_diff_gradient(f), c, 1e-6)
+        assert str(ftc.value) == str(ac.value)
+
+    @pytest.mark.parametrize("tag", list(NormTag))
+    def test_field_whose_squares_overflow(self, recwarn, tag):
+        # finite values and differences; the squared increments or gradient lengths are not
+        g = square_grid(3)
+        f = VectorField(grid=g, values=np.outer(np.arange(9.0) * 1e160, [1.0, 1.0]), norm=tag)
+        with pytest.raises(ValueError, match="overflows float64"):
+            ftc_along_curve_check(f, finite_diff_gradient(f), Polyline([[0.1, 0.1], [0.9, 0.9]]), 1e-3)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_quadrature_sum_that_overflows(self, recwarn):
+        """On four axes the three Gauss-Legendre weights halved add up to one
+        ulp above 1, so a directional derivative of the largest double at
+        every node overflows in the weighted sum, which ignores np.errstate;
+        the NaN it leaves in the residuals is raised as the overflow."""
+        g = Grid(box_min=[0.0] * 4, box_max=[1.0] * 4, resolution=[1] * 4)
+        f = VectorField(grid=g, values=np.zeros((1, 1)), norm=NormTag.L1)
+        G = np.zeros((1, 4, 1))
+        G[0, 0, 0] = np.finfo(float).max
+        c = Polyline([[0.1, 0.5, 0.5, 0.5], [0.9, 0.5, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="FTC check along the curve overflows float64"):
+            ftc_along_curve_check(f, G, c, 1e-3)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_chain_rule_bound_holds(self, rng):
         g = square_grid(24)
         f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 3)), norm=NormTag.L1)
@@ -370,7 +455,7 @@ class TestFtcAlongCurve:
             num_params = int(rng.integers(2, 10))
             report = ftc_along_curve_check(f, G, c, tol=1e-2, num_params=num_params)
             expected = ftc_residuals(f, G, c, num_params)
-            g_max = max(np.max(np.abs(comp.values)) for comp in G.components)
+            g_max = np.max(np.abs(G))
             bound = 2.0**14 * np.finfo(float).eps * M * (c.length * g_max + np.max(np.abs(f.values)))
             assert len(report.checks) == len(expected) + 1
             assert np.all(np.abs(np.array([ck.value for ck in report.checks[:-1]]) - expected) <= bound)
@@ -384,7 +469,7 @@ class TestFtcAlongCurve:
         centers = g.cell_centers()
         f = VectorField(grid=g, values=np.zeros((g.num_cells, 1)), norm=NormTag.L2)
         xy = VectorField(grid=g, values=(centers[:, 0] * centers[:, 1])[:, None], norm=NormTag.L2)
-        G = GradientField(components=(xy, f), source=f)
+        G = np.stack([xy.values, f.values], axis=1)
         c = Polyline([[0.0, 0.0], [1.0, 1.0]])
         report = ftc_along_curve_check(f, G, c, tol=1.0)
         u = np.linspace(0.0, 1.0, 8)
