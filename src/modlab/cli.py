@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("modulus", _cmd_modulus, "solve the p-modulus of a curve family", ("family", "grid"))
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--max-iter", type=int, default=2000, help="L-BFGS-B iteration cap of the p > 1 solve; p = 1 ignores it")
+    sp.add_argument("--max-iter", type=int, default=2000, help="step cap of the interior-point solve, at every p")
     sp.add_argument("--rho-out", help="optional CSV dump of the optimal density")
 
     sp = command("norms", _cmd_norms, "L^p, Sobolev and Reshetnyak norms of a field", ("f",))

@@ -2,11 +2,11 @@
 
 The problem is  minimize sum_c w_c rho_c^p  subject to  A rho >= 1, rho >= 0,
 with one constraint row per curve (arc length spent in each cell) and
-Lebesgue cell volumes w. For p > 1 the program is solved through its smooth
-concave dual; for p = 1 through the equivalent linear program. Either way the
-result carries certificates (feasibility after rescaling is exact, and a
-weak-duality gap bounds the distance to the optimum) that do not rely on the
-inner solver's own claims.
+Lebesgue cell volumes w. Every p >= 1 is solved by one primal-dual
+interior-point method; at p = 1 the program is linear. The result carries
+certificates that do not rely on the solver's own claims: the density is
+rescaled to exact feasibility, and its gap to the Lagrange dual bound at the
+solver's multipliers bounds the distance to the optimum.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ import scipy.sparse as sp
 from .errors import ScheduleError
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
+
+# Relative raise of the normal matrix's diagonal after a failed Cholesky
+# factorization. Duplicate curves make duplicate rows, and near the optimum
+# their block is singular but for roundoff; a larger raise stalls p = 1
+# solves short of a 1e-10 gap.
+RIDGE = 1e-14
 
 
 @dataclass
@@ -77,16 +83,17 @@ def assemble_problem(fam: CurveFamily, g: Grid, p: float) -> ModulusProblem:
     return ModulusProblem(constraint_rows=A, weights=w, exponent=p, grid=g)
 
 
+# No modlab code calls these two wrappers any more. They stay because the
+# benchmark's tracer (benchmarks/spans.py) wraps them by name.
 def linprog(c, A_ub, b_ub, bounds, method):
-    """scipy.optimize.linprog, imported on the first call so that importing
-    modlab does not load scipy.optimize."""
+    """scipy.optimize.linprog, imported on the first call."""
     from scipy.optimize import linprog
 
     return linprog(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
 
 
 def minimize(fun, x0, jac, method, bounds, options):
-    """scipy.optimize.minimize, imported on the first call like ``linprog``."""
+    """scipy.optimize.minimize, imported on the first call."""
     from scipy.optimize import minimize
 
     return minimize(fun, x0, jac=jac, method=method, bounds=bounds, options=options)
@@ -98,12 +105,15 @@ def _dual_rho(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return base ** (1.0 / (p - 1.0))
 
 
-def _dual_rho_slope(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    # d rho / d s, used as the curvature weights of the dual Hessian
-    base = np.maximum(s, 0.0) / (p * w)
-    with np.errstate(divide="ignore"):
-        out = base ** ((2.0 - p) / (p - 1.0)) / ((p - 1.0) * p * w)
-    return np.where(np.isfinite(out), out, 0.0)
+def _dual_bound(lam: np.ndarray, atl: np.ndarray, w: np.ndarray, p: float) -> float:
+    """The Lagrange dual bound at multipliers lam >= 0, with atl = A^T lam.
+
+    It bounds the modulus from below whatever lam is. At p = 1 the linear
+    program's dual asks for A^T lam <= w, so lam is first scaled onto it.
+    """
+    if p == 1.0:
+        return float(np.sum(lam)) / float(np.max(atl / w))
+    return float(np.sum(lam)) - (p - 1.0) * float(np.sum(w * _dual_rho(atl, w, p) ** p))
 
 
 def _unconverged(prob: ModulusProblem, iterations: int, dual_value: float, diagnostics: dict) -> ModulusResult:
@@ -116,167 +126,149 @@ def _unconverged(prob: ModulusProblem, iterations: int, dual_value: float, diagn
     )
 
 
-def _certify(A, w, p, rho_raw, dual_value):
-    """Rescale to exact feasibility and report value/gap certificates."""
-    margins = A @ rho_raw
-    m = float(np.min(margins))
+def _certify(A, w, p, rho_raw, dual_value, tol):
+    """Rescale to exact feasibility; the density, value, violation and gap, and
+    whether both certificates meet ``tol``. None when a margin is zero."""
+    m = float(np.min(A @ rho_raw))
     if m <= 0.0:
         return None
     rho = rho_raw / m
     value = float(np.sum(w * rho**p))
     violation = max(0.0, 1.0 - float(np.min(A @ rho)))
     gap = value - dual_value
-    return rho, value, violation, gap
+    return rho, value, violation, gap, gap <= tol * (1.0 + value) and violation <= tol
 
 
-def _certified(prob, rho_raw, dual_value, tol, solver_ok, iterations, diagnostics) -> ModulusResult:
+def _certified(prob, rho_raw, dual_value, tol, iterations, diagnostics) -> ModulusResult:
     """The certified result of a raw density and a dual value: converged when
-    the solver reports success and both certificates meet ``tol``."""
-    cert = _certify(prob.constraint_rows, prob.weights, prob.exponent, rho_raw, dual_value)
+    both certificates meet ``tol``."""
+    cert = _certify(prob.constraint_rows, prob.weights, prob.exponent, rho_raw, dual_value, tol)
     if cert is None:
         return _unconverged(
             prob, iterations, dual_value, dict(diagnostics, message="the raw density left a constraint at zero")
         )
-    rho, value, violation, gap = cert
+    rho, value, violation, gap, converged = cert
     return ModulusResult(
         value=value,
         rho_star=ScalarField(grid=prob.grid, values=rho),
         max_constraint_violation=violation,
         iterations=iterations,
-        converged=solver_ok and gap <= tol * (1.0 + value) and violation <= tol,
+        converged=converged,
         gap=gap,
         dual_value=dual_value,
         diagnostics=diagnostics,
     )
 
 
-def _dual_objective(A, At, w, p, lam):
-    s = At @ lam
-    rho = _dual_rho(s, w, p)
-    obj = float(np.sum(lam)) - (p - 1.0) * float(np.sum(w * rho**p))
-    return obj, 1.0 - A @ rho, s, rho
+def _pair_index(C: sp.csc_matrix):
+    """The entry pairs of C that share a column, row i <= row j.
 
-
-def _projected_grad_norm(lam: np.ndarray, grad: np.ndarray) -> float:
-    # ascent direction blocked at the bound: only grad > 0 matters at lam = 0
-    viol = np.where(lam > 0.0, np.abs(grad), np.maximum(grad, 0.0))
-    return float(np.max(viol, initial=0.0))
-
-
-def _newton_polish(A, At, w, p, lam, tol):
-    """Projected Newton ascent on the concave dual to tighten the gap, at most 60 rounds.
-
-    The Hessian restricted to the free multipliers is -A D A^T with the
-    diagonal curvature D = d rho / d s; a ridge keeps duplicated rows
-    harmless. Near the optimum the dual objective sits on its float plateau
-    while the gradient (the constraint margins) can still be driven down, so
-    a step is also accepted when it halves the projected gradient without
-    losing objective beyond roundoff.
+    With key, prod, col as returned, the entries i <= j of C diag(D) C^T are
+    np.bincount(key, prod * D[col]) read as an m x m Fortran-order array.
     """
-    obj, grad, s, rho = _dual_objective(A, At, w, p, lam)
-    rounds = 0
-    for _ in range(60):
-        margins = 1.0 - grad
-        mmin = float(np.min(margins))
-        if mmin > 0.0:
-            value = float(np.sum(w * rho**p)) / mmin**p
-            if value - obj <= 0.25 * tol * (1.0 + value):
+    r, v = C.indices, C.data
+    k = np.diff(C.indptr)
+    later = np.repeat(C.indptr[1:], k) - np.arange(r.size)  # entries at or below each one in its column
+    first = np.repeat(np.arange(r.size), later)
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    return r[second] * C.shape[0] + r[first], v[first] * v[second], np.repeat(np.arange(k.size), k)[first]
+
+
+def _step(v: np.ndarray, dv: np.ndarray) -> float:
+    """The largest step in (0, 1] that keeps v + step dv >= 0, for v > 0."""
+    with np.errstate(over="ignore"):
+        q = float(np.min(dv / v))
+    return 1.0 if q >= -1.0 else -1.0 / q
+
+
+def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
+    """Mehrotra predictor-corrector for  min sum w rho^p  s.t.  A rho - s = 1, (rho, s) >= 0.
+
+    x = (rho, s) and its complement y = (z, lam) each live in one array, so
+    complementarity, step lengths and updates are single numpy calls. Each
+    step solves the normal system (A D A^T + diag(s/lam)) dlam = r, with
+    D = (hessian + z/rho)^-1 and a zero hessian at p = 1, by one Cholesky
+    factorization of an m x m matrix, m the number of curves. The
+    certificates are checked once the complementarity x.y falls below
+    ``tol`` times the energy. After a failed factorization the diagonal is
+    raised by ``RIDGE`` for the rest of the solve; a second failure ends it
+    with the current iterate. Returns the raw density, the dual bound at the
+    last multipliers, the number of steps and the diagnostics.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    A0, p = prob.constraint_rows, prob.exponent
+    m = A0.shape[0]
+    # a cell that no curve crosses has rho = 0 at the optimum: drop it
+    used, cols = np.unique(A0.indices, return_inverse=True)
+    n = used.size
+    A = sp.csr_matrix((A0.data, cols, A0.indptr), shape=(m, n))
+    C = A.tocsc()
+    At = C.T
+    key, prod, col = _pair_index(C)
+    w = prob.weights[used]
+    pw = p * w
+
+    x, y = np.empty(n + m), np.empty(n + m)
+    rho, s, z, lam = x[:n], x[n:], y[:n], y[n:]
+    rho[:] = 2.0 / float(np.median(A @ np.ones(n)))
+    s[:] = np.maximum(A @ rho - 1.0, 1.0)
+    g = pw * rho ** (p - 1.0)
+    lam[:] = 0.5 * float(np.mean(g)) / float(np.mean(A.data))
+    z[:] = np.maximum(g - At @ lam, 0.5 * float(np.mean(g)))
+    it, ridge, hit = 0, 0.0, False
+    while True:
+        g = pw * rho ** (p - 1.0)  # gradient of the energy
+        atl = At @ lam
+        rd = g - atl - z
+        rp = A @ rho - s - 1.0
+        xy = x * y
+        comp = float(np.sum(xy))
+        if comp <= tol * float(rho @ g) / p:
+            cert = _certify(A, w, p, rho, _dual_bound(lam, atl, w, p), tol)
+            if cert is not None and cert[-1]:
+                message = "certificates met"
                 break
-        free = (lam > 0.0) | (grad > 0.0)
-        if not np.any(free):
+        if it == max_iter:
+            message, hit = f"stopped at max_iter={max_iter}", True
             break
-        D = _dual_rho_slope(s, w, p)
-        Af = A[np.flatnonzero(free)]
-        H = (Af.multiply(D) @ Af.T).toarray()
-        ridge = 1e-14 * (np.trace(H) / H.shape[0] + 1.0)
-        H[np.diag_indices_from(H)] += ridge
+        h = (p - 1.0) * g / rho  # hessian of the energy
+        d = 1.0 / (h + z / rho)
+        K = np.bincount(key, prod * d[col], minlength=m * m)
+        diag = K[:: m + 1]
+        diag *= 1.0 + ridge
+        diag += s / lam
         try:
-            step_free = np.linalg.solve(H, grad[free])
-        except np.linalg.LinAlgError:
+            factor = cho_factor(K.reshape(m, m).T, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            if ridge == 0.0:
+                ridge = RIDGE
+                continue
+            message = f"factorization failed: {exc}"
             break
-        step = np.zeros_like(lam)
-        step[free] = step_free
-        pg = _projected_grad_norm(lam, grad)
-        plateau = 1e-13 * (1.0 + abs(obj))
-        improved = False
-        alpha = 1.0
-        for _ in range(40):
-            cand = np.maximum(lam + alpha * step, 0.0)
-            cand_obj, cand_grad, cand_s, cand_rho = _dual_objective(A, At, w, p, cand)
-            better_obj = cand_obj > obj
-            flatter = cand_obj >= obj - plateau and _projected_grad_norm(cand, cand_grad) <= 0.5 * pg
-            if better_obj or flatter:
-                lam, obj, grad, s, rho = cand, cand_obj, cand_grad, cand_s, cand_rho
-                improved = True
-                break
-            alpha *= 0.5
-        rounds += 1
-        if not improved:
-            break
-    return lam, obj, rounds
 
+        def direction(rc):
+            # the Newton step that moves the complementarity x y by -rc; ds and
+            # dz come from the linear equations, so that the step shrinks both
+            # residuals by exactly its length
+            r = rd + rc[:n] / rho
+            dlam = cho_solve(factor, A @ (d * r) - rp - rc[n:] / lam, check_finite=False)
+            atdl = At @ dlam
+            drho = d * (atdl - r)
+            return np.concatenate([drho, A @ drho + rp]), np.concatenate([rd + h * drho - atdl, dlam])
 
-def _solve_power(prob: ModulusProblem, tol: float, max_iter: int) -> ModulusResult:
-    A = prob.constraint_rows
-    At = A.T.tocsr()
-    w = prob.weights
-    p = prob.exponent
-    m = A.shape[0]
-
-    def neg_dual(lam):
-        obj, grad, _, _ = _dual_objective(A, At, w, p, lam)
-        return -obj, -grad
-
-    # scale a uniform start so the least-satisfied constraint sits near 1
-    lam0 = np.ones(m)
-    r0 = _dual_rho(At @ lam0, w, p)
-    m0 = float(np.min(A @ r0))
-    if m0 > 0.0:
-        lam0 *= m0 ** -(p - 1.0)
-    res = minimize(
-        neg_dual,
-        lam0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, None)] * m,
-        options={"maxiter": max_iter, "maxfun": 20 * max_iter, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    lam = np.maximum(res.x, 0.0)
-    lam, dual_value, polish_rounds = _newton_polish(A, At, w, p, lam, tol)
-    return _certified(
-        prob, _dual_rho(At @ lam, w, p), dual_value, tol, solver_ok=True,
-        iterations=int(res.nit) + polish_rounds,
-        diagnostics={
-            "message": str(res.message), "solver": "lbfgsb-dual+newton", "max_iter_hit": int(res.nit) >= max_iter,
-        },
-    )
-
-
-def _solve_lp(prob: ModulusProblem, tol: float) -> ModulusResult:
-    A = prob.constraint_rows
-    w = prob.weights
-    m = A.shape[0]
-    res = linprog(
-        c=w,
-        A_ub=-A,
-        b_ub=-np.ones(m),
-        bounds=(0.0, None),
-        method="highs-ipm",
-    )
-    iterations = int(getattr(res, "nit", 0))
-    diagnostics = {"message": str(res.message), "solver": "linprog-highs-ipm", "max_iter_hit": False}
-    if res.x is None:
-        return _unconverged(prob, iterations, float("nan"), diagnostics)
-    lam = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
-    # scale the multipliers into the dual-feasible region A^T lam <= w
-    col = A.T @ lam
-    over = float(np.max(col / w)) if col.size else 0.0
-    if over > 1.0:
-        lam = lam / over
-    return _certified(
-        prob, np.asarray(res.x, dtype=float), float(np.sum(lam)), tol, solver_ok=res.status == 0,
-        iterations=iterations, diagnostics=diagnostics,
-    )
+        dx, dy = direction(xy)  # predictor
+        mu = comp / x.size
+        mu_aff = float(np.dot(x + _step(x, dx) * dx, y + _step(y, dy) * dy)) / x.size
+        dx, dy = direction(xy + dx * dy - (mu_aff / mu) ** 3 * mu)  # corrector
+        a = 0.99 * min(_step(x, dx), _step(y, dy))
+        x += a * dx
+        y += a * dy
+        it += 1
+    rho_raw = np.zeros(prob.weights.size)
+    rho_raw[used] = rho
+    diagnostics = {"message": message, "solver": "primal-dual-ipm", "max_iter_hit": hit}
+    return rho_raw, _dual_bound(lam, atl, w, p), it, diagnostics
 
 
 def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000) -> ModulusResult:
@@ -286,11 +278,9 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     and ``gap`` bounds the objective's distance to the optimum by weak
     duality; ``converged`` records whether both certificates meet ``tol``.
     A modulus program is never infeasible: large densities are admissible.
-    p = 1 is delegated to an interior-point linear-programming solve with the
-    same certificates.
-    ``max_iter`` bounds the L-BFGS-B iterations of the p > 1 solve only; the
-    p = 1 linear program ignores it. ``diagnostics`` names the ``solver`` that
-    ran and says whether L-BFGS-B stopped at ``max_iter`` (``max_iter_hit``).
+    Every p >= 1 is solved by the same primal-dual interior-point method.
+    ``max_iter`` caps its steps; ``diagnostics`` names the ``solver`` that
+    ran and says whether it stopped at ``max_iter`` (``max_iter_hit``).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -301,9 +291,8 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
             iterations=0, converged=True, gap=0.0, dual_value=0.0,
             diagnostics={"solver": "none", "max_iter_hit": False},
         )
-    if prob.exponent == 1.0:
-        return _solve_lp(prob, tol)
-    return _solve_power(prob, tol, max_iter)
+    rho_raw, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
+    return _certified(prob, rho_raw, dual_value, tol, iterations, diagnostics)
 
 
 def analytic_parallel_segments(measure_E: float, seg_length: float, p: float) -> float:

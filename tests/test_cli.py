@@ -94,7 +94,7 @@ class TestModulusCommand:
         assert not out.exists() and captured.out == ""
 
     def test_meta_names_the_solver_and_a_max_iter_stop(self, modulus_inputs, capsys, rng):
-        # oblique curves: on the row family the uniform start is already optimal
+        # one interior-point step cannot certify these oblique curves
         fam = CurveFamily(curves=[Polyline(rng.uniform(0.05, 0.95, size=(3, 2))) for _ in range(12)])
         save_family(fam, modulus_inputs / "oblique.json")
         main([
@@ -102,7 +102,7 @@ class TestModulusCommand:
             "--p", "3", "--max-iter", "1",
         ])
         meta = json.loads(capsys.readouterr().out)["meta"]
-        assert meta["solver"] == "lbfgsb-dual+newton" and meta["max_iter_hit"] is True
+        assert meta["solver"] == "primal-dual-ipm" and meta["max_iter_hit"] is True
 
     def test_report_meta_is_machine_independent(self, modulus_inputs, capsys):
         status = main([

@@ -1,6 +1,5 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from modlab import (
     solve_modulus,
 )
 from modlab import modulus
+from modlab.acceptance import random_polyline
 from modlab.modulus import ModulusProblem
 from oracles import kkt_single_row
 
@@ -94,8 +94,8 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "p,max_iter,solver,hit",
-        [(3.0, 1, "lbfgsb-dual+newton", True), (2.0, 2000, "lbfgsb-dual+newton", False),
-         (1.0, 1, "linprog-highs-ipm", False)],
+        [(3.0, 1, "primal-dual-ipm", True), (2.0, 2000, "primal-dual-ipm", False),
+         (1.0, 1, "primal-dual-ipm", True)],
         ids=["p3-max-iter-1", "p2-default", "p1"],
     )
     def test_diagnostics_name_the_solver_and_a_max_iter_stop(self, rng, p, max_iter, solver, hit):
@@ -163,17 +163,28 @@ class TestSolve:
         g = unit_grid(4)
         prob = assemble_problem(CurveFamily([Polyline([[0.0, 0.3], [1.0, 0.3]])]), g, 1.0)
 
-        def zero_solution(c, A_ub, b_ub, bounds, method):
-            return SimpleNamespace(
-                x=np.zeros(len(c)), status=0, nit=3, message="stub",
-                ineqlin=SimpleNamespace(marginals=np.zeros(A_ub.shape[0])),
-            )
+        def zero_solution(prob, tol, max_iter):
+            return np.zeros(prob.grid.num_cells), 0.0, 3, {"solver": "primal-dual-ipm", "max_iter_hit": False}
 
-        monkeypatch.setattr(modulus, "linprog", zero_solution)
+        monkeypatch.setattr(modulus, "_interior_point", zero_solution)
         result = solve_modulus(prob)
         assert not result.converged
         assert result.gap == float("inf") and result.iterations == 3
         assert np.all(result.rho_star.values == 0.0)
+
+    def test_a_failed_factorization_ends_the_solve_with_a_result(self, monkeypatch, rng):
+        import scipy.linalg
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("stub: not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        prob = assemble_problem(CurveFamily(curves=random_curves(rng, 5)), unit_grid(8), 2.0)
+        result = solve_modulus(prob)
+        assert not result.converged and result.iterations == 0
+        assert "factorization failed" in result.diagnostics["message"]
+        assert result.dual_value <= result.value and np.isfinite(result.gap)
+        assert np.all(prob.constraint_rows @ result.rho_star.values >= 1.0 - 1e-12)
 
     def test_lp_certifies_a_family_the_simplex_left_unconverged(self):
         # 200 random polylines (695 vertices) on 48^2: the benchmark's modulus
@@ -187,6 +198,62 @@ class TestSolve:
         assert result.converged
         assert result.gap <= 1e-8 * (1.0 + result.value)
         assert result.max_constraint_violation <= 1e-8
+
+
+# weak duality up to the rounding of the two certificate sums
+ROUNDOFF = 1e-14
+
+
+class TestInteriorPoint:
+    def test_p3_segment_family_certifies_in_few_steps(self):
+        # 500 two-vertex segments on 64^2: L-BFGS-B ran 2002 iterations here
+        # and stopped at max_iter before its Newton polish.
+        rng = np.random.default_rng(3)
+        fam = CurveFamily(curves=[random_polyline(rng, 2) for _ in range(500)])
+        result = solve_modulus(assemble_problem(fam, unit_grid(64), 3.0), tol=1e-8)
+        assert result.converged and not result.diagnostics["max_iter_hit"]
+        assert result.iterations <= 60
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_p1_value_agrees_with_highs(self, seed):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        fam = CurveFamily(curves=random_curves(rng, int(rng.integers(1, 40))))
+        prob = assemble_problem(fam, unit_grid(int(rng.integers(8, 33))), 1.0)
+        result = solve_modulus(prob, tol=1e-10)
+        highs = linprog(
+            prob.weights, A_ub=-prob.constraint_rows, b_ub=-np.ones(prob.num_curves), bounds=(0.0, None),
+            method="highs",
+        )
+        assert result.converged and highs.status == 0
+        # HiGHS's optimum is itself accurate only to its tolerances
+        slack = 1e-9 * (1.0 + result.value)
+        assert result.dual_value - slack <= highs.fun <= result.value + slack
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certificates_meet_a_tight_tolerance(self, p, seed):
+        rng = np.random.default_rng(100 + seed)
+        fam = CurveFamily(curves=random_curves(rng, int(rng.integers(1, 40))))
+        result = solve_modulus(assemble_problem(fam, unit_grid(int(rng.integers(8, 33))), p), tol=1e-10)
+        assert result.converged
+        assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
+        assert result.gap <= 1e-10 * (1.0 + result.value)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["identical", "oblique", "disjoint"])
+    def test_degenerate_families_certify(self, p, kind):
+        # three identical curves make duplicate rows and a nearly singular A D A^T
+        curves = {
+            "identical": [Polyline([[0.1, 0.2], [0.5, 0.8], [0.9, 0.3]])] * 3,
+            "oblique": [Polyline([[0.1, 0.2], [0.9, 0.7]])],
+            "disjoint": [Polyline([[0.1, 0.1], [0.3, 0.4]]), Polyline([[0.6, 0.9], [0.9, 0.6]])],
+        }[kind]
+        result = solve_modulus(assemble_problem(CurveFamily(curves=curves), unit_grid(16), p), tol=1e-10)
+        assert result.converged
+        assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
+        assert result.gap <= 1e-10 * (1.0 + result.value)
 
 
 class TestAnalyticParallelSegments:
