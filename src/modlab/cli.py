@@ -15,12 +15,14 @@ work runs sequentially with fixed reduction order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import acceptance
@@ -65,11 +67,13 @@ def write_files(files: dict) -> None:
     """Write every ``{path: text}``, all or none.
 
     Each text goes to a temporary name beside its target, in a directory
-    made if missing; the temporaries are renamed onto the targets only after
-    every write succeeded. On a failure the temporaries and the directories
-    made here are removed, and the error propagates.
+    made if missing. Only after every write succeeded are the existing
+    targets moved aside and the temporaries renamed onto the targets. On a
+    failure every step is undone: the new files, temporaries and directories
+    made here are removed, the moved targets go back, and the original error
+    propagates.
     """
-    made, staged = [], []
+    made, staged, aside, placed = [], [], [], []
     try:
         for target, text in files.items():
             target = Path(target)
@@ -79,14 +83,27 @@ def write_files(files: dict) -> None:
             temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
             staged.append((temporary, target))
             temporary.write_text(text)
+        for _, target in staged:
+            backup = target.with_name(f".{target.name}.{os.getpid()}.bak")
+            try:
+                target.replace(backup)
+            except FileNotFoundError:
+                continue
+            aside.append((backup, target))
         for temporary, target in staged:
             temporary.replace(target)
+            placed.append(target)
     except BaseException:
-        for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
-        for d in reversed(made):
-            d.rmdir()
+        # undo each step; a failing undo must not hide the original error
+        undo = [target.unlink for target in placed] + [temporary.unlink for temporary, _ in staged]
+        undo += [partial(backup.replace, target) for backup, target in aside]
+        undo += [d.rmdir for d in reversed(made)]
+        for step in undo:
+            with contextlib.suppress(OSError):
+                step()
         raise
+    for backup, _ in aside:
+        backup.unlink()
 
 
 def plot_files(report: Report, path) -> dict:

@@ -271,7 +271,11 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     t = (planes - p[seg, axis]) / d[seg, axis]
     inside = (t > 0.0) & (t < 1.0)
     seg, t = seg[inside], t[inside]
-    order = np.lexsort((t, seg))
+    # order by segment, then t: one sort ranks t, a second sorts the unique
+    # keys seg * size + rank (tied ranks hold equal t, so any tie order does)
+    rank = np.empty(t.size, dtype=np.int64)
+    rank[np.argsort(t)] = np.arange(t.size)
+    order = np.argsort(seg * t.size + rank)
     return seg[order], t[order]
 
 

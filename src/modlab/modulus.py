@@ -11,6 +11,7 @@ solver's multipliers bounds the distance to the optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,11 @@ from .vectorvalues import scalar_lp_norm
 RIDGE = 1e-14
 
 
+def _require_exponent(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"modulus exponent requires finite p >= 1, got {p}")
+
+
 @dataclass
 class ModulusProblem:
     """Constraint rows, cell weights and exponent of one modulus program."""
@@ -38,8 +44,7 @@ class ModulusProblem:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if self.exponent < 1.0:
-            raise ValueError("modulus exponent requires p >= 1")
+        _require_exponent(self.exponent)
         if np.any(self.weights <= 0.0):
             raise ValueError("cell weights must be positive")
         A = self.constraint_rows
@@ -76,8 +81,7 @@ def assemble_problem(fam: CurveFamily, g: Grid, p: float) -> ModulusProblem:
     componentwise, and row j times rho is ``curve_integral(rho, curve j)``.
     The weights are the Lebesgue cell volumes.
     """
-    if p < 1.0:
-        raise ValueError("modulus exponent requires p >= 1")
+    _require_exponent(p)
     A = cell_length_rows(fam.curves, g)
     w = np.full(g.num_cells, g.cell_volume)
     return ModulusProblem(constraint_rows=A, weights=w, exponent=p, grid=g)
@@ -160,18 +164,23 @@ def _certified(prob, rho_raw, dual_value, tol, iterations, diagnostics) -> Modul
     )
 
 
-def _pair_index(C: sp.csc_matrix):
-    """The entry pairs of C that share a column, row i <= row j.
+def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
+    """The pair operator P of C: C diag(d) C^T's entries i <= j are P @ d.
 
-    With key, prod, col as returned, the entries i <= j of C diag(D) C^T are
-    np.bincount(key, prod * D[col]) read as an m x m Fortran-order array.
+    Column c of P holds one entry per pair of entries i <= j of C's column
+    c, at row j m + i and with value C[i, c] C[j, c], so P has shape
+    (m^2, n) and sum_c k_c (k_c + 1) / 2 entries, k_c the entries of
+    column c. P @ d read as an m x m Fortran-order array has the upper
+    triangle of C diag(d) C^T and zeros below it.
     """
+    m = C.shape[0]
     r, v = C.indices, C.data
     k = np.diff(C.indptr)
     later = np.repeat(C.indptr[1:], k) - np.arange(r.size)  # entries at or below each one in its column
     first = np.repeat(np.arange(r.size), later)
     second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    return r[second] * C.shape[0] + r[first], v[first] * v[second], np.repeat(np.arange(k.size), k)[first]
+    indptr = np.concatenate([[0], np.cumsum(k * (k + 1) // 2)])
+    return sp.csc_matrix((v[first] * v[second], r[second] * m + r[first], indptr), shape=(m * m, C.shape[1]))
 
 
 def _step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -188,7 +197,9 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     complementarity, step lengths and updates are single numpy calls. Each
     step solves the normal system (A D A^T + diag(s/lam)) dlam = r, with
     D = (hessian + z/rho)^-1 and a zero hessian at p = 1, by one Cholesky
-    factorization of an m x m matrix, m the number of curves. The
+    factorization of an m x m matrix, m the number of curves. That matrix's
+    A D A^T part is one sparse product P @ d, d the diagonal of D and P
+    the pair operator of ``_pair_index``, built once per solve. The
     certificates are checked once the complementarity x.y falls below
     ``tol`` times the energy. After a failed factorization the diagonal is
     raised by ``RIDGE`` for the rest of the solve; a second failure ends it
@@ -205,7 +216,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     A = sp.csr_matrix((A0.data, cols, A0.indptr), shape=(m, n))
     C = A.tocsc()
     At = C.T
-    key, prod, col = _pair_index(C)
+    P = _pair_index(C)
     w = prob.weights[used]
     pw = p * w
 
@@ -234,7 +245,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
             break
         h = (p - 1.0) * g / rho  # hessian of the energy
         d = 1.0 / (h + z / rho)
-        K = np.bincount(key, prod * d[col], minlength=m * m)
+        K = P @ d
         diag = K[:: m + 1]
         diag *= 1.0 + ridge
         diag += s / lam
@@ -282,8 +293,10 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     ``max_iter`` caps its steps; ``diagnostics`` names the ``solver`` that
     ran and says whether it stopped at ``max_iter`` (``max_iter_hit``).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if prob.num_curves == 0:
         zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
         return ModulusResult(
@@ -306,16 +319,14 @@ def analytic_parallel_segments(measure_E: float, seg_length: float, p: float) ->
         raise ValueError("segment length must be positive")
     if measure_E < 0.0:
         raise ValueError("measure must be nonnegative")
-    if p < 1.0:
-        raise ValueError("requires p >= 1")
+    _require_exponent(p)
     return measure_E / seg_length**p
 
 
 def chebyshev_bound_from_norm(norm_p: float, eps: float, p: float) -> float:
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if p < 1.0:
-        raise ValueError("requires p >= 1")
+    _require_exponent(p)
     if norm_p < 0.0:
         raise ValueError("norm must be nonnegative")
     return (norm_p / eps) ** p
@@ -349,8 +360,7 @@ def fuglede_schedule(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if p < 1.0:
-        raise ValueError("requires p >= 1")
+    _require_exponent(p)
     norms = [float(x) for x in norms]
     if any(x < 0.0 for x in norms):
         raise ValueError("norms must be nonnegative")

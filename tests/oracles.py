@@ -133,6 +133,47 @@ def dense_cell_length_rows(curves, g) -> np.ndarray:
     return rows
 
 
+def lexsort_plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment index and parameter of every interior cell-plane crossing
+    of the segments p[s] -> q[s], ordered by one np.lexsort on (seg, t).
+
+    The enumeration and its float expressions are the library's; only the
+    ordering differs, so seg and t are meant to match it bit for bit.
+    """
+    d = q - p
+    h = g.spacing
+    kmin = np.maximum(1, np.floor((np.minimum(p, q) - g.box_min) / h).astype(np.int64) + 1)
+    kmax = np.minimum(g.resolution - 1, np.ceil((np.maximum(p, q) - g.box_min) / h).astype(np.int64) - 1)
+    count = np.where(d != 0.0, np.maximum(kmax - kmin + 1, 0), 0).ravel()
+    owner = np.repeat(np.arange(count.size), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    k = kmin.ravel()[owner] + (np.arange(owner.size) - first)
+    seg, axis = np.divmod(owner, g.ndim)
+    t = (g.box_min[axis] + k * h[axis] - p[seg, axis]) / d[seg, axis]
+    inside = (t > 0.0) & (t < 1.0)
+    seg, t = seg[inside], t[inside]
+    order = np.lexsort((t, seg))
+    return seg[order], t[order]
+
+
+def bincount_normal_matrix(C, d: np.ndarray) -> np.ndarray:
+    """The upper triangle of C diag(d) C^T, as a flat m x m Fortran-order array.
+
+    Every pair of entries i <= j of a column of the CSC matrix C adds
+    C[i, c] C[j, c] d[c] into bin j m + i, all in one np.bincount over the
+    pairs in column, then entry order; the sum order is meant to match the
+    library's pair operator bit for bit.
+    """
+    m = C.shape[0]
+    r, v = C.indices, C.data
+    k = np.diff(C.indptr)
+    later = np.repeat(C.indptr[1:], k) - np.arange(r.size)
+    first = np.repeat(np.arange(r.size), later)
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    col = np.repeat(np.arange(k.size), k)[first]
+    return np.bincount(r[second] * m + r[first], v[first] * v[second] * d[col], minlength=m * m)
+
+
 def scipy_interpolator(g: Grid, values: np.ndarray):
     """scipy's multilinear interpolant of cell-centred (num_cells, M) values,
     extended linearly into the boundary half-cells (fill_value=None)."""

@@ -694,3 +694,60 @@ class TestMalformedInputsExit2:
         assert status == 2
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
         assert sorted(p.name for p in modulus_inputs.iterdir()) == before
+
+
+class TestWriteFilesAllOrNone:
+    """A rename that fails at any point leaves the file system as it found it."""
+
+    @staticmethod
+    def fail_on_call(monkeypatch, n):
+        """Make the n-th Path.replace call raise."""
+        real, calls = Path.replace, []
+
+        def replace(self, target):
+            calls.append(self)
+            if len(calls) == n:
+                raise OSError("rename failed")
+            return real(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_replaced_targets_get_their_contents_back(self, tmp_path, monkeypatch, n):
+        old = {tmp_path / "a.json": "old a\n", tmp_path / "b.csv": "old b\n"}
+        for path, text in old.items():
+            path.write_text(text)
+        self.fail_on_call(monkeypatch, n)
+        with pytest.raises(OSError, match="rename failed"):
+            cli_mod.write_files({path: "new\n" for path in old} | {tmp_path / "c.csv": "new\n"})
+        assert {p: p.read_text() for p in tmp_path.iterdir()} == old
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_directories_made_here_are_removed_and_the_error_kept(self, tmp_path, monkeypatch, n):
+        self.fail_on_call(monkeypatch, n)
+        with pytest.raises(OSError, match="rename failed"):
+            cli_mod.write_files({tmp_path / "new" / "sub" / "a.csv": "a\n", tmp_path / "new" / "b.csv": "b\n"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_leaves_only_the_targets(self, tmp_path):
+        (tmp_path / "a.json").write_text("old a\n")
+        cli_mod.write_files({tmp_path / "a.json": "new a\n", tmp_path / "d" / "b.csv": "new b\n"})
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["a.json", "d", "d/b.csv"]
+        assert (tmp_path / "a.json").read_text() == "new a\n" and (tmp_path / "d" / "b.csv").read_text() == "new b\n"
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_modulus_outputs_survive_a_failed_rename(self, modulus_inputs, capsys, monkeypatch, n):
+        argv = [
+            "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
+            "--out", str(modulus_inputs / "r.json"), "--rho-out", str(modulus_inputs / "rho.csv"),
+        ]
+        inputs = set(modulus_inputs.iterdir())
+        assert main(argv) == 0
+        for path in set(modulus_inputs.iterdir()) - inputs:  # the report, the density and its sidecar
+            path.write_text("old\n")
+        before = {p: p.read_bytes() for p in modulus_inputs.iterdir()}
+        self.fail_on_call(monkeypatch, n)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "modlab: error: rename failed"
+        assert {p: p.read_bytes() for p in modulus_inputs.iterdir()} == before

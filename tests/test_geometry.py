@@ -23,7 +23,7 @@ from modlab import (
     save_family,
     save_polyline_csv,
 )
-from oracles import dense_cell_length_rows, regular_polygon_length
+from oracles import dense_cell_length_rows, lexsort_plane_crossings, regular_polygon_length
 
 
 def polyline_on_circle(k):
@@ -332,6 +332,42 @@ class TestSegmentCrossings:
         fwd = _plane_crossings(g, p[None, :], q[None, :])[1]
         bwd = _plane_crossings(g, q[None, :], p[None, :])[1]
         assert np.allclose(np.sort(1.0 - bwd), fwd)
+
+    @pytest.mark.parametrize(
+        "box_min,box_max,res,segments",
+        [
+            # diagonals through grid vertices: ties between the two plane families
+            ([0.0, 0.0], [1.0, 1.0], [8, 8], [[[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.5]]]),
+            # reversed, axis-parallel, on a plane, and ending on planes
+            ([0.0, 0.0], [1.0, 1.0], [4, 8], [[[1.0, 1.0], [0.0, 0.0]], [[0.1, 0.3], [0.9, 0.3]], [[0.5, 0.1], [0.5, 0.9]],
+                                              [[0.25, 0.125], [0.75, 0.625]], [[0.2, 0.2], [0.2, 0.2]], [[0.05, 0.05], [0.2, 0.1]]]),
+            # 3-D diagonals through vertices and along a face: triple and double ties
+            ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [4, 4, 4], [[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                                                         [[0.0, 0.0, 0.5], [1.0, 1.0, 0.5]], [[0.0, 0.25, 0.25], [1.0, 0.25, 0.25]]]),
+            ([-1.0, 2.0, 0.0], [3.0, 4.0, 0.5], [8, 4, 2], [[[-1.0, 2.0, 0.0], [3.0, 4.0, 0.5]], [[3.0, 4.0, 0.5], [-1.0, 2.0, 0.0]]]),
+        ],
+    )
+    def test_order_matches_the_lexsort_oracle_bit_for_bit(self, box_min, box_max, res, segments):
+        from modlab.geometry import _plane_crossings
+
+        g = Grid(box_min=box_min, box_max=box_max, resolution=res)
+        pq = np.array(segments, dtype=float)
+        seg, t = _plane_crossings(g, pq[:, 0], pq[:, 1])
+        want_seg, want_t = lexsort_plane_crossings(g, pq[:, 0], pq[:, 1])
+        assert t.size > 0 and np.any(np.diff(t)[np.diff(seg) == 0] == 0.0)  # ties present
+        assert np.array_equal(seg, want_seg) and np.array_equal(t, want_t)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_random_segments_match_the_lexsort_oracle(self, rng, ndim):
+        from modlab.geometry import _plane_crossings
+
+        g = Grid(box_min=[0.0] * ndim, box_max=[1.0] * ndim, resolution=rng.integers(3, 24, size=ndim))
+        # half the endpoints snapped to cell planes, so that crossings tie
+        p, q = (np.where(rng.random((300, ndim)) < 0.5, np.round(x * g.resolution) / g.resolution, x)
+                for x in rng.uniform(0.0, 1.0, size=(2, 300, ndim)))
+        seg, t = _plane_crossings(g, p, q)
+        want_seg, want_t = lexsort_plane_crossings(g, p, q)
+        assert np.array_equal(seg, want_seg) and np.array_equal(t, want_t)
 
 
 class TestGrid:

@@ -22,7 +22,7 @@ from modlab import (
 from modlab import modulus
 from modlab.acceptance import random_polyline
 from modlab.modulus import ModulusProblem
-from oracles import kkt_single_row
+from oracles import bincount_normal_matrix, kkt_single_row
 
 
 def unit_grid(res):
@@ -75,6 +75,21 @@ class TestAssemble:
         g = unit_grid(8)
         with pytest.raises(ValueError):
             assemble_problem(CurveFamily(curves=random_curves(rng, 1)), g, 0.9)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_bounds_reject_a_p_that_is_not_finite(self, p):
+        for bound in (lambda: analytic_parallel_segments(1.0, 1.0, p), lambda: fuglede_schedule([0.1], p, 0.5)):
+            with pytest.raises(ValueError, match="finite p >= 1"):
+                bound()
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_p_not_finite_rejected(self, rng, monkeypatch, p):
+        # rejected before the rows are assembled, as is a ModulusProblem built directly
+        monkeypatch.setattr(modulus, "cell_length_rows", None)
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            assemble_problem(CurveFamily(curves=random_curves(rng, 1)), unit_grid(8), p)
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            ModulusProblem(sp.csr_matrix(np.ones((1, 4))), np.ones(4), p, Grid([0.0, 0.0], [1.0, 1.0], [2, 2]))
 
 
 class TestSolve:
@@ -158,6 +173,27 @@ class TestSolve:
         prob = assemble_problem(CurveFamily(curves=random_curves(rng, 1)), g, 2.0)
         with pytest.raises(ValueError):
             solve_modulus(prob, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-8])
+    def test_tolerance_not_finite_and_positive_rejected(self, monkeypatch, tol):
+        # tol=inf used to report an uncertified density as converged after 0 steps
+        prob = assemble_problem(CurveFamily([Polyline([[0.1, 0.2], [0.9, 0.7]]), Polyline([[0.2, 0.9], [0.8, 0.1]])]), unit_grid(16), 2.0)
+        monkeypatch.setattr(modulus, "_interior_point", None)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_modulus(prob, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, None])
+    def test_max_iter_not_a_count_rejected(self, rng, monkeypatch, max_iter):
+        # a negative or fractional cap was never met, so it removed the step cap
+        prob = assemble_problem(CurveFamily(curves=random_curves(rng, 2)), unit_grid(8), 2.0)
+        monkeypatch.setattr(modulus, "_interior_point", None)
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            solve_modulus(prob, max_iter=max_iter)
+
+    def test_zero_max_iter_returns_the_starting_point(self, rng):
+        prob = assemble_problem(CurveFamily(curves=random_curves(rng, 2)), unit_grid(8), 2.0)
+        result = solve_modulus(prob, max_iter=0)
+        assert result.iterations == 0 and result.diagnostics["max_iter_hit"]
 
     def test_lp_solution_with_a_zero_margin_is_unconverged(self, monkeypatch):
         g = unit_grid(4)
@@ -254,6 +290,33 @@ class TestInteriorPoint:
         assert result.converged
         assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
         assert result.gap <= 1e-10 * (1.0 + result.value)
+
+
+class TestPairOperator:
+    """P @ d is C diag(d) C^T's upper triangle, summed in the bincount's order."""
+
+    @pytest.mark.parametrize("kind", ["random", "identical", "disjoint", "3d"])
+    def test_product_matches_the_bincount_oracle_bit_for_bit(self, rng, kind):
+        if kind == "3d":
+            g = Grid([0.0] * 3, [1.0] * 3, [6, 5, 4])
+            curves = [Polyline(rng.uniform(0.0, 1.0, size=(rng.integers(2, 5), 3))) for _ in range(30)]
+        else:
+            g = unit_grid(12)
+            curves = {
+                "random": random_curves(rng, 40),
+                "identical": [Polyline([[0.1, 0.2], [0.5, 0.8], [0.9, 0.3]])] * 5,
+                "disjoint": [Polyline([[0.1, 0.1], [0.3, 0.4]]), Polyline([[0.6, 0.9], [0.9, 0.6]])],
+            }[kind]
+        C = assemble_problem(CurveFamily(curves=curves), g, 2.0).constraint_rows.tocsc()
+        m, k = C.shape[0], np.diff(C.indptr)
+        P = modulus._pair_index(C)
+        assert P.shape == (m * m, C.shape[1]) and P.nnz == int(np.sum(k * (k + 1) // 2))
+        for _ in range(3):
+            d = rng.uniform(1e-3, 1e3, size=C.shape[1])
+            K = P @ d
+            assert np.array_equal(K, bincount_normal_matrix(C, d))
+            dense = (C @ sp.diags(d) @ C.T).toarray()
+            assert np.allclose(K.reshape(m, m).T, np.triu(dense), rtol=1e-12, atol=0.0)
 
 
 class TestAnalyticParallelSegments:
