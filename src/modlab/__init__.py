@@ -3,7 +3,6 @@ vector-valued L^p and Sobolev norms, the Sobolev-Reshetnyak comparison, and
 the Radon-Nikodym dichotomy witness."""
 
 from .errors import (
-    CapacityError,
     DegenerateCurveError,
     DomainError,
     ModlabError,
@@ -34,7 +33,7 @@ from .modulus import (
     fuglede_schedule,
     solve_modulus,
 )
-from .report import CheckRecord, Report, Series, write_report
+from .report import CheckRecord, Report, Series, __version__, write_report
 from .reshetnyak import (
     UpperBoundField,
     ac_bound_check,
@@ -59,16 +58,9 @@ from .sobolev import (
     weak_derivative_check,
 )
 from .vectorvalues import (
-    DualFunctional,
     NormTag,
     VectorField,
-    bochner_integral,
-    dual_ball_extreme_points,
     lp_norm,
-    sampled_dual_functionals,
     scalar_lp_norm,
-    scalarize,
     value_norm,
 )
-
-__version__ = "0.1.0"

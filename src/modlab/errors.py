@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
+
+import math
 
 
 def require_keys(record: dict, keys, where: str) -> None:
@@ -6,6 +8,12 @@ def require_keys(record: dict, keys, where: str) -> None:
     for key in keys:
         if key not in record:
             raise ValueError(f"{where} has no {key!r} key")
+
+
+def require_exponent(p: float) -> None:
+    """Reject an exponent that is not a finite p >= 1, NaN included."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"the exponent must be a finite p >= 1, got {p}")
 
 
 class ModlabError(Exception):
@@ -18,10 +26,6 @@ class DegenerateCurveError(ModlabError, ValueError):
 
 class DomainError(ModlabError, ValueError):
     """Raised when a curve leaves the grid box."""
-
-
-class CapacityError(ModlabError, ValueError):
-    """Raised when an exact dual-ball enumeration would be intractable."""
 
 
 class ScheduleError(ModlabError, RuntimeError):

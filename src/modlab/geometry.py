@@ -246,9 +246,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def value_at(self, points: np.ndarray) -> np.ndarray:
-        return self.values[self.grid.locate(points)]
-
 
 def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior cell-plane crossings of the segments p[s] -> q[s], all at once.

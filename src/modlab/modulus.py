@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ScheduleError
+from .errors import ScheduleError, require_exponent
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
 
@@ -26,11 +26,6 @@ from .vectorvalues import scalar_lp_norm
 # their block is singular but for roundoff; a larger raise stalls p = 1
 # solves short of a 1e-10 gap.
 RIDGE = 1e-14
-
-
-def _require_exponent(p: float) -> None:
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"modulus exponent requires finite p >= 1, got {p}")
 
 
 @dataclass
@@ -44,7 +39,7 @@ class ModulusProblem:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        _require_exponent(self.exponent)
+        require_exponent(self.exponent)
         if np.any(self.weights <= 0.0):
             raise ValueError("cell weights must be positive")
         A = self.constraint_rows
@@ -81,7 +76,7 @@ def assemble_problem(fam: CurveFamily, g: Grid, p: float) -> ModulusProblem:
     componentwise, and row j times rho is ``curve_integral(rho, curve j)``.
     The weights are the Lebesgue cell volumes.
     """
-    _require_exponent(p)
+    require_exponent(p)
     A = cell_length_rows(fam.curves, g)
     w = np.full(g.num_cells, g.cell_volume)
     return ModulusProblem(constraint_rows=A, weights=w, exponent=p, grid=g)
@@ -319,14 +314,14 @@ def analytic_parallel_segments(measure_E: float, seg_length: float, p: float) ->
         raise ValueError("segment length must be positive")
     if measure_E < 0.0:
         raise ValueError("measure must be nonnegative")
-    _require_exponent(p)
+    require_exponent(p)
     return measure_E / seg_length**p
 
 
 def chebyshev_bound_from_norm(norm_p: float, eps: float, p: float) -> float:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
-    _require_exponent(p)
+    require_exponent(p)
     if norm_p < 0.0:
         raise ValueError("norm must be nonnegative")
     return (norm_p / eps) ** p
@@ -358,9 +353,9 @@ def fuglede_schedule(
     current threshold; stops cleanly when the data is exhausted. ``num_terms``
     caps the schedule length.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
-    _require_exponent(p)
+    require_exponent(p)
     norms = [float(x) for x in norms]
     if any(x < 0.0 for x in norms):
         raise ValueError("norms must be nonnegative")

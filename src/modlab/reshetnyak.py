@@ -1,16 +1,18 @@
-"""Sobolev-Reshetnyak side: scalarizations over the dual ball, the minimal
-upper-bound function g*, the R-norm, the sqrt(N) norm equivalence, and the
-absolute-continuity bound along curves.
+"""Sobolev-Reshetnyak side: the minimal upper-bound function g*, the
+R-norm, the sqrt(N) norm equivalence, and the absolute-continuity bound
+along curves.
 
-g* is the pointwise supremum of |grad <v, f>| over the dual unit ball. The
-gradients of scalarizations are linear in the functional, so the supremum of
+g* is defined as the pointwise supremum of |grad <v, f>| over the dual unit
+ball, and it is computed from the Jacobian alone, with no functional
+formed. The gradients of the pairings are linear in v, so the supremum of
 their Euclidean lengths is convex and attained at extreme points. For linf
-values the extreme set is finite and g* is exact; for l2 values it is the
-Jacobian's dominant singular value. For l1 values g* is the largest norm on
-the zonotope sum_i [-j_i, j_i] of the Jacobian's columns, exact for every M
-and every grid dimension: sum_i |j_i| on 1-D grids, a walk over the
-zonotope's vertices on 2-D grids, and that walk recursed onto the facet
-hyperplanes of the columns' arrangement on grids with N >= 3 axes.
+values these are the signed coordinate functionals and g* is the largest
+column length; for l2 values it is the Jacobian's dominant singular value.
+For l1 values g* is the largest norm on the zonotope sum_i [-j_i, j_i] of
+the Jacobian's columns, exact for every M and every grid dimension:
+sum_i |j_i| on 1-D grids, a walk over the zonotope's vertices on 2-D grids,
+and that walk recursed onto the facet hyperplanes of the columns'
+arrangement on grids with N >= 3 axes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_exponent
 from .geometry import Polyline, ScalarField, cell_length_rows
 from .report import Report, bounded_check
 from .sobolev import _sample_curve, finite_diff_gradient, w_norm
@@ -27,6 +30,9 @@ from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_n
 # A column whose projection onto a facet hyperplane is at most this times n
 # of its length counts as parallel to the facet's normal (n the dimension).
 _PARALLEL_TOL = 8 * np.finfo(float).eps
+
+# How each value norm's dual supremum is realized, as reports name it.
+_GSTAR_MODE = {NormTag.L1: "exact-extreme-points", NormTag.L2: "spectral", NormTag.LINF: "exact-extreme-points"}
 
 
 @dataclass
@@ -177,22 +183,20 @@ def upper_gradient_star(f: VectorField) -> UpperBoundField:
         raise ValueError(f"computing the {f.norm.value} g* of the field overflows float64") from None
     return UpperBoundField(
         gstar=ScalarField(grid=f.grid, values=gstar),
-        dual_set_descriptor="spectral" if f.norm is NormTag.L2 else "exact-extreme-points",
+        dual_set_descriptor=_GSTAR_MODE[f.norm],
         exact=True,
     )
 
 
-def r_norm(f: VectorField, p: float, gstar: UpperBoundField | None = None) -> float:
+def r_norm(f: VectorField, p: float) -> float:
     """Reshetnyak norm ||f||_p + ||g*||_p.
 
     g* is pointwise minimal, so this realizes the infimum over admissible
     majorants of the discrete model.
     """
-    if p < 1.0:
-        raise ValueError("r_norm requires p >= 1")
-    if gstar is None:
-        gstar = upper_gradient_star(f)
-    return lp_norm(f, p) + scalar_lp_norm(gstar.gstar, p)
+    require_exponent(p)
+    gstar = upper_gradient_star(f).gstar
+    return lp_norm(f, p) + scalar_lp_norm(gstar, p)
 
 
 def norm_equivalence_check(f: VectorField, p: float, tol: float = 1e-9) -> Report:
@@ -201,9 +205,9 @@ def norm_equivalence_check(f: VectorField, p: float, tol: float = 1e-9) -> Repor
     Both inequalities are checked for every value norm, M and N, since g* is
     exact in every mode.
     """
-    ub = upper_gradient_star(f)
+    # R before W, and g* first inside R: when g* overflows, that overflow is the one reported
+    r = r_norm(f, p)
     w = w_norm(f, p)
-    r = r_norm(f, p, gstar=ub)
     sqrt_n = float(np.sqrt(f.grid.ndim))
     return Report(
         command="norm_equivalence_check",
@@ -213,8 +217,8 @@ def norm_equivalence_check(f: VectorField, p: float, tol: float = 1e-9) -> Repor
             "r_norm": r,
             "ratio": w / r if r > 0 else float("nan"),
             "sqrtN": sqrt_n,
-            "gstar_mode": ub.dual_set_descriptor,
-            "one_sided": not ub.exact,
+            "gstar_mode": _GSTAR_MODE[f.norm],
+            "one_sided": False,
         },
     )
 

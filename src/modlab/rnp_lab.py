@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import Grid
 from .report import Report, Series, bounded_check
-from .reshetnyak import r_norm, upper_gradient_star
+from .reshetnyak import r_norm
 from .vectorvalues import NormTag, VectorField, lp_norm
 
 # Verdict lines emitted by dichotomy_report.
@@ -131,7 +131,7 @@ def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]
     """(lp_norm, r_norm) of the truncated family, through the exact linf g*
     of its first min(M, 4 * resolution) coordinates."""
     f = sin_family(min(M, 4 * resolution), resolution).field
-    return lp_norm(f, p), r_norm(f, p, upper_gradient_star(f))
+    return lp_norm(f, p), r_norm(f, p)
 
 
 def dichotomy_gap_floor() -> dict:

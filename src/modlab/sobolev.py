@@ -26,7 +26,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_exponent
 from .geometry import Grid, Polyline, ScalarField, _split_segments, restrict
 from .report import Report, bounded_check
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
@@ -119,8 +119,7 @@ def gradient_length(J: np.ndarray, tag: NormTag) -> np.ndarray:
 
 def w_norm(f: VectorField, p: float) -> float:
     """Sobolev norm ||f||_p + || |grad f| ||_p with the discrete gradient."""
-    if p < 1.0:
-        raise ValueError("w_norm requires p >= 1")
+    require_exponent(p)
     length = gradient_length(finite_diff_gradient(f), f.norm)
     return lp_norm(f, p) + scalar_lp_norm(ScalarField(grid=f.grid, values=length), p)
 

@@ -1,39 +1,28 @@
 """Finite-dimensional stand-in for a Banach space of values.
 
-Fields take values in R^M tagged with an l1, l2 or linf norm; the dual
-pairings are (l1 <-> linf, l2 <-> l2). Cell-constant fields are measurable
-simple functions of the discrete model, so the vector-valued integral is a
-plain volume-weighted sum and is exact.
+Fields take values in R^M tagged with an l1, l2 or linf norm. Cell-constant
+fields are the simple functions of the discrete model, so their L^p norms
+are exact volume-weighted sums. No dual functional is formed anywhere: every
+g* is a closed form or an exact walk over the Jacobian.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, require_keys
+from .errors import require_exponent, require_keys
 from .geometry import Grid, ScalarField
-
-DUAL_NORM_SLACK = 1e-12
-
-# dual_ball_extreme_points lists the 2^M sign vectors of the l1 dual ball only
-# up to this M; l1 g* needs no such list and is exact for every M.
-L1_EXACT_MAX_DIM = 16
 
 
 class NormTag(enum.Enum):
     L1 = "l1"
     L2 = "l2"
     LINF = "linf"
-
-    @property
-    def dual(self) -> "NormTag":
-        return {NormTag.L1: NormTag.LINF, NormTag.L2: NormTag.L2, NormTag.LINF: NormTag.L1}[self]
 
 
 def value_norm(v: np.ndarray, tag: NormTag) -> np.ndarray | float:
@@ -46,11 +35,6 @@ def value_norm(v: np.ndarray, tag: NormTag) -> np.ndarray | float:
     else:
         out = np.max(np.abs(v), axis=-1)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def dual_norm(v: np.ndarray, tag: NormTag) -> np.ndarray | float:
-    """Norm of a functional paired against values carrying ``tag``."""
-    return value_norm(v, tag.dual)
 
 
 @dataclass
@@ -76,34 +60,9 @@ class VectorField:
     def dim_M(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, points: np.ndarray) -> np.ndarray:
-        return self.values[self.grid.locate(points)]
-
     def norms(self) -> np.ndarray:
         """Per-cell value norms ||f(x)||."""
         return value_norm(self.values, self.norm)
-
-
-@dataclass
-class DualFunctional:
-    """Element of the dual unit ball for a given value-norm tag."""
-
-    coeffs: np.ndarray
-    tag: NormTag
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if dual_norm(self.coeffs, self.tag) > 1.0 + DUAL_NORM_SLACK:
-            raise ValueError("dual functional must have dual norm <= 1")
-
-
-def bochner_integral(f: VectorField) -> np.ndarray:
-    """Vector-valued integral of a cell-constant field: sum of volume * value.
-
-    Exact for the discrete model; cells are summed in fixed C order so the
-    result is deterministic.
-    """
-    return f.grid.cell_volume * np.sum(f.values, axis=0)
 
 
 def lp_norm(f: VectorField, p: float) -> float:
@@ -117,68 +76,12 @@ def lp_norm(f: VectorField, p: float) -> float:
 
 
 def scalar_lp_norm(s: ScalarField, p: float) -> float:
-    if p < 1.0:
-        raise ValueError("lp_norm requires p >= 1")
+    require_exponent(p)
     try:
         with np.errstate(over="raise"):
             return float(np.sum(np.abs(s.values) ** p * s.grid.cell_volume) ** (1.0 / p))
     except FloatingPointError:
         raise ValueError(f"the L^{p:g} norm overflows float64") from None
-
-
-def scalarize(f: VectorField, v: DualFunctional) -> ScalarField:
-    """Pointwise pairing <v, f> as a scalar field."""
-    if v.tag is not f.norm:
-        raise ValueError("functional is paired with a different value norm")
-    if v.coeffs.shape[0] != f.dim_M:
-        raise ValueError("functional dimension does not match the field")
-    return ScalarField(grid=f.grid, values=f.values @ v.coeffs)
-
-
-def dual_ball_extreme_points(tag: NormTag, M: int) -> list[DualFunctional]:
-    """Extreme points of the dual unit ball for values in (R^M, tag).
-
-    linf values pair with the l1 ball (2M signed coordinate functionals);
-    l1 values pair with the linf ball (2^M sign vectors, M <= 16). The l2
-    ball has no finite extreme set; the empty list signals that suprema are
-    handled analytically by the spectral norm.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if tag is NormTag.L2:
-        return []
-    if tag is NormTag.LINF:
-        eye = np.eye(M)
-        return [DualFunctional(s * e, tag) for e in eye for s in (1.0, -1.0)]
-    if M > L1_EXACT_MAX_DIM:
-        raise CapacityError(
-            f"the l1 dual ball has 2^{M} extreme points; they are listed only for M <= {L1_EXACT_MAX_DIM}"
-        )
-    return [DualFunctional(np.array(s, dtype=float), tag) for s in itertools.product((1.0, -1.0), repeat=M)]
-
-
-def sampled_dual_functionals(tag: NormTag, M: int, count: int, seed: int = 0) -> list[DualFunctional]:
-    """Deterministic sample from the dual unit sphere.
-
-    Draws are sequential from one generator stream, so the first k draws for
-    a given seed are a prefix of any longer sample (monotone refinement).
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        if tag is NormTag.L1:
-            # dual ball is the linf ball; extreme points are sign vectors
-            v = rng.choice([-1.0, 1.0], size=M)
-        else:
-            v = rng.standard_normal(M)
-            n = dual_norm(v, tag)
-            if n == 0.0:
-                v = np.zeros(M)
-                v[0] = 1.0
-                n = dual_norm(v, tag)
-            v = v / n
-        out.append(DualFunctional(v, tag))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +230,6 @@ def load_field_csv(path) -> VectorField:
     values = np.empty((grid.num_cells, M))
     values[flat] = row_values
     return VectorField(grid=grid, values=values, norm=tag)
-
-
-def save_scalar_field_csv(s: ScalarField, path) -> None:
-    save_field_csv(s, path)
 
 
 def load_scalar_field_csv(path) -> ScalarField:

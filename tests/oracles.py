@@ -82,6 +82,38 @@ def ray_l1_gstar(J: np.ndarray) -> np.ndarray:
     return best
 
 
+def dual_ball_extreme_points(tag: NormTag, M: int) -> np.ndarray:
+    """Extreme points of the dual unit ball for values in (R^M, tag), one per row.
+
+    linf values pair with the l1 ball: the 2M signed coordinate functionals
+    e_0, -e_0, e_1, .... l1 values pair with the linf ball: the 2^M sign
+    vectors in itertools.product order. The l2 ball has no finite extreme
+    set, so l2 gives no rows.
+    """
+    if tag is NormTag.LINF:
+        return np.repeat(np.eye(M), 2, axis=0) * np.tile([1.0, -1.0], M)[:, None]
+    if tag is NormTag.L1:
+        return np.array(list(itertools.product((1.0, -1.0), repeat=M)))
+    return np.empty((0, M))
+
+
+def sampled_dual_functionals(tag: NormTag, M: int, count: int, seed: int = 0) -> np.ndarray:
+    """``count`` points of the dual unit sphere, one per row, drawn in sequence
+    from one seeded generator: sign vectors for l1 values, and otherwise a
+    standard normal draw scaled to unit l2 (l2 values) or l1 (linf values)
+    norm. A field f pairs with them as ``f.values @ v``.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, M))
+    for k in range(count):
+        if tag is NormTag.L1:
+            out[k] = rng.choice([-1.0, 1.0], size=M)
+        else:
+            v = rng.standard_normal(M)
+            out[k] = v / (np.sqrt(np.sum(v * v)) if tag is NormTag.L2 else np.sum(np.abs(v)))
+    return out
+
+
 def midpoint_quadrature(fn, a: float, b: float, n: int = 4096) -> float:
     """Composite midpoint rule for a scalar function on [a, b]."""
     xs = a + (np.arange(n) + 0.5) * (b - a) / n

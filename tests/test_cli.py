@@ -18,7 +18,7 @@ from modlab import (
 )
 from modlab import cli as cli_mod
 from modlab.cli import main, plot_files
-from modlab.vectorvalues import save_field_csv, save_scalar_field_csv
+from modlab.vectorvalues import save_field_csv
 from modlab.geometry import ScalarField, save_polyline_csv
 
 
@@ -188,7 +188,7 @@ class TestAcboundCommand:
             norm=NormTag.L2,
         )
         save_field_csv(f, tmp_path / "f.csv")
-        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(g.num_cells)), tmp_path / "g.csv")
+        save_field_csv(ScalarField(grid=g, values=np.ones(g.num_cells)), tmp_path / "g.csv")
         save_polyline_csv(Polyline([[0.1, 0.1], [0.8, 0.6]]), tmp_path / "c.csv")
         status = main([
             "acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
@@ -306,7 +306,7 @@ def _acbound_argv(jump):
             values = np.stack([np.sin(c[:, 0]), np.cos(c[:, 1])], axis=-1)
             curve = [[0.1, 0.1], [0.8, 0.6]]
         save_field_csv(VectorField(grid=g, values=values, norm=NormTag.L2), d / "f.csv")
-        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(g.num_cells)), d / "g.csv")
+        save_field_csv(ScalarField(grid=g, values=np.ones(g.num_cells)), d / "g.csv")
         save_polyline_csv(Polyline(curve), d / "c.csv")
         return ["acbound", "--f", str(d / "f.csv"), "--g", str(d / "g.csv"), "--curve", str(d / "c.csv")], int(jump)
     return build
@@ -470,7 +470,7 @@ class TestMalformedInputsExit2:
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
         values = np.outer(np.arange(9.0) * 1e160, [1.0, 1.0])
         save_field_csv(VectorField(grid=g, values=values, norm=NormTag.L2), tmp_path / "f.csv")
-        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(9)), tmp_path / "g.csv")
+        save_field_csv(ScalarField(grid=g, values=np.ones(9)), tmp_path / "g.csv")
         save_polyline_csv(Polyline([[0.1, 0.1], [0.9, 0.9]]), tmp_path / "c.csv")
         argv = ["acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
                 "--curve", str(tmp_path / "c.csv")]
@@ -523,7 +523,7 @@ class TestMalformedInputsExit2:
     def test_non_finite_p_and_tol(self, tmp_path, capsys, flag, value):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
         save_field_csv(VectorField(grid=g, values=np.ones((64, 1)), norm=NormTag.L2), tmp_path / "f.csv")
-        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(64)), tmp_path / "g.csv")
+        save_field_csv(ScalarField(grid=g, values=np.ones(64)), tmp_path / "g.csv")
         save_polyline_csv(Polyline([[0.1, 0.1], [0.8, 0.6]]), tmp_path / "c.csv")
         argvs = [["norms", "--f", str(tmp_path / "f.csv")]]
         if flag == "--tol":  # acbound takes no --p
@@ -603,7 +603,7 @@ class TestMalformedInputsExit2:
     def _acbound_argv(self, tmp_path, vertices_csv):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
         save_field_csv(VectorField(grid=g, values=np.ones((64, 2)), norm=NormTag.L2), tmp_path / "f.csv")
-        save_scalar_field_csv(ScalarField(grid=g, values=np.ones(64)), tmp_path / "g.csv")
+        save_field_csv(ScalarField(grid=g, values=np.ones(64)), tmp_path / "g.csv")
         (tmp_path / "c.csv").write_text(vertices_csv)
         return ["acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
                 "--curve", str(tmp_path / "c.csv")]

@@ -21,7 +21,7 @@ from modlab import (
 )
 from modlab import modulus
 from modlab.acceptance import random_polyline
-from modlab.modulus import ModulusProblem
+from modlab.modulus import ModulusProblem, chebyshev_bound_from_norm
 from oracles import bincount_normal_matrix, kkt_single_row
 
 
@@ -365,6 +365,18 @@ class TestChebyshevBound:
         h = ScalarField(grid=unit_square_16, values=np.ones(unit_square_16.num_cells))
         with pytest.raises(ValueError):
             chebyshev_modulus_bound(h, 0.0, 2.0)
+
+    def test_nan_eps_rejected(self, unit_square_16):
+        # NaN fails no "eps <= 0" test, and every bound it reaches is NaN
+        h = ScalarField(grid=unit_square_16, values=np.ones(unit_square_16.num_cells))
+        nan = float("nan")
+        for bound in (
+            lambda: chebyshev_bound_from_norm(1.0, nan, 2.0),
+            lambda: chebyshev_modulus_bound(h, nan, 2.0),
+            lambda: fuglede_schedule([0.1], 2.0, nan),
+        ):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                bound()
 
 
 class TestFugledeSchedule:

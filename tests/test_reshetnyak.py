@@ -10,12 +10,11 @@ from modlab import (
     ScalarField,
     VectorField,
     ac_bound_check,
+    dichotomy_report,
     finite_diff_gradient,
     lp_norm,
     norm_equivalence_check,
     r_norm,
-    sampled_dual_functionals,
-    scalarize,
     upper_gradient_star,
     value_norm,
     w_norm,
@@ -23,7 +22,7 @@ from modlab import (
 from modlab.geometry import curve_integral, restrict
 from modlab.reshetnyak import _l1_gstar, _spectral_norms
 from modlab.sobolev import _interpolator, gradient_length
-from oracles import enumerated_l1_gstar, ray_l1_gstar
+from oracles import enumerated_l1_gstar, ray_l1_gstar, sampled_dual_functionals
 
 
 def square_grid(res):
@@ -156,8 +155,8 @@ class TestUpperGradientStar:
             f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 3)), norm=tag)
             ub = upper_gradient_star(f)
             for v in sampled_dual_functionals(tag, 3, 20, seed=2):
-                s = scalarize(f, v)
-                sg = gradient_length(finite_diff_gradient(VectorField(grid=g, values=s.values[:, None], norm=tag)), tag)
+                s = f.values @ v
+                sg = gradient_length(finite_diff_gradient(VectorField(grid=g, values=s[:, None], norm=tag)), tag)
                 assert np.all(sg <= ub.gstar.values + 1e-10)
 
 
@@ -286,6 +285,16 @@ class TestRNorm:
         f = identity_field(8, NormTag.L2)
         with pytest.raises(ValueError):
             r_norm(f, 0.99)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_norms_reject_an_exponent_that_is_not_a_finite_p_at_least_one(p):
+    f = identity_field(8, NormTag.L2)
+    for norm in (lp_norm, w_norm, r_norm, norm_equivalence_check):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            norm(f, p)
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        dichotomy_report(1.0 / math.sqrt(2.0), [1e-1, 1e-2], p=p, resolution=16)
 
 
 class TestNormEquivalence:
