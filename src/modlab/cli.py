@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import acceptance
@@ -212,7 +212,10 @@ def _cmd_suite(args, files: dict) -> Report:
     return Report(command="suite", checks=checks, series=series)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and each
+    # handler looks up the functions it calls when it runs
     parser = argparse.ArgumentParser(prog="modlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,6 +12,11 @@ one vectorized pass. ``cell_lengths`` is its one-curve case, and a line
 integral of a cell field is such a row times the cell values. The split
 itself, ``_split_segments``, also cuts curves where an interpolated field
 changes formula, for the exact line integrals of ``sobolev``.
+
+Sub-curves are cut in one place too: ``cut`` returns the consecutive pieces
+of a curve between sorted arc-length parameters from one evaluation of their
+points and one search of the cumulative arc length, and ``restrict`` is its
+one-piece case.
 """
 
 from __future__ import annotations
@@ -161,7 +166,8 @@ class Polyline:
     def points_at(self, ts) -> np.ndarray:
         """Points at arc-length parameters ``ts`` along the chain."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        cum = self.cumulative_arclength
+        seg_len = self.segment_lengths
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         total = cum[-1]
         if np.any(ts < -BOX_TOL * (1 + total)) or np.any(ts > total * (1 + BOX_TOL) + BOX_TOL):
             raise ValueError("arc-length parameter out of [0, length]")
@@ -169,7 +175,6 @@ class Polyline:
         if self.vertices.shape[0] == 1:
             return np.repeat(self.vertices, len(ts), axis=0)
         seg = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0, len(cum) - 2)
-        seg_len = self.segment_lengths
         width = seg_len[seg]
         frac = np.where(width > 0, (ts - cum[seg]) / np.where(width > 0, width, 1.0), 0.0)
         p0 = self.vertices[seg]
@@ -200,17 +205,40 @@ def arclength_parametrize(c: Polyline) -> Polyline:
     return Polyline(c.vertices[keep])
 
 
+def cut(c: Polyline, ts) -> list:
+    """The consecutive sub-curves of ``c`` between sorted arc-length
+    parameters ``ts`` in [0, length], one Polyline per pair of neighbours.
+    Parameters up to BOX_TOL beyond the length are taken as the length.
+
+    Piece k runs from the point at ts[k] through the vertices strictly
+    between ts[k] and ts[k + 1] in arc position to the point at ts[k + 1].
+    The points are evaluated once and the vertex ranges come from one pair
+    of searches of the nondecreasing cumulative arc length.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    total = c.length
+    if ts.ndim != 1 or not (ts.size and 0.0 <= ts[0] and ts[-1] <= total * (1 + BOX_TOL) + BOX_TOL):
+        raise ValueError(f"arc-length parameters must lie in [0, length = {total}]")
+    if not np.all(ts[:-1] <= ts[1:]):
+        raise ValueError("arc-length parameters must be sorted")
+    ts = np.minimum(ts, total)
+    points = c.points_at(ts)
+    cum = c.cumulative_arclength
+    # vertices[lo:hi] are those with ts[k] < cum < ts[k + 1]; lo >= hi when none is
+    lo = np.searchsorted(cum, ts[:-1], side="right")
+    hi = np.searchsorted(cum, ts[1:], side="left")
+    return [
+        Polyline(np.vstack([points[k], c.vertices[a:b], points[k + 1]]))
+        for k, (a, b) in enumerate(zip(lo, hi))
+    ]
+
+
 def restrict(c: Polyline, s: float, t: float) -> Polyline:
     """Subcurve of ``c`` between arc-length parameters s <= t."""
     total = c.length
     if not (0.0 <= s <= t <= total * (1 + BOX_TOL) + BOX_TOL):
         raise ValueError(f"need 0 <= s <= t <= length, got s={s}, t={t}, length={total}")
-    s = min(s, total)
-    t = min(t, total)
-    cum = c.cumulative_arclength
-    inner = (cum > s) & (cum < t)
-    pts = np.vstack([c.points_at([s]), c.vertices[inner], c.points_at([t])])
-    return Polyline(pts)
+    return cut(c, [s, t])[0]
 
 
 @dataclass

@@ -22,6 +22,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import require_exponent
 from .geometry import Grid
 from .report import Report, Series, bounded_check
 from .reshetnyak import r_norm
@@ -158,6 +159,7 @@ def dichotomy_report(
     R-norm column stays within 5% and below ||f||_p + 1 while the gap column
     does not decay; strong gap decay yields "RNP-like: quotients converge".
     """
+    require_exponent(p)
     ladder = [float(h) for h in h_ladder]
     if fixed_M is not None and fixed_M < 1:
         raise ValueError(f"fixed_M must be >= 1, got {fixed_M}")

@@ -20,6 +20,7 @@ each piece takes Gauss-Legendre nodes, so there is no quadrature step to set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from numbers import Real
@@ -27,7 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import DomainError, require_exponent
-from .geometry import Grid, Polyline, ScalarField, _split_segments, restrict
+from .geometry import Grid, Polyline, ScalarField, _split_segments, cut
 from .report import Report, bounded_check
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
 
@@ -216,7 +217,10 @@ def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
     """The start both curve checks share: check that c has one coordinate per
     grid axis and stays in the box and that num_params >= 2, then return the
     num_params equispaced arc-length parameters, f interpolated at their
-    points, and the num_params - 1 consecutive pieces of c between them."""
+    points, and the num_params - 1 consecutive pieces of c between them.
+
+    The pieces come from one ``cut``, whose points at the parameters are the
+    pieces' ends, so f is interpolated at those same points."""
     g = f.grid
     if c.ndim != g.ndim:
         raise ValueError(f"the curve has {c.ndim} coordinates per vertex but the field's grid has {g.ndim} axes")
@@ -225,9 +229,18 @@ def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
     if num_params < 2:
         raise ValueError(f"num_params must be at least 2, got {num_params}")
     params = np.linspace(0.0, c.length, num_params)
-    values = _interpolator(g, f.values)(c.points_at(params))
-    pieces = [restrict(c, s, t) for s, t in zip(params[:-1], params[1:])]
+    pieces = cut(c, params)
+    points = np.array([piece.vertices[0] for piece in pieces] + [pieces[-1].vertices[-1]])
+    values = _interpolator(g, f.values)(points)
     return params, values, pieces
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """The n Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def ftc_along_curve_check(
@@ -269,7 +282,7 @@ def ftc_along_curve_check(
             # the interior planes of this grid are all the planes of cell centres
             centres = Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
             piece, p, d, seg_len, t0, t1 = _split_segments(pieces, centres)
-            x, w = np.polynomial.legendre.leggauss(g.ndim // 2 + 1)
+            x, w = _gauss_legendre(g.ndim // 2 + 1)
             nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
             grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))
             grads = grads.reshape(*nodes.shape[:2], *shape[1:])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from modlab.errors import require_keys
-from modlab.geometry import Grid
+from modlab.geometry import BOX_TOL, Grid, Polyline
 from modlab.vectorvalues import NormTag, VectorField, _sidecar_path
 
 
@@ -206,6 +206,20 @@ def bincount_normal_matrix(C, d: np.ndarray) -> np.ndarray:
     return np.bincount(r[second] * m + r[first], v[first] * v[second] * d[col], minlength=m * m)
 
 
+def mask_restrict(c: Polyline, s: float, t: float) -> Polyline:
+    """Subcurve of ``c`` between arc-length parameters s <= t, one pair at a
+    time: the points at s and t around the vertices whose arc position lies
+    strictly between them, picked by a boolean mask."""
+    total = c.length
+    if not (0.0 <= s <= t <= total * (1 + BOX_TOL) + BOX_TOL):
+        raise ValueError(f"need 0 <= s <= t <= length, got s={s}, t={t}, length={total}")
+    s = min(s, total)
+    t = min(t, total)
+    cum = c.cumulative_arclength
+    inner = (cum > s) & (cum < t)
+    return Polyline(np.vstack([c.points_at([s]), c.vertices[inner], c.points_at([t])]))
+
+
 def scipy_interpolator(g: Grid, values: np.ndarray):
     """scipy's multilinear interpolant of cell-centred (num_cells, M) values,
     extended linearly into the boundary half-cells (fill_value=None)."""
@@ -226,8 +240,6 @@ def ftc_residuals(f, G, c, num_params: int) -> list:
     interpolated gradient is a polynomial of degree <= ndim. f is evaluated
     at the two endpoints one point at a time.
     """
-    from modlab.geometry import restrict
-
     g = f.grid
     axes = [g.axis_centers(i) for i in range(g.ndim)]
 
@@ -245,7 +257,7 @@ def ftc_residuals(f, G, c, num_params: int) -> list:
             s, t = float(params[a]), float(params[b])
             f_interp = scipy_interpolator(g, f.values)
             grads = [scipy_interpolator(g, G[:, i, :]) for i in range(g.ndim)]
-            sub = restrict(c, s, t)
+            sub = mask_restrict(c, s, t)
             path = np.zeros(f.dim_M)
             for p, q in zip(sub.vertices[:-1], sub.vertices[1:]):
                 d = q - p

@@ -243,6 +243,21 @@ class TestSuiteCommand:
         assert json.loads((tmp_path / "s2.json").read_text())["passed"] is False
 
 
+class TestParser:
+    def test_built_once_and_each_parse_starts_from_the_defaults(self, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_ladder(**kwargs):
+            seen.append(kwargs)
+            return Report(command="dichotomy_report")
+
+        monkeypatch.setattr(cli_mod, "dichotomy_report", fake_ladder)
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        main(["counterexample", "--fixed-m", "8", "--p", "3", "--out", str(tmp_path / "a.json")])
+        main(["counterexample", "--out", str(tmp_path / "b.json")])
+        assert [(k["fixed_M"], k["p"]) for k in seen] == [(8, 3.0), (None, 2.0)]
+
+
 class TestPlotExport:
     def test_empty_report_is_a_notice_noop(self, tmp_path, capsys):
         assert plot_files(Report(command="none"), tmp_path / "plots") == {}

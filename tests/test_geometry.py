@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modlab import (
@@ -16,6 +16,7 @@ from modlab import (
     cell_length_rows,
     cell_lengths,
     curve_integral,
+    cut,
     length,
     load_family,
     load_polyline_csv,
@@ -23,7 +24,9 @@ from modlab import (
     save_family,
     save_polyline_csv,
 )
-from oracles import dense_cell_length_rows, lexsort_plane_crossings, regular_polygon_length
+from modlab.sobolev import _interpolator, _sample_curve
+from modlab.vectorvalues import NormTag, VectorField
+from oracles import dense_cell_length_rows, lexsort_plane_crossings, mask_restrict, regular_polygon_length
 
 
 def polyline_on_circle(k):
@@ -118,6 +121,81 @@ class TestRestrict:
         inner = curve_integral(rho, restrict(c, 0.3 * total, 0.6 * total))
         outer = curve_integral(rho, restrict(c, 0.1 * total, 0.8 * total))
         assert inner <= outer + 1e-12
+
+
+@st.composite
+def integer_curves(draw):
+    """Curves in 1, 2 or 3 dimensions on a scaled integer lattice, so that
+    vertices repeat and segments of equal length put vertices exactly on
+    equispaced parameters; one-segment curves included."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(min_value=2, max_value=7))
+    ints = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=k, max_size=k))
+    return (np.array(ints, dtype=float) * draw(st.sampled_from([1.0, 0.1, 0.37]))).tolist()
+
+
+@st.composite
+def curves_and_parameters(draw):
+    """A lattice curve and sorted parameters drawn from its vertices' arc
+    positions, 0, its length and points in between, repeats allowed."""
+    verts = draw(integer_curves())
+    c = Polyline(verts)
+    choices = st.sampled_from([*c.cumulative_arclength.tolist(), 0.0, c.length])
+    inner = st.floats(min_value=0.0, max_value=1.0).map(lambda u: u * c.length)
+    ts = draw(st.lists(choices | inner, min_size=1, max_size=8))
+    return verts, sorted(ts)
+
+
+CUT_CASES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+class TestCut:
+    """``cut`` and the pieces of ``_sample_curve`` against the mask-based
+    restriction, one pair of parameters at a time, vertex for vertex."""
+
+    @CUT_CASES
+    @given(curves_and_parameters())
+    @example(([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [0.0, 1.0, 1.0, 2.0]))
+    @example(([[0.0], [1.0], [2.0], [3.0], [4.0]], [0.0, 1.0, 2.0, 3.0, 4.0]))
+    @example(([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [0.5, 0.5, 1.0, 3.0]))
+    @example(([[0.2, 0.3], [0.7, 0.3]], [0.1, 0.1]))
+    @example(([[0.2], [0.7]], [0.0, 0.5]))
+    def test_pieces_match_mask_restriction(self, case):
+        verts, ts = case
+        c = Polyline(verts)
+        pieces = cut(c, ts)
+        assert len(pieces) == len(ts) - 1
+        for piece, s, t in zip(pieces, ts[:-1], ts[1:]):
+            expected = mask_restrict(c, s, t).vertices
+            assert np.array_equal(piece.vertices, expected)
+            assert np.array_equal(restrict(c, s, t).vertices, expected)
+
+    @CUT_CASES
+    @given(integer_curves(), st.sampled_from([2, 5, 12]))
+    @example([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 5)
+    @example([[0.0], [1.0], [2.0], [3.0], [4.0]], 5)
+    @example([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], 12)
+    @example([[0.2], [0.7]], 2)
+    def test_sampled_pieces_and_values_match_mask_restriction(self, verts, num_params):
+        c = Polyline(verts)
+        lo, hi = c.vertices.min(axis=0) - 1.0, c.vertices.max(axis=0) + 1.0
+        g = Grid(box_min=lo, box_max=hi, resolution=[4] * c.ndim)
+        f = VectorField(grid=g, values=np.random.default_rng(7).normal(size=(g.num_cells, 2)), norm=NormTag.L2)
+        params, values, pieces = _sample_curve(f, c, num_params)
+        assert params[-1] == c.length
+        for piece, s, t in zip(pieces, params[:-1], params[1:], strict=True):
+            assert np.array_equal(piece.vertices, mask_restrict(c, s, t).vertices)
+        assert np.array_equal(values, _interpolator(g, f.values)(c.points_at(params)))
+
+    def test_unsorted_or_out_of_range_parameters_rejected(self):
+        c = Polyline([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="sorted"):
+            cut(c, [0.5, 0.2])
+        with pytest.raises(ValueError, match="lie in"):
+            cut(c, [0.5, 1.5])
+
+    def test_one_parameter_gives_no_piece(self):
+        assert cut(Polyline([[0.0, 0.0], [1.0, 0.0]]), [0.5]) == []
 
 
 class TestCurveIntegral:

@@ -10,6 +10,7 @@ from modlab import (
     noncauchy_gap,
     sin_family,
 )
+from modlab import rnp_lab
 from modlab.rnp_lab import (
     VERDICT_NON_CAUCHY,
     VERDICT_RNP_LIKE,
@@ -199,6 +200,16 @@ class TestDichotomyReport:
         rep = dichotomy_report(T_STAR, [], resolution=128)
         assert rep.checks == []
         assert rep.series == []
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+    @pytest.mark.parametrize("ladder", [[], [1e-1]])
+    def test_exponent_rejected_before_any_rung(self, monkeypatch, ladder, p):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rung was computed")
+
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", unreachable)
+        with pytest.raises(ValueError, match="exponent"):
+            dichotomy_report(T_STAR, ladder, p=p, resolution=128)
 
     def test_non_decreasing_ladder_rejected(self):
         with pytest.raises(ValueError):

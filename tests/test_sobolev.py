@@ -17,7 +17,7 @@ from modlab import (
     w_norm,
     weak_derivative_check,
 )
-from modlab.sobolev import _interpolator
+from modlab.sobolev import _gauss_legendre, _interpolator
 from oracles import ftc_residuals, midpoint_quadrature, scipy_interpolator
 
 
@@ -354,6 +354,15 @@ class TestFtcAlongCurve:
 
         same = restrict(c, 0.3, 0.3)
         assert same.length == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gauss_legendre_nodes_are_one_read_only_pair(self, n):
+        x, w = _gauss_legendre(n)
+        expected = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, expected[0]) and np.array_equal(w, expected[1])
+        assert _gauss_legendre(n)[0] is x
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
 
     @pytest.mark.parametrize("num_params", [0, 1])
     def test_fewer_than_two_parameters_rejected(self, num_params):
