@@ -17,6 +17,7 @@ from .geometry import (
     cell_length_rows,
     cell_lengths,
     curve_integral,
+    curve_integrals,
     cut,
     length,
     load_family,

@@ -6,12 +6,18 @@ constant. Curves are polylines, for which the length supremum over partitions
 is attained by the vertex chain, so lengths and per-cell traversal lengths
 are computed in closed form.
 
-Per-cell traversal lengths are computed in one place, ``cell_length_rows``,
-which splits every segment of a whole family at its cell-plane crossings in
-one vectorized pass. ``cell_lengths`` is its one-curve case, and a line
-integral of a cell field is such a row times the cell values. The split
-itself, ``_split_segments``, also cuts curves where an interpolated field
-changes formula, for the exact line integrals of ``sobolev``.
+Per-cell traversal lengths are computed in one place,
+``_cell_length_entries``, which splits every segment of a whole family at its
+cell-plane crossings in one vectorized pass and returns the (curve, cell,
+length) entries in numpy arrays. ``cell_length_rows`` packs them into a
+sparse matrix for the modulus program, importing scipy.sparse on its first
+call, and ``cell_lengths`` is its one-curve case. ``curve_integrals`` sums
+the same entries times the cell values per curve with numpy alone, adding
+them in the order the sparse product does, so each line integral is
+bit-identical to a constraint row times the density; ``curve_integral`` is
+its one-curve case. The split itself, ``_split_segments``, also cuts curves
+where an interpolated field changes formula, for the exact line integrals of
+``sobolev``.
 
 Sub-curves are cut in one place too: ``cut`` returns the consecutive pieces
 of a curve between sorted arc-length parameters from one evaluation of their
@@ -24,11 +30,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateCurveError, DomainError, require_keys
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Relative slack when testing containment in the closed grid box. Curves may
 # touch the boundary; only genuine excursions outside are rejected.
@@ -169,7 +178,8 @@ class Polyline:
         seg_len = self.segment_lengths
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         total = cum[-1]
-        if np.any(ts < -BOX_TOL * (1 + total)) or np.any(ts > total * (1 + BOX_TOL) + BOX_TOL):
+        # written so that NaN, which fails every comparison, fails the test
+        if not np.all((ts >= -BOX_TOL * (1 + total)) & (ts <= total * (1 + BOX_TOL) + BOX_TOL)):
             raise ValueError("arc-length parameter out of [0, length]")
         ts = np.clip(ts, 0.0, total)
         if self.vertices.shape[0] == 1:
@@ -332,22 +342,22 @@ def _split_segments(curves, g: Grid) -> tuple:
     return seg_curve[seg], p[seg], d[seg], seg_len[seg], t[left], t[left + 1]
 
 
-def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
-    """Arc length of each curve inside each cell, as a len(curves) x num_cells matrix.
+def _cell_length_entries(curves: list, g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc length of each curve inside each cell, as (row, cell, length) entries.
 
     Every segment of every curve is split at the interior cell planes it
     crosses; the cell owning each piece is the one holding the piece
-    midpoint, so row j sums to the length of curve j (up to roundoff). The
-    pieces a row gathers in one cell are summed in curve order, and cells
-    the curve only touches (zero-width pieces at grid vertices) hold no
-    entry. A constant curve gives an all-zero row.
+    midpoint, so the lengths of row j sum to the length of curve j (up to
+    roundoff). The pieces a row gathers in one cell are summed in curve
+    order. The entries are sorted by row and then cell, and cells the curve
+    only touches (zero-width pieces at grid vertices) hold none, so a
+    constant curve has no entry.
     """
-    curves = list(curves)
     n = g.num_cells
     if any(c.ndim != g.ndim for c in curves):
         raise ValueError("curve dimension does not match grid dimension")
     if not curves:
-        return sp.csr_matrix((0, n))
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     if not g.contains(np.concatenate([c.vertices for c in curves])):
         raise DomainError("curve exits the grid box")
     curve, p, d, seg_len, a, b = _split_segments(curves, g)
@@ -357,9 +367,21 @@ def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
     # sum each (row, cell) in piece order and drop cells with zero total
     keys, slot = np.unique(curve * n + g.locate(mids), return_inverse=True)
     data = np.bincount(slot, weights=widths, minlength=keys.size)
-    keys, data = keys[data != 0.0], data[data != 0.0]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=len(curves)))])
-    return sp.csr_matrix((data, keys % n, indptr), shape=(len(curves), n))
+    keep = data != 0.0
+    row, cell = np.divmod(keys[keep], n)
+    return row, cell, data[keep]
+
+
+def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
+    """Arc length of each curve inside each cell, as a len(curves) x num_cells
+    sparse matrix holding the entries of ``_cell_length_entries``. A constant
+    curve gives an all-zero row."""
+    import scipy.sparse as sp
+
+    curves = list(curves)
+    row, cell, length = _cell_length_entries(curves, g)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(curves)))])
+    return sp.csr_matrix((length, cell, indptr), shape=(len(curves), g.num_cells))
 
 
 def cell_lengths(c: Polyline, g: Grid) -> sp.csr_matrix:
@@ -367,16 +389,29 @@ def cell_lengths(c: Polyline, g: Grid) -> sp.csr_matrix:
     return cell_length_rows([c], g)
 
 
-def curve_integral(rho: ScalarField, c: Polyline) -> float:
-    """Integral of ``rho`` along the arc-length parametrized curve ``c``.
+def curve_integrals(rho: ScalarField, curves) -> np.ndarray:
+    """Integral of ``rho`` along each arc-length parametrized curve.
 
-    Exact for the piecewise-constant field model: the cell-length row of
-    ``c`` times the cell values, the same row a modulus constraint uses.
+    Exact for the piecewise-constant field model: each integral sums its
+    curve's cell lengths times the cell values in (row, cell) order, the
+    order in which the sparse product adds them, so the result is
+    bit-identical to ``cell_length_rows(curves, rho.grid) @ rho.values``.
     """
-    row = cell_lengths(c, rho.grid)
+    curves = list(curves)
+    row, cell, length = _cell_length_entries(curves, rho.grid)
+    # an overflow gives inf without a warning, in the products as in the sums
+    with np.errstate(over="ignore"):
+        products = length * rho.values[cell]
+    return np.bincount(row, weights=products, minlength=len(curves))
+
+
+def curve_integral(rho: ScalarField, c: Polyline) -> float:
+    """Integral of ``rho`` along the arc-length parametrized curve ``c``: the
+    one-curve case of ``curve_integrals``, for a nonnegative density."""
+    value = curve_integrals(rho, [c])
     if np.any(rho.values < 0.0):
         raise ValueError("curve_integral expects a nonnegative density")
-    return float((row @ rho.values)[0])
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------

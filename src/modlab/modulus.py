@@ -7,19 +7,26 @@ interior-point method; at p = 1 the program is linear. The result carries
 certificates that do not rely on the solver's own claims: the density is
 rescaled to exact feasibility, and its gap to the Lagrange dual bound at the
 solver's multipliers bounds the distance to the optimum.
+
+scipy is imported where it is used: scipy.sparse loads on the first
+assembly, through ``cell_length_rows``, and scipy.linalg on the first solve,
+so importing modlab loads numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ScheduleError, require_exponent
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Relative raise of the normal matrix's diagonal after a failed Cholesky
 # factorization. Duplicate curves make duplicate rows, and near the optimum
@@ -168,6 +175,8 @@ def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
     column c. P @ d read as an m x m Fortran-order array has the upper
     triangle of C diag(d) C^T and zeros below it.
     """
+    import scipy.sparse as sp
+
     m = C.shape[0]
     r, v = C.indices, C.data
     k = np.diff(C.indptr)
@@ -201,6 +210,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     with the current iterate. Returns the raw density, the dual bound at the
     last multipliers, the number of steps and the diagnostics.
     """
+    import scipy.sparse as sp
     from scipy.linalg import cho_factor, cho_solve
 
     A0, p = prob.constraint_rows, prob.exponent

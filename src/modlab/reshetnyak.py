@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_exponent
-from .geometry import Polyline, ScalarField, cell_length_rows
+from .geometry import Polyline, ScalarField, curve_integrals
 from .report import Report, bounded_check
 from .sobolev import _sample_curve, finite_diff_gradient, w_norm
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
@@ -239,12 +239,12 @@ def ac_bound_check(
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
     try:
-        # f and g are finite; an inf from the sparse product, which ignores
-        # np.errstate, turns into a NaN in the pairs (a, a)
+        # f and g are finite; an inf from curve_integrals, which overflows
+        # without raising, turns into a NaN in the pairs (a, a)
         with np.errstate(over="raise", invalid="raise"):
             params, values, pieces = _sample_curve(f, c, num_params)
             # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
-            prefix = np.concatenate([[0.0], np.cumsum(cell_length_rows(pieces, g.grid) @ g.values)])
+            prefix = np.concatenate([[0.0], np.cumsum(curve_integrals(g, pieces))])
             a, b = np.triu_indices(num_params)
             increments = value_norm(values[b] - values[a], f.norm)
             bounds = prefix[b] - prefix[a] + tol

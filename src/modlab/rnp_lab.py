@@ -9,8 +9,8 @@ from grid samples; the non-Cauchy phenomenon lives below any fixed grid
 scale and sampling would alias it. The R-norm column is the exception: it
 is the library's r_norm with the exact linf g* of the sampled family, cut at
 min(M, 4 * resolution) coordinates. The cut changes no bit (proof above
-_sin_family_r_norm), and a rung holds resolution * min(M, 4 * resolution)
-values.
+_sin_family_r_norm), a rung holds resolution * min(M, 4 * resolution)
+values, and rungs with the same cut share one computation.
 """
 
 from __future__ import annotations
@@ -170,11 +170,15 @@ def dichotomy_report(
     if not ladder:
         return Report(command="dichotomy_report", meta={"verdict": "empty ladder"})
     rows = []
+    norms = {}  # rungs with the same cut sample the same family: one computation per cut
     for h in ladder:
         hprime = h / 2.0
         M = fixed_M if fixed_M is not None else math.ceil(10.0 / hprime)
         gap = _quotient_gap(M, t, h, hprime)
-        lp, r = _sin_family_r_norm(M, resolution, p)
+        cut = min(M, 4 * resolution)
+        if cut not in norms:
+            norms[cut] = _sin_family_r_norm(cut, resolution, p)
+        lp, r = norms[cut]
         rows.append([h, hprime, float(M), gap, r, lp])
     gaps = [row[3] for row in rows]
     rvals = [row[4] for row in rows]

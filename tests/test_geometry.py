@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from modlab import (
     cell_length_rows,
     cell_lengths,
     curve_integral,
+    curve_integrals,
     cut,
     length,
     load_family,
@@ -83,6 +85,19 @@ class TestArclengthParametrize:
     def test_cumulative_arclength_structure(self):
         c = Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
         assert np.allclose(c.cumulative_arclength, [0.0, 1.0, 3.0])
+
+
+class TestPointsAt:
+    @pytest.mark.parametrize("ts", [[math.nan], [0.5, math.nan], [math.inf], [-math.inf], [-0.5], [1.5]])
+    @pytest.mark.parametrize("verts", [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]])
+    def test_parameter_outside_range_or_nan_rejected(self, verts, ts):
+        with pytest.raises(ValueError, match=r"arc-length parameter out of \[0, length\]"):
+            Polyline(verts).points_at(ts)
+
+    def test_parameters_in_range_accepted(self):
+        c = Polyline([[0.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(c.points_at([0.0, 0.25, 1.0]), [[0.0, 0.0], [0.25, 0.0], [1.0, 0.0]])
+        assert c.points_at([]).shape == (0, 2)
 
 
 class TestRestrict:
@@ -367,6 +382,77 @@ class TestCellLengthRows:
         rows = cell_length_rows(curves, unit_square_16)
         for j, c in enumerate(curves):
             assert np.array_equal(cell_lengths(c, unit_square_16).toarray(), rows[j].toarray())
+
+
+def assert_integrals_equal_rows(curves, g, rng):
+    rho = ScalarField(grid=g, values=rng.normal(0.0, 2.0, g.num_cells))
+    integrals = curve_integrals(rho, curves)
+    assert integrals.shape == (len(curves),)
+    assert np.array_equal(integrals, cell_length_rows(curves, g) @ rho.values)
+
+
+class TestCurveIntegrals:
+    """The numpy line integrals add the entries of the constraint rows in the
+    order of the sparse product, so they equal the rows times rho bit for bit."""
+
+    @pytest.mark.parametrize("res", [[7], [9, 5], [4, 5, 6]])
+    def test_random_families(self, rng, res):
+        g = Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res)
+        for _ in range(5):
+            curves = [
+                Polyline(rng.uniform(0.0, 1.0, size=(rng.integers(2, 6), len(res))))
+                for _ in range(rng.integers(1, 40))
+            ]
+            assert_integrals_equal_rows(curves, g, rng)
+
+    def test_constant_and_cell_face_curves(self, rng):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
+        curves = [
+            Polyline([[0.3, 0.3]]),
+            Polyline([[0.5, 0.5], [0.5, 0.5]]),
+            Polyline([[0.0, 0.5], [1.0, 0.5]]),
+            Polyline([[0.25, 0.1], [0.25, 0.9]]),
+            Polyline([[1.0, 0.0], [0.0, 1.0]]),
+            Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+        ]
+        assert_integrals_equal_rows(curves, g, rng)
+        rho = ScalarField(grid=g, values=np.ones(g.num_cells))
+        assert np.array_equal(curve_integrals(rho, curves[:2]), [0.0, 0.0])
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_lattice_vertex_curves(self, rng, ndim):
+        # every vertex on a grid vertex, so segments run along cell faces and
+        # edges and through vertices, and vertices repeat
+        g = Grid(box_min=[-1.0] * ndim, box_max=[1.0] * ndim, resolution=[8] * ndim)
+        for _ in range(5):
+            curves = [Polyline(rng.integers(-4, 5, size=(rng.integers(1, 7), ndim)) * 0.25) for _ in range(30)]
+            assert_integrals_equal_rows(curves, g, rng)
+
+    def test_empty_family(self, rng):
+        g = Grid(box_min=[0.0, 0.0, 0.0], box_max=[1.0, 1.0, 1.0], resolution=[2, 3, 4])
+        assert_integrals_equal_rows([], g, rng)
+
+    def test_curve_outside_box_rejected(self, unit_square_16):
+        rho = ScalarField(grid=unit_square_16, values=np.ones(unit_square_16.num_cells))
+        with pytest.raises(DomainError):
+            curve_integrals(rho, [Polyline([[0.1, 0.1], [0.2, 0.2]]), Polyline([[0.5, 0.5], [1.5, 0.5]])])
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        # a cell length above 1 times the largest densities overflows in the
+        # products, several cells of length below 1 overflow in the sums
+        g = Grid(box_min=[0.0, 0.0], box_max=[10.0, 10.0], resolution=[2, 2])
+        rho = ScalarField(grid=g, values=np.full(g.num_cells, 1.5e308))
+        curves = [Polyline([[0.0, 1.0], [9.0, 1.0]]), Polyline([[4.5, 4.5], [5.5, 5.5]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrals = curve_integrals(rho, curves)
+        assert np.array_equal(integrals, [np.inf, np.inf])
+        assert np.array_equal(integrals, cell_length_rows(curves, g) @ rho.values)
+
+    def test_curve_integral_is_the_one_curve_case(self, rng, unit_square_16):
+        rho = ScalarField(grid=unit_square_16, values=rng.uniform(0.0, 2.0, unit_square_16.num_cells))
+        curves = [Polyline(rng.uniform(0.0, 1.0, size=(4, 2))) for _ in range(10)]
+        assert [curve_integral(rho, c) for c in curves] == curve_integrals(rho, curves).tolist()
 
 
 class TestSegmentCrossings:

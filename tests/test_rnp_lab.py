@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,27 @@ class TestDichotomyReport:
         assert rep.passed
         rows = rep.series[0].rows
         assert [row[2] for row in rows] == [200.0, 2000.0]
+
+    @pytest.mark.parametrize(
+        "ladder,fixed_M,cuts",
+        [([1e-1, 1e-2, 1e-3, 1e-4], None, [200, 512]), ([1e-2, 1e-3, 1e-4], 3, [3])],
+    )
+    def test_each_distinct_cut_computed_once(self, monkeypatch, ladder, fixed_M, cuts):
+        # at resolution 128 the cut is min(M, 512): the scaled rungs 1e-2 to
+        # 1e-4 (M = 2000, 20000, 200000) all sample the same 512 coordinates
+        uncached = [dichotomy_report(T_STAR, [h], resolution=128, fixed_M=fixed_M).series[0].rows[0] for h in ladder]
+        calls = []
+        real = rnp_lab._sin_family_r_norm
+
+        def counted(M, resolution, p):
+            calls.append(M)
+            return real(M, resolution, p)
+
+        monkeypatch.setattr(rnp_lab, "_sin_family_r_norm", counted)
+        rep = dichotomy_report(T_STAR, ladder, resolution=128, fixed_M=fixed_M)
+        assert calls == cuts
+        # the checks and the verdict are computed from the rows alone
+        assert json.dumps(rep.series[0].rows) == json.dumps(uncached)
 
     def test_fixed_m1_ladder_converges(self):
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3, 1e-4], resolution=128, fixed_M=1)
