@@ -13,13 +13,11 @@ from .geometry import (
     Grid,
     Polyline,
     ScalarField,
-    arclength_parametrize,
     cell_length_rows,
     cell_lengths,
     curve_integral,
     curve_integrals,
     cut,
-    length,
     load_family,
     load_polyline_csv,
     restrict,
@@ -35,7 +33,7 @@ from .modulus import (
     fuglede_schedule,
     solve_modulus,
 )
-from .report import CheckRecord, Report, Series, __version__, write_report
+from .report import CheckRecord, Report, Series, __version__
 from .reshetnyak import (
     UpperBoundField,
     ac_bound_check,
@@ -44,9 +42,7 @@ from .reshetnyak import (
     upper_gradient_star,
 )
 from .rnp_lab import (
-    SinFamilyField,
     dichotomy_report,
-    difference_quotient,
     lipschitz_certificate,
     noncauchy_gap,
     sin_family,

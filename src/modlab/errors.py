@@ -1,6 +1,9 @@
 """Exception types and input checks shared across the package."""
 
 import math
+from contextlib import contextmanager
+
+import numpy as np
 
 
 def require_keys(record: dict, keys, where: str) -> None:
@@ -14,6 +17,18 @@ def require_exponent(p: float) -> None:
     """Reject an exponent that is not a finite p >= 1, NaN included."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"the exponent must be a finite p >= 1, got {p}")
+
+
+@contextmanager
+def overflow_as_value_error(message: str, **errstate):
+    """Run the block with float64 overflow raising, plus any further
+    ``np.errstate`` settings such as ``invalid="raise"``, and turn the
+    FloatingPointError that stops it into a ValueError carrying ``message``."""
+    try:
+        with np.errstate(over="raise", **errstate):
+            yield
+    except FloatingPointError:
+        raise ValueError(message) from None
 
 
 class ModlabError(Exception):

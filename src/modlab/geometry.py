@@ -191,28 +191,8 @@ class Polyline:
         p1 = self.vertices[seg + 1]
         return p0 + frac[:, None] * (p1 - p0)
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.points_at([t])[0]
-
     def __repr__(self):
         return f"Polyline({self.vertices.shape[0]} vertices, length={self.length:.6g})"
-
-
-def length(c: Polyline) -> float:
-    """Length of a polyline: the partition supremum, attained by the vertices."""
-    return c.length
-
-
-def arclength_parametrize(c: Polyline) -> Polyline:
-    """Return ``c`` with degenerate repeated vertices collapsed.
-
-    The result evaluates ``points_at`` on [0, length] and every restriction
-    [s, t] has length t - s. Constant curves cannot be parametrized.
-    """
-    if c.length <= 0.0:
-        raise DegenerateCurveError("cannot arc-length parametrize a constant curve")
-    keep = np.concatenate([[True], c.segment_lengths > 0.0])
-    return Polyline(c.vertices[keep])
 
 
 def cut(c: Polyline, ts) -> list:
@@ -443,11 +423,11 @@ def load_polyline_csv(path) -> Polyline:
     return Polyline(np.asarray(rows))
 
 
-def save_family(fam: CurveFamily, manifest_path, stem: str = "curve") -> None:
+def save_family(fam: CurveFamily, manifest_path) -> None:
     manifest_path = Path(manifest_path)
     paths = []
     for i, c in enumerate(fam.curves):
-        rel = f"{stem}_{i:04d}.csv"
+        rel = f"curve_{i:04d}.csv"
         save_polyline_csv(c, manifest_path.parent / rel)
         paths.append(rel)
     manifest_path.write_text(json.dumps({"label": fam.label, "curves": paths}, indent=2) + "\n")

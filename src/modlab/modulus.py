@@ -348,9 +348,7 @@ def chebyshev_modulus_bound(h: ScalarField, eps: float, p: float) -> float:
     return chebyshev_bound_from_norm(scalar_lp_norm(h, p), eps, p)
 
 
-def fuglede_schedule(
-    norms, p: float, eps: float, num_terms: int | None = None
-) -> list[tuple[int, float]]:
+def fuglede_schedule(norms, p: float, eps: float) -> list[tuple[int, float]]:
     """Select a subsequence with ||g_{n_k} - g||_p <= 4^-k and bound exceptions.
 
     ``norms`` lists ||g_n - g||_p for n = 1, 2, ...; the k-th term picks the
@@ -360,8 +358,7 @@ def fuglede_schedule(
     finite-scale witness of almost-every-curve convergence.
 
     Raises ScheduleError when the remaining data never drops below the
-    current threshold; stops cleanly when the data is exhausted. ``num_terms``
-    caps the schedule length.
+    current threshold; stops cleanly when the data is exhausted.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -372,7 +369,7 @@ def fuglede_schedule(
     out: list[tuple[int, float]] = []
     start = 0  # 0-based scan position into norms
     k = 1
-    while start < len(norms) and (num_terms is None or len(out) < num_terms):
+    while start < len(norms):
         threshold = 4.0**-k
         hit = next((i for i in range(start, len(norms)) if norms[i] <= threshold), None)
         if hit is None:

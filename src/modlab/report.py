@@ -135,10 +135,6 @@ def report_to_json(report: Report) -> str:
     return _dumps(report.to_dict()) + "\n"
 
 
-def write_report(report: Report, path) -> None:
-    Path(path).write_text(report_to_json(report))
-
-
 def sha256_digest(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())

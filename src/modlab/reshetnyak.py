@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_exponent
+from .errors import overflow_as_value_error, require_exponent
 from .geometry import Polyline, ScalarField, curve_integrals
 from .report import Report, bounded_check
 from .sobolev import _sample_curve, finite_diff_gradient, w_norm
@@ -168,19 +168,16 @@ def upper_gradient_star(f: VectorField) -> UpperBoundField:
     when an intermediate, such as a squared Jacobian entry, overflows float64.
     """
     J = finite_diff_gradient(f)
-    try:
-        with np.errstate(over="raise"):
-            if f.norm is NormTag.L2:
-                gstar = _spectral_norms(J)
-            elif f.norm is NormTag.L1:
-                gstar = _l1_gstar(J)
-            elif f.grid.ndim == 1:
-                # sqrt(fl(x * x)) == |x| in binary64 unless x * x under- or overflows
-                gstar = np.max(np.abs(J[:, 0, :]), axis=1)
-            else:
-                gstar = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
-    except FloatingPointError:
-        raise ValueError(f"computing the {f.norm.value} g* of the field overflows float64") from None
+    with overflow_as_value_error(f"computing the {f.norm.value} g* of the field overflows float64"):
+        if f.norm is NormTag.L2:
+            gstar = _spectral_norms(J)
+        elif f.norm is NormTag.L1:
+            gstar = _l1_gstar(J)
+        elif f.grid.ndim == 1:
+            # sqrt(fl(x * x)) == |x| in binary64 unless x * x under- or overflows
+            gstar = np.max(np.abs(J[:, 0, :]), axis=1)
+        else:
+            gstar = np.max(np.sqrt(np.sum(J * J, axis=1)), axis=1)
     return UpperBoundField(
         gstar=ScalarField(grid=f.grid, values=gstar),
         dual_set_descriptor=_GSTAR_MODE[f.norm],
@@ -238,18 +235,15 @@ def ac_bound_check(
     """
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
-    try:
-        # f and g are finite; an inf from curve_integrals, which overflows
-        # without raising, turns into a NaN in the pairs (a, a)
-        with np.errstate(over="raise", invalid="raise"):
-            params, values, pieces = _sample_curve(f, c, num_params)
-            # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
-            prefix = np.concatenate([[0.0], np.cumsum(curve_integrals(g, pieces))])
-            a, b = np.triu_indices(num_params)
-            increments = value_norm(values[b] - values[a], f.norm)
-            bounds = prefix[b] - prefix[a] + tol
-    except FloatingPointError:
-        raise ValueError("the AC bound check along the curve overflows float64") from None
+    # f and g are finite; an inf from curve_integrals, which overflows
+    # without raising, turns into a NaN in the pairs (a, a)
+    with overflow_as_value_error("the AC bound check along the curve overflows float64", invalid="raise"):
+        params, values, pieces = _sample_curve(f, c, num_params)
+        # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
+        prefix = np.concatenate([[0.0], np.cumsum(curve_integrals(g, pieces))])
+        a, b = np.triu_indices(num_params)
+        increments = value_norm(values[b] - values[a], f.norm)
+        bounds = prefix[b] - prefix[a] + tol
     checks = [
         bounded_check(f"ac[{params[i]:.4g},{params[j]:.4g}]", float(inc), float(bound))
         for i, j, inc, bound in zip(a, b, increments, bounds)

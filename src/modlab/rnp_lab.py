@@ -4,10 +4,15 @@ The truncated family f(t) = (sin(nt)/n)_{n<=M} with sup-norm values is
 1-Lipschitz for every M, so its R-norm stays uniformly bounded, while its
 difference quotients develop a persistent sup-norm gap once the truncation
 keeps pace with the step size: the finite-scale shadow of a Lipschitz curve
-with no derivative. Everything here is evaluated analytically rather than
-from grid samples; the non-Cauchy phenomenon lives below any fixed grid
-scale and sampling would alias it. The R-norm column is the exception: it
-is the library's r_norm with the exact linf g* of the sampled family, cut at
+with no derivative.
+
+``sin_family`` samples the family at the cell centres of a 1-D grid as a
+linf ``VectorField`` whose ``dim_M`` is the truncation M; the Lipschitz
+certificate reads those samples and ``noncauchy_gap`` reads M from them.
+The quotients and their gaps are evaluated analytically rather than from
+grid samples: the non-Cauchy phenomenon lives below any fixed grid scale
+and sampling would alias it. The ladder's R-norm column is the library's
+r_norm with the exact linf g* of the sampled family, cut at
 min(M, 4 * resolution) coordinates. The cut changes no bit (proof above
 _sin_family_r_norm), a rung holds resolution * min(M, 4 * resolution)
 values, and rungs with the same cut share one computation.
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -34,20 +38,9 @@ VERDICT_RNP_LIKE = "RNP-like: quotients converge"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class SinFamilyField:
-    """Truncation of t -> (sin(nt)/n)_n on (0,1), carried with its samples."""
-
-    M: int
-    field: VectorField
-
-    @property
-    def grid(self) -> Grid:
-        return self.field.grid
-
-
-def sin_family(M: int, resolution: int) -> SinFamilyField:
-    """Sample the truncated sin family at cell centers, sup-norm values."""
+def sin_family(M: int, resolution: int) -> VectorField:
+    """Sample the truncated sin family at cell centers, sup-norm values; the
+    field's dim_M is the truncation M."""
     if M < 1:
         raise ValueError("M must be >= 1")
     if resolution < 16:
@@ -56,10 +49,10 @@ def sin_family(M: int, resolution: int) -> SinFamilyField:
     t = grid.axis_centers(0)
     n = np.arange(1, M + 1, dtype=float)
     values = np.sin(np.outer(t, n)) / n
-    return SinFamilyField(M=M, field=VectorField(grid=grid, values=values, norm=NormTag.LINF))
+    return VectorField(grid=grid, values=values, norm=NormTag.LINF)
 
 
-def lipschitz_certificate(f: SinFamilyField, tol: float = 1e-9) -> Report:
+def lipschitz_certificate(f: VectorField) -> Report:
     """Largest sampled slope max |f(t)-f(s)| / |t-s| over grid-point pairs.
 
     On the uniform grid a chord slope is an average of the adjacent slopes it
@@ -67,42 +60,35 @@ def lipschitz_certificate(f: SinFamilyField, tol: float = 1e-9) -> Report:
     formed. Each coordinate sin(nt)/n is 1-Lipschitz, so the certificate
     never exceeds 1; for M >= 8 the bound is close to attained.
     """
+    if f.grid.ndim != 1:
+        raise ValueError(f"the Lipschitz certificate needs a field on a 1-D grid, got {f.grid.ndim}-D")
     t = f.grid.axis_centers(0)
-    slopes = np.abs(np.diff(f.field.values, axis=0)) * (1.0 / np.abs(np.diff(t)))[:, None]
+    slopes = np.abs(np.diff(f.values, axis=0)) * (1.0 / np.abs(np.diff(t)))[:, None]
     cert = float(np.max(slopes))
-    checks = [bounded_check("lipschitz_upper", cert, 1.0 + tol)]
-    if f.M >= 8:
+    checks = [bounded_check("lipschitz_upper", cert, 1.0 + 1e-9)]
+    if f.dim_M >= 8:
         checks.append(bounded_check("lipschitz_attained", cert, 0.9, lower=True))
-    return Report(command="lipschitz_certificate", checks=checks, meta={"M": f.M})
+    return Report(command="lipschitz_certificate", checks=checks, meta={"M": f.dim_M})
 
 
 def _quotient(M: int, t: float, h: float) -> np.ndarray:
+    """(f(t+h) - f(t)) / h of the first M coordinates, evaluated analytically."""
     n = np.arange(1, M + 1, dtype=float)
     return (np.sin(n * (t + h)) - np.sin(n * t)) / (n * h)
 
 
-def _check_window(t: float, h: float) -> None:
+def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
+    """max_n |q_n(h) - q_n(hprime)| over the first M coordinates, for
+    0 < hprime < h; t + hprime lies between t and t + h, so checking the
+    window of h covers both."""
     if not (0.0 < t < 1.0 and 0.0 < t + h < 1.0):
         raise ValueError("need t and t+h inside (0, 1)")
-    if h == 0.0:
-        raise ValueError("step h must be nonzero")
-
-
-def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
-    """max_n |q_n(h) - q_n(hprime)| over the first M coordinates; t + hprime
-    lies between t and t + h, so checking the window of h covers both."""
-    _check_window(t, h)
     return float(np.max(np.abs(_quotient(M, t, h) - _quotient(M, t, hprime))))
 
 
-def difference_quotient(f: SinFamilyField, t: float, h: float) -> np.ndarray:
-    """(f(t+h) - f(t)) / h evaluated analytically, coordinate n = cos-like."""
-    _check_window(t, h)
-    return _quotient(f.M, t, h)
-
-
-def noncauchy_gap(f: SinFamilyField, t: float, h: float, hprime: float) -> float:
-    """Sup-norm distance between the quotients at steps h and hprime.
+def noncauchy_gap(f: VectorField, t: float, h: float, hprime: float) -> float:
+    """Sup-norm distance between the quotients at steps h and hprime of the
+    sin family truncated at f.dim_M coordinates.
 
     With hprime = h/2 and M >= ceil(10/hprime) the tail coordinates are
     represented and the gap stays bounded away from zero as h decreases:
@@ -112,7 +98,7 @@ def noncauchy_gap(f: SinFamilyField, t: float, h: float, hprime: float) -> float
     """
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
-    return _quotient_gap(f.M, t, h, hprime)
+    return _quotient_gap(f.dim_M, t, h, hprime)
 
 
 # Cutting the family at 4 * resolution coordinates changes no bit of the
@@ -131,7 +117,7 @@ def noncauchy_gap(f: SinFamilyField, t: float, h: float, hprime: float) -> float
 def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]:
     """(lp_norm, r_norm) of the truncated family, through the exact linf g*
     of its first min(M, 4 * resolution) coordinates."""
-    f = sin_family(min(M, 4 * resolution), resolution).field
+    f = sin_family(min(M, 4 * resolution), resolution)
     return lp_norm(f, p), r_norm(f, p)
 
 
@@ -161,14 +147,14 @@ def dichotomy_report(
     """
     require_exponent(p)
     ladder = [float(h) for h in h_ladder]
+    if not ladder:
+        raise ValueError("h_ladder must hold at least one step")
     if fixed_M is not None and fixed_M < 1:
         raise ValueError(f"fixed_M must be >= 1, got {fixed_M}")
     if any(not h > 0.0 for h in ladder):
         raise ValueError("every step h of h_ladder must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
-    if not ladder:
-        return Report(command="dichotomy_report", meta={"verdict": "empty ladder"})
     rows = []
     norms = {}  # rungs with the same cut sample the same family: one computation per cut
     for h in ladder:

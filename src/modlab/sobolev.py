@@ -27,7 +27,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, require_exponent
+from .errors import DomainError, overflow_as_value_error, require_exponent
 from .geometry import Grid, Polyline, ScalarField, _split_segments, cut
 from .report import Report, bounded_check
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
@@ -94,11 +94,8 @@ def finite_diff_gradient(f: VectorField) -> np.ndarray:
     cube = f.values.reshape(*g.shape, f.dim_M)
     parts = []
     for axis in range(g.ndim):
-        try:
-            with np.errstate(over="raise"):
-                parts.append(np.gradient(cube, g.spacing[axis], axis=axis))
-        except FloatingPointError:
-            raise ValueError(f"the field's finite differences along axis {axis} overflow float64") from None
+        with overflow_as_value_error(f"the field's finite differences along axis {axis} overflow float64"):
+            parts.append(np.gradient(cube, g.spacing[axis], axis=axis))
     # stacked once all parts exist: filling a preallocated J axis by axis
     # holds it beside np.gradient's temporaries
     return np.stack(parts, axis=-2).reshape(g.num_cells, g.ndim, f.dim_M)
@@ -108,13 +105,10 @@ def gradient_length(J: np.ndarray, tag: NormTag) -> np.ndarray:
     """(sum_i ||J[..., i, :]||^2)^(1/2) with value norm ``tag``, summed in axis
     order, for a Jacobian stack J of shape (..., N, M)."""
     sq = np.zeros(J.shape[:-2])
-    try:
-        with np.errstate(over="raise"):
-            norms = value_norm(J, tag)
-            for i in range(J.shape[-2]):
-                sq += norms[..., i] ** 2
-    except FloatingPointError:
-        raise ValueError("the gradient length of the field overflows float64") from None
+    with overflow_as_value_error("the gradient length of the field overflows float64"):
+        norms = value_norm(J, tag)
+        for i in range(J.shape[-2]):
+            sq += norms[..., i] ** 2
     return np.sqrt(sq)
 
 
@@ -149,6 +143,7 @@ def weak_derivative_check(
     int dphi/dx_axis * f  and  -int phi * cand  are formed by cell quadrature
     (boundary cells excluded, which the compactly supported bumps never see)
     and the check passes when every residual norm is <= tol * (1 + scale).
+    An empty battery is rejected: it would pass with no check at all.
     """
     g = f.grid
     if not all(np.array_equal(getattr(cand.grid, k), getattr(g, k)) for k in ("box_min", "box_max", "resolution")):
@@ -157,6 +152,8 @@ def weak_derivative_check(
         raise ValueError("candidate must match the field's norm tag and dimension")
     if not 0 <= axis < g.ndim:
         raise ValueError("axis out of range")
+    if not tests:
+        raise ValueError("the bump battery must hold at least one bump")
     for t in tests:
         if t.center.shape != (g.ndim,):
             raise ValueError(f"bump center {t.center.tolist()} must have one coordinate per grid axis ({g.ndim})")
@@ -274,28 +271,25 @@ def ftc_along_curve_check(
     if not np.all(np.isfinite(G)):
         raise ValueError("the gradient must be finite")
     tag = f.norm
-    try:
-        # einsum ignores np.errstate; its sums overflow only where the squares
-        # in gradient_length do, and invalid="raise" stops their NaNs first
-        with np.errstate(over="raise", invalid="raise"):
-            params, values, pieces = _sample_curve(f, c, num_params)
-            # the interior planes of this grid are all the planes of cell centres
-            centres = Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
-            piece, p, d, seg_len, t0, t1 = _split_segments(pieces, centres)
-            x, w = _gauss_legendre(g.ndim // 2 + 1)
-            nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
-            grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))
-            grads = grads.reshape(*nodes.shape[:2], *shape[1:])
-            tangent = d / seg_len[:, None]
-            directional = sum(tangent[:, i, None, None] * grads[:, :, i] for i in range(g.ndim))
-            integrals = np.zeros((num_params - 1, f.dim_M))
-            np.add.at(integrals, piece, ((t1 - t0) * seg_len)[:, None] * np.einsum("j,kjm->km", w / 2, directional))
-            prefix = np.concatenate([np.zeros((1, f.dim_M)), np.cumsum(integrals, axis=0)])
-            a, b = np.triu_indices(num_params, 1)
-            residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
-            worst = float(np.max(value_norm(directional, tag) - gradient_length(grads, tag), initial=0.0))
-    except FloatingPointError:
-        raise ValueError("the FTC check along the curve overflows float64") from None
+    # einsum ignores np.errstate; its sums overflow only where the squares
+    # in gradient_length do, and invalid="raise" stops their NaNs first
+    with overflow_as_value_error("the FTC check along the curve overflows float64", invalid="raise"):
+        params, values, pieces = _sample_curve(f, c, num_params)
+        # the interior planes of this grid are all the planes of cell centres
+        centres = Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
+        piece, p, d, seg_len, t0, t1 = _split_segments(pieces, centres)
+        x, w = _gauss_legendre(g.ndim // 2 + 1)
+        nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
+        grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))
+        grads = grads.reshape(*nodes.shape[:2], *shape[1:])
+        tangent = d / seg_len[:, None]
+        directional = sum(tangent[:, i, None, None] * grads[:, :, i] for i in range(g.ndim))
+        integrals = np.zeros((num_params - 1, f.dim_M))
+        np.add.at(integrals, piece, ((t1 - t0) * seg_len)[:, None] * np.einsum("j,kjm->km", w / 2, directional))
+        prefix = np.concatenate([np.zeros((1, f.dim_M)), np.cumsum(integrals, axis=0)])
+        a, b = np.triu_indices(num_params, 1)
+        residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
+        worst = float(np.max(value_norm(directional, tag) - gradient_length(grads, tag), initial=0.0))
     checks = [
         bounded_check(f"ftc[{params[i]:.4g},{params[j]:.4g}]", float(r), float(tol))
         for i, j, r in zip(a, b, residuals)

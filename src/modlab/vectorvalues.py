@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import require_exponent, require_keys
+from .errors import overflow_as_value_error, require_exponent, require_keys
 from .geometry import Grid, ScalarField
 
 
@@ -67,21 +67,15 @@ class VectorField:
 
 def lp_norm(f: VectorField, p: float) -> float:
     """(integral of ||f||^p)^(1/p) over the box."""
-    try:
-        with np.errstate(over="raise"):
-            norms = f.norms()
-    except FloatingPointError:
-        raise ValueError(f"the {f.norm.value} value norms of the field overflow float64") from None
+    with overflow_as_value_error(f"the {f.norm.value} value norms of the field overflow float64"):
+        norms = f.norms()
     return scalar_lp_norm(ScalarField(grid=f.grid, values=norms), p)
 
 
 def scalar_lp_norm(s: ScalarField, p: float) -> float:
     require_exponent(p)
-    try:
-        with np.errstate(over="raise"):
-            return float(np.sum(np.abs(s.values) ** p * s.grid.cell_volume) ** (1.0 / p))
-    except FloatingPointError:
-        raise ValueError(f"the L^{p:g} norm overflows float64") from None
+    with overflow_as_value_error(f"the L^{p:g} norm overflows float64"):
+        return float(np.sum(np.abs(s.values) ** p * s.grid.cell_volume) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,13 @@ def write_field(path, g, M, rows, rng):
     for _ in range(3):
         lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
     header = ",".join([f"i{k + 1}" for k in range(g.ndim)] + [f"v{k + 1}" for k in range(M)])
+    # unlinked first: rewriting a file in place can wait for its write-back
+    path.unlink(missing_ok=True)
     path.write_text("\n".join([header] + lines) + "\n")
     sidecar = {"norm_tag": "l2", "dim_M": M, "grid": g.to_json()}
-    path.with_name(path.name + ".json").write_text(json.dumps(sidecar))
+    sidecar_path = path.with_name(path.name + ".json")
+    sidecar_path.unlink(missing_ok=True)
+    sidecar_path.write_text(json.dumps(sidecar))
     return path
 
 

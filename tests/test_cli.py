@@ -520,8 +520,9 @@ class TestMalformedInputsExit2:
             [{"center": [0.5, 0.5], "radius": "0.2"}],
             [{"center": [0.5], "radius": 0.2}],
             [{"center": [0.5, "x"], "radius": 0.2}],
+            [],
         ],
-        ids=["list-of-lists", "object", "string-radius", "short-center", "string-center"],
+        ids=["list-of-lists", "object", "string-radius", "short-center", "string-center", "empty"],
     )
     def test_bump_battery(self, tmp_path, capsys, bumps):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
@@ -561,8 +562,10 @@ class TestMalformedInputsExit2:
             (["--fixed-m", "0", "--ladder", "1e-1,1e-2"], "fixed_M"),
             (["--t", "0.5", "--ladder=-1e-2,-1e-1"], "h_ladder"),
             (["--ladder", "1e-1,abc"], "--ladder"),
+            (["--ladder", ""], "h_ladder"),
+            (["--ladder", ","], "h_ladder"),
         ],
-        ids=["fixed-m-0", "negative-steps", "unparsable-ladder"],
+        ids=["fixed-m-0", "negative-steps", "unparsable-ladder", "empty-ladder", "comma-only-ladder"],
     )
     def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, args, named):
         argv = ["counterexample", "--resolution", "64"] + args

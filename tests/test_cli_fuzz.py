@@ -67,6 +67,8 @@ def contents(records):
 
 
 def write(path, content):
+    # unlinked first: rewriting a file in place can wait for its write-back
+    path.unlink(missing_ok=True)
     if isinstance(content, bytes):
         path.write_bytes(content)
     else:

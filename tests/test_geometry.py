@@ -13,13 +13,11 @@ from modlab import (
     Grid,
     Polyline,
     ScalarField,
-    arclength_parametrize,
     cell_length_rows,
     cell_lengths,
     curve_integral,
     curve_integrals,
     cut,
-    length,
     load_family,
     load_polyline_csv,
     restrict,
@@ -38,16 +36,16 @@ def polyline_on_circle(k):
 
 class TestLength:
     def test_segment_3_4_5(self):
-        assert length(Polyline([[0.0, 0.0], [3.0, 4.0]])) == 5.0
+        assert Polyline([[0.0, 0.0], [3.0, 4.0]]).length == 5.0
 
     def test_repeated_vertex_is_constant(self):
-        assert length(Polyline([[1.0, 2.0], [1.0, 2.0]])) == 0.0
+        assert Polyline([[1.0, 2.0], [1.0, 2.0]]).length == 0.0
 
     def test_256_gon_close_to_circumference(self):
         c = polyline_on_circle(256)
         expected = regular_polygon_length(256)
-        assert length(c) == pytest.approx(expected, abs=1e-12)
-        assert abs(length(c) - 2 * math.pi) < 1e-3
+        assert c.length == pytest.approx(expected, abs=1e-12)
+        assert abs(c.length - 2 * math.pi) < 1e-3
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -60,27 +58,7 @@ class TestLength:
             refined.append(a)
             refined.append(0.5 * (a + b))  # collinear midpoint
         refined.append(pts[-1])
-        assert length(Polyline(refined)) == pytest.approx(c.length, rel=1e-12)
-
-
-class TestArclengthParametrize:
-    def test_segment_midpoint(self):
-        c = arclength_parametrize(Polyline([[0.0, 0.0], [2.0, 0.0]]))
-        assert np.allclose(c.point_at(1.0), [1.0, 0.0])
-
-    def test_l_shaped_chain(self):
-        c = arclength_parametrize(Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-        assert np.allclose(c.point_at(1.5), [1.0, 0.5])
-
-    def test_restriction_length_matches_parameters(self, rng):
-        c = arclength_parametrize(Polyline(rng.uniform(0, 1, size=(5, 2))))
-        total = c.length
-        for s, t in [(0.0, total), (0.1 * total, 0.7 * total), (0.3 * total, 0.3 * total)]:
-            assert restrict(c, s, t).length == pytest.approx(t - s, abs=1e-9)
-
-    def test_constant_curve_rejected(self):
-        with pytest.raises(DegenerateCurveError):
-            arclength_parametrize(Polyline([[1.0, 1.0], [1.0, 1.0]]))
+        assert Polyline(refined).length == pytest.approx(c.length, rel=1e-12)
 
     def test_cumulative_arclength_structure(self):
         c = Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
@@ -99,8 +77,22 @@ class TestPointsAt:
         assert np.array_equal(c.points_at([0.0, 0.25, 1.0]), [[0.0, 0.0], [0.25, 0.0], [1.0, 0.0]])
         assert c.points_at([]).shape == (0, 2)
 
+    def test_segment_midpoint(self):
+        c = Polyline([[0.0, 0.0], [2.0, 0.0]])
+        assert np.allclose(c.points_at([1.0]), [[1.0, 0.0]])
+
+    def test_l_shaped_chain(self):
+        c = Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        assert np.allclose(c.points_at([1.5]), [[1.0, 0.5]])
+
 
 class TestRestrict:
+    def test_restriction_length_matches_parameters(self, rng):
+        c = Polyline(rng.uniform(0, 1, size=(5, 2)))
+        total = c.length
+        for s, t in [(0.0, total), (0.1 * total, 0.7 * total), (0.3 * total, 0.3 * total)]:
+            assert restrict(c, s, t).length == pytest.approx(t - s, abs=1e-9)
+
     def test_full_interval_is_identity(self):
         c = Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         r = restrict(c, 0.0, c.length)

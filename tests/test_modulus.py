@@ -397,13 +397,10 @@ class TestFugledeSchedule:
         norms = [0.9, 0.2, 0.9, 0.9, 0.9, 0.9]
         with pytest.raises(ScheduleError):
             fuglede_schedule(norms, p=2.0, eps=0.5)
-        # with the schedule capped at one term, the dip is selected cleanly
-        schedule = fuglede_schedule(norms, p=2.0, eps=0.5, num_terms=1)
-        assert schedule[0][0] == 2
 
     def test_bound_uses_actual_norm(self):
         norms = [0.2, 0.01]
-        schedule = fuglede_schedule(norms, p=2.0, eps=1.0, num_terms=2)
+        schedule = fuglede_schedule(norms, p=2.0, eps=1.0)
         assert [idx for idx, _ in schedule] == [1, 2]
         assert schedule[0][1] == pytest.approx(0.2**2)
         assert schedule[1][1] == pytest.approx(0.01**2)

@@ -1,7 +1,7 @@
 import json
 import math
 
-from modlab.report import CheckRecord, Report, Series, bounded_check, format_float, report_to_json, write_report
+from modlab.report import CheckRecord, Report, Series, bounded_check, format_float, report_to_json
 
 
 def sample_report():
@@ -44,11 +44,6 @@ class TestReportSerialization:
         r.checks.append(CheckRecord(name="bad", value=2.0, bound=1.0, margin=-1.0, passed=False))
         assert not r.passed
         assert json.loads(report_to_json(r))["passed"] is False
-
-    def test_write_report(self, tmp_path):
-        path = tmp_path / "r.json"
-        write_report(sample_report(), path)
-        assert json.loads(path.read_text())["command"] == "demo"
 
     def test_nan_and_inf_render(self):
         r = Report(command="x", checks=[CheckRecord(name="n", value=float("nan"), passed=True)])

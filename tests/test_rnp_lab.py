@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from modlab import (
+    Grid,
+    NormTag,
+    VectorField,
     dichotomy_report,
-    difference_quotient,
     lipschitz_certificate,
     noncauchy_gap,
     sin_family,
@@ -29,20 +31,20 @@ class TestSinFamily:
     def test_m1_is_plain_sine(self):
         f = sin_family(1, 64)
         t = f.grid.axis_centers(0)
-        assert np.allclose(f.field.values[:, 0], np.sin(t))
+        assert np.allclose(f.values[:, 0], np.sin(t))
 
     def test_values_vanish_toward_zero(self):
         f = sin_family(4, 256)
-        assert np.all(np.abs(f.field.values[0]) < 0.02)
+        assert np.all(np.abs(f.values[0]) < 0.02)
 
     def test_coordinate_bound_one_over_n(self):
         f = sin_family(32, 64)
         n = np.arange(1, 33)
-        assert np.all(np.abs(f.field.values) <= 1.0 / n + 1e-15)
+        assert np.all(np.abs(f.values) <= 1.0 / n + 1e-15)
 
     def test_sup_norm_bounded_by_one(self):
         f = sin_family(16, 64)
-        assert np.all(f.field.norms() <= 1.0)
+        assert np.all(f.norms() <= 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,39 +85,35 @@ class TestLipschitzCertificate:
         t = f.grid.axis_centers(0)
         dt = np.abs(t[:, None] - t[None, :])
         np.fill_diagonal(dt, np.inf)
-        s = f.field.values
+        s = f.values
         oracle = max(float(np.max(np.abs(s[:, None, n] - s[None, :, n]) * (1.0 / dt))) for n in range(M))
         assert lipschitz_certificate(f).checks[0].value == oracle
 
+    def test_field_on_a_2d_grid_rejected(self):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[16, 16])
+        f = VectorField(grid=g, values=np.zeros((256, 8)), norm=NormTag.LINF)
+        with pytest.raises(ValueError, match="1-D grid, got 2-D"):
+            lipschitz_certificate(f)
 
-class TestDifferenceQuotient:
+
+class TestQuotient:
     def test_m1_approaches_cosine(self):
-        f = sin_family(1, 64)
         for h in (1e-2, 1e-4):
-            dq = difference_quotient(f, 0.5, h)
+            dq = rnp_lab._quotient(1, 0.5, h)
             assert abs(dq[0] - math.cos(0.5)) < h
 
     def test_small_nh_close_to_cosine_coordinates(self):
-        f = sin_family(8, 64)
         h = 1e-6
-        dq = difference_quotient(f, 0.3, h)
+        dq = rnp_lab._quotient(8, 0.3, h)
         n = np.arange(1, 9)
         assert np.allclose(dq, np.cos(n * 0.3), atol=1e-4)
 
     def test_sup_norm_never_exceeds_one(self, rng):
-        f = sin_family(128, 64)
         for _ in range(20):
             t = rng.uniform(0.05, 0.9)
             h = rng.uniform(1e-6, 0.05)
-            dq = difference_quotient(f, t, h)
+            dq = rnp_lab._quotient(128, t, h)
             assert np.max(np.abs(dq)) <= 1.0 + 1e-12
-
-    def test_window_validation(self):
-        f = sin_family(4, 64)
-        with pytest.raises(ValueError):
-            difference_quotient(f, 0.9, 0.2)
-        with pytest.raises(ValueError):
-            difference_quotient(f, 0.5, 0.0)
 
 
 class TestNonCauchyGap:
@@ -125,6 +123,13 @@ class TestNonCauchyGap:
             noncauchy_gap(f, 0.5, 1e-2, 1e-2)
         with pytest.raises(ValueError):
             noncauchy_gap(f, 0.5, 1e-3, 1e-2)
+
+    def test_window_validation(self):
+        f = sin_family(4, 64)
+        with pytest.raises(ValueError, match=r"need t and t\+h inside \(0, 1\)"):
+            noncauchy_gap(f, 0.9, 0.2, 0.1)
+        with pytest.raises(ValueError, match=r"need t and t\+h inside \(0, 1\)"):
+            noncauchy_gap(f, 1.0, 1e-2, 5e-3)
 
     def test_fixed_m_gap_vanishes_with_h(self):
         f = sin_family(1, 64)
@@ -148,8 +153,8 @@ class TestSinFamilyRNorm:
     def test_chunked_path_matches_generic_machinery(self):
         M, res = 8, 64
         f = sin_family(M, res)
-        lp_direct = lp_norm(f.field, 2.0)
-        r_direct = r_norm(f.field, 2.0)
+        lp_direct = lp_norm(f, 2.0)
+        r_direct = r_norm(f, 2.0)
         lp_chunked, r_chunked = _sin_family_r_norm(M, res, 2.0)
         assert lp_chunked == pytest.approx(lp_direct, rel=1e-13)
         assert r_chunked == pytest.approx(r_direct, rel=1e-13)
@@ -173,13 +178,13 @@ class TestSinFamilyRNorm:
         ones = ScalarField(grid=f.grid, values=np.ones(f.grid.num_cells))
         for a, b in [(0.05, 0.95), (0.2, 0.6), (0.47, 0.53)]:
             seg = Polyline([[a], [b]])
-            assert ac_bound_check(f.field, ones, seg, tol=1e-3).passed
+            assert ac_bound_check(f, ones, seg, tol=1e-3).passed
 
     @pytest.mark.parametrize("M,res", [(200, 16), (5000, 64), (20000, 128)])
     def test_cut_at_four_resolution_coordinates_is_exact(self, M, res):
         # every rung here keeps fewer than M coordinates; the dropped tail
         # must not move a single bit of either norm
-        f = sin_family(M, res).field
+        f = sin_family(M, res)
         for p in (1.0, 1.5, 2.0, 3.0):
             assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p))
 
@@ -218,10 +223,9 @@ class TestDichotomyReport:
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3, 1e-4], resolution=128, fixed_M=1)
         assert rep.meta["verdict"] == VERDICT_RNP_LIKE
 
-    def test_empty_ladder_empty_report(self):
-        rep = dichotomy_report(T_STAR, [], resolution=128)
-        assert rep.checks == []
-        assert rep.series == []
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            dichotomy_report(T_STAR, [], resolution=128)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
     @pytest.mark.parametrize("ladder", [[], [1e-1]])

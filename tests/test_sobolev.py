@@ -142,6 +142,15 @@ class TestWeakDerivativeCheck:
             rep = weak_derivative_check(f, cand, 0, [TestFunction([c], r)], tol=1.0)
             assert rep.checks[0].value <= 1e-10
 
+    def test_empty_battery_rejected(self):
+        # with no bump there is no check, and the zero candidate would pass for x^2
+        g = interval_grid(64)
+        x = g.cell_centers()[:, 0]
+        f = VectorField(grid=g, values=(x**2)[:, None], norm=NormTag.L2)
+        zero = VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2)
+        with pytest.raises(ValueError, match="at least one bump"):
+            weak_derivative_check(f, zero, 0, [], tol=5e-3)
+
     def test_boundary_touching_support_rejected(self):
         g = interval_grid(64)
         f = VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2)
