@@ -6,13 +6,15 @@ lower bound), and it is >= 0 exactly when the check passes.
 
 Reports are byte-stable for a fixed configuration and artifact version,
 except for the wall-time field; floats are emitted with 17 significant
-digits.
+digits, and strings (keys too) as JSON string literals that escape every
+control character.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring  # json.dumps(s, ensure_ascii=False) without an encoder per call
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -106,7 +108,7 @@ def _dumps(obj, indent: int = 0) -> str:
             return "{}"
         items = []
         for k, v in obj.items():
-            items.append(f'{pad}  "{k}": {_dumps(v, indent + 1)}')
+            items.append(f"{pad}  {encode_basestring(str(k))}: {_dumps(v, indent + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -122,8 +124,7 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return encode_basestring(obj)
     # numpy scalars and anything else numeric-like
     try:
         return format_float(float(obj))

@@ -11,11 +11,18 @@ linf ``VectorField`` whose ``dim_M`` is the truncation M; the Lipschitz
 certificate reads those samples and ``noncauchy_gap`` reads M from them.
 The quotients and their gaps are evaluated analytically rather than from
 grid samples: the non-Cauchy phenomenon lives below any fixed grid scale
-and sampling would alias it. The ladder's R-norm column is the library's
-r_norm with the exact linf g* of the sampled family, cut at
-min(M, 4 * resolution) coordinates. The cut changes no bit (proof above
-_sin_family_r_norm), a rung holds resolution * min(M, 4 * resolution)
-values, and rungs with the same cut share one computation.
+and sampling would alias it; the gap is a maximum taken block by block over
+at most 2^16 coordinates at a time. The ladder's R-norm column is the
+library's r_norm with the exact linf g* of the sampled family, enumerated in
+blocks of coordinates holding at most 2^16 samples each (one coordinate,
+resolution samples, above resolution 2^16): each cell keeps the running
+maximum of |f_n| and of its np.gradient stencil, and the enumeration stops
+once a rigorous bound (|f_n| <= 1/n, stencils <= resolution/n inside and
+2 resolution/n at the two end cells) shows that no remaining coordinate
+reaches any cell's maximum. Every per-cell maximum is
+then exact, so both norms are bit-identical to those of the whole sampled
+family, a rung holds one block at a time whatever M is, and rungs with
+M >= 4 * resolution share one computation.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from importlib import resources
 import numpy as np
 
 from .errors import require_exponent
-from .geometry import Grid
+from .geometry import Grid, ScalarField
 from .report import Report, Series, bounded_check
-from .reshetnyak import r_norm
-from .vectorvalues import NormTag, VectorField, lp_norm
+from .reshetnyak import upper_gradient_star
+from .vectorvalues import NormTag, VectorField, scalar_lp_norm
 
 # Verdict lines emitted by dichotomy_report.
 VERDICT_NON_CAUCHY = "R-side bounded, W-side quotients non-Cauchy"
@@ -38,18 +45,37 @@ VERDICT_RNP_LIKE = "RNP-like: quotients converge"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
+# The R column and the quotient gap visit at most this many samples at a time.
+_BLOCK_SAMPLES = 2**16
+
+# np.sin is within 4 ulp of sin x, so |fl(sin nt)| <= 1 + 4 eps; the
+# division by n, np.gradient's difference and its division by the spacing
+# each add one rounding of at most eps/2, so a computed value or stencil of
+# coordinate n exceeds its exact bound by a factor below 1 + 6 eps. The stop
+# bound is evaluated with at most two roundings, so scaling it by 1 + 8 eps
+# keeps it above every computed value it stands for.
+_ROUNDOFF_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
+
+def _sin_samples(t: np.ndarray, first: int, last: int) -> np.ndarray:
+    """sin(n t)/n at the points t for the coordinates n = first..last, one column each."""
+    n = np.arange(first, last + 1, dtype=float)
+    return np.sin(np.outer(t, n)) / n
+
+
+def _require_resolution(resolution: int) -> None:
+    if resolution < 16:
+        raise ValueError(f"resolution must be >= 16, got {resolution}")
+
+
 def sin_family(M: int, resolution: int) -> VectorField:
     """Sample the truncated sin family at cell centers, sup-norm values; the
     field's dim_M is the truncation M."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+    _require_resolution(resolution)
     grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
-    t = grid.axis_centers(0)
-    n = np.arange(1, M + 1, dtype=float)
-    values = np.sin(np.outer(t, n)) / n
-    return VectorField(grid=grid, values=values, norm=NormTag.LINF)
+    return VectorField(grid=grid, values=_sin_samples(grid.axis_centers(0), 1, M), norm=NormTag.LINF)
 
 
 def lipschitz_certificate(f: VectorField) -> Report:
@@ -71,19 +97,23 @@ def lipschitz_certificate(f: VectorField) -> Report:
     return Report(command="lipschitz_certificate", checks=checks, meta={"M": f.dim_M})
 
 
-def _quotient(M: int, t: float, h: float) -> np.ndarray:
-    """(f(t+h) - f(t)) / h of the first M coordinates, evaluated analytically."""
-    n = np.arange(1, M + 1, dtype=float)
+def _quotient(M: int, t: float, h: float, first: int = 1) -> np.ndarray:
+    """(f(t+h) - f(t)) / h of the coordinates first..M, evaluated analytically."""
+    n = np.arange(first, M + 1, dtype=float)
     return (np.sin(n * (t + h)) - np.sin(n * t)) / (n * h)
 
 
 def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
     """max_n |q_n(h) - q_n(hprime)| over the first M coordinates, for
-    0 < hprime < h; t + hprime lies between t and t + h, so checking the
-    window of h covers both."""
+    0 < hprime < h, taken block by block; t + hprime lies between t and
+    t + h, so checking the window of h covers both."""
     if not (0.0 < t < 1.0 and 0.0 < t + h < 1.0):
         raise ValueError("need t and t+h inside (0, 1)")
-    return float(np.max(np.abs(_quotient(M, t, h) - _quotient(M, t, hprime))))
+    gap = 0.0
+    for first in range(1, M + 1, _BLOCK_SAMPLES):
+        last = min(first + _BLOCK_SAMPLES - 1, M)
+        gap = max(gap, float(np.max(np.abs(_quotient(last, t, h, first) - _quotient(last, t, hprime, first)))))
+    return gap
 
 
 def noncauchy_gap(f: VectorField, t: float, h: float, hprime: float) -> float:
@@ -101,24 +131,45 @@ def noncauchy_gap(f: VectorField, t: float, h: float, hprime: float) -> float:
     return _quotient_gap(f.dim_M, t, h, hprime)
 
 
-# Cutting the family at 4 * resolution coordinates changes no bit of the
-# R-norm. Let R = resolution >= 16, h = 1/R and n > 4R; cell centers lie in
-# [h/2, 1 - h/2], inside (0, pi/2).
-# - Values: |sin(nt)/n| <= 1/n < 1/(4R), while the n = 1 value is
-#   sin t >= sin(h/2) > 1/(4R) in every cell.
-# - Stencils: every np.gradient stencil of coordinate n (central or
-#   one-sided) is at most 2/(n h) = 2R/n < 1/2. The n = 1 stencil is
-#   cos(t) sin(h)/h in the interior and cos(h) sin(h/2)/(h/2) and
-#   cos(1 - h) sin(h/2)/(h/2) at the two ends, so at least
-#   cos(1) sin(h)/h > 0.539 in every cell.
-# Both gaps dwarf rounding error, so every per-cell maximum of |f| and of
-# the stencils is attained by a kept coordinate, and lp_norm, g* and the
-# R-norm are bit-identical to those of the uncut family.
+def _tail_is_below(fmax: np.ndarray, gmax: np.ndarray, done: int, h: float) -> bool:
+    """Whether no coordinate n > done can raise a cell's maximum of |f_n|
+    (fmax) or of its np.gradient stencil (gmax), on a grid of spacing h.
+
+    |sin(nt)/n| <= 1/n; a central difference over 2h is at most 2/(2 n h)
+    and the one-sided differences over h at the two end cells at most
+    2/(n h). All three fall with n, so n = done + 1 bounds the rest.
+    """
+    value = _ROUNDOFF_SLACK / (done + 1)
+    stencil = _ROUNDOFF_SLACK / ((done + 1) * h)
+    return bool(np.all(fmax >= value) and np.all(gmax[1:-1] >= stencil) and np.all(gmax[[0, -1]] >= 2.0 * stencil))
+
+
 def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]:
-    """(lp_norm, r_norm) of the truncated family, through the exact linf g*
-    of its first min(M, 4 * resolution) coordinates."""
-    f = sin_family(min(M, 4 * resolution), resolution)
-    return lp_norm(f, p), r_norm(f, p)
+    """(lp_norm, r_norm) of sin_family(M, resolution), bit for bit.
+
+    The coordinates are enumerated in blocks of at most _BLOCK_SAMPLES
+    samples, or of one coordinate when the resolution exceeds it. Each cell keeps the running maximum of the block's linf value
+    norms and of its linf g*, which is the largest |stencil| of the same
+    finite_diff_gradient path; the loop stops at M or once _tail_is_below
+    proves the maxima final. Both L^p norms are then taken from those
+    per-cell maxima as lp_norm and r_norm take them.
+    """
+    grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
+    t, h = grid.axis_centers(0), grid.spacing[0]
+    block = max(1, _BLOCK_SAMPLES // resolution)
+    fmax = np.zeros(resolution)
+    gmax = np.zeros(resolution)
+    done = 0
+    while done < M:
+        last = min(done + block, M)
+        f = VectorField(grid=grid, values=_sin_samples(t, done + 1, last), norm=NormTag.LINF)
+        fmax = np.maximum(fmax, f.norms())
+        gmax = np.maximum(gmax, upper_gradient_star(f).gstar.values)
+        done = last
+        if _tail_is_below(fmax, gmax, done, h):
+            break
+    lp = scalar_lp_norm(ScalarField(grid=grid, values=fmax), p)
+    return lp, lp + scalar_lp_norm(ScalarField(grid=grid, values=gmax), p)
 
 
 def dichotomy_gap_floor() -> dict:
@@ -146,6 +197,7 @@ def dichotomy_report(
     does not decay; strong gap decay yields "RNP-like: quotients converge".
     """
     require_exponent(p)
+    _require_resolution(resolution)
     ladder = [float(h) for h in h_ladder]
     if not ladder:
         raise ValueError("h_ladder must hold at least one step")
@@ -156,7 +208,13 @@ def dichotomy_report(
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
     rows = []
-    norms = {}  # rungs with the same cut sample the same family: one computation per cut
+    # The stop bound already holds after 4 * resolution coordinates, with
+    # room for its slack: in every cell the n = 1 coordinate alone gives
+    # |f| >= sin(h/2) > 1/(4 resolution + 1) and stencils >= cos(1) sin(h)/h
+    # > 0.539 > 2 resolution/(4 resolution + 1), h = 1/resolution. So every
+    # M >= 4 * resolution has the same per-cell maxima, and rungs share one
+    # computation per cut min(M, 4 * resolution).
+    norms = {}
     for h in ladder:
         hprime = h / 2.0
         M = fixed_M if fixed_M is not None else math.ceil(10.0 / hprime)

@@ -93,6 +93,15 @@ class TestModulusCommand:
         assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
         assert not out.exists() and captured.out == ""
 
+    def test_control_characters_in_the_family_label_stay_valid_json(self, modulus_inputs):
+        label = "tab\there, cr\rthere, \u0001 and \u00e9"
+        fam = CurveFamily(curves=[Polyline([[0.0, 0.5], [1.0, 0.5]])], label=label)
+        save_family(fam, modulus_inputs / "labelled.json")
+        out = modulus_inputs / "r.json"
+        family, grid = modulus_inputs / "labelled.json", modulus_inputs / "grid.json"
+        assert main(["modulus", "--family", str(family), "--grid", str(grid), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["meta"]["label"] == label
+
     def test_meta_names_the_solver_and_a_max_iter_stop(self, modulus_inputs, capsys, rng):
         # one interior-point step cannot certify these oblique curves
         fam = CurveFamily(curves=[Polyline(rng.uniform(0.05, 0.95, size=(3, 2))) for _ in range(12)])
@@ -564,8 +573,13 @@ class TestMalformedInputsExit2:
             (["--ladder", "1e-1,abc"], "--ladder"),
             (["--ladder", ""], "h_ladder"),
             (["--ladder", ","], "h_ladder"),
+            (["--resolution", "0", "--ladder", "1e-1,1e-2"], "resolution"),
+            (["--resolution", "-3", "--ladder", "1e-1,1e-2"], "resolution"),
         ],
-        ids=["fixed-m-0", "negative-steps", "unparsable-ladder", "empty-ladder", "comma-only-ladder"],
+        ids=[
+            "fixed-m-0", "negative-steps", "unparsable-ladder", "empty-ladder", "comma-only-ladder",
+            "resolution-0", "negative-resolution",
+        ],
     )
     def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, args, named):
         argv = ["counterexample", "--resolution", "64"] + args

@@ -45,6 +45,14 @@ class TestReportSerialization:
         assert not r.passed
         assert json.loads(report_to_json(r))["passed"] is False
 
+    def test_control_characters_are_escaped(self):
+        text = "tab\t, cr\r, \u0001, quote \", backslash \\ and \u00e9"
+        r = Report(command="x", meta={text: text}, checks=[CheckRecord(name=text)])
+        out = report_to_json(r)
+        parsed = json.loads(out)
+        assert parsed["meta"] == {text: text} and parsed["checks"][0]["name"] == text
+        assert "\\t" in out and "\\r" in out and "\\u0001" in out and "\u00e9" in out
+
     def test_nan_and_inf_render(self):
         r = Report(command="x", checks=[CheckRecord(name="n", value=float("nan"), passed=True)])
         assert "NaN" in report_to_json(r)

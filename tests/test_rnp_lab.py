@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ class TestQuotient:
             assert np.max(np.abs(dq)) <= 1.0 + 1e-12
 
 
+class TestQuotientGap:
+    def test_blocks_match_the_one_shot_maximum(self):
+        M = 2 * rnp_lab._BLOCK_SAMPLES + 5
+        for h in (1e-2, 1e-5):
+            one_shot = float(np.max(np.abs(rnp_lab._quotient(M, T_STAR, h) - rnp_lab._quotient(M, T_STAR, h / 2))))
+            assert rnp_lab._quotient_gap(M, T_STAR, h, h / 2) == one_shot
+
+    def test_memory_stays_bounded_at_a_million_coordinates(self):
+        # arrays of length M peak near 40 MB here
+        tracemalloc.start()
+        try:
+            rnp_lab._quotient_gap(10**6, T_STAR, 1e-5, 5e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestNonCauchyGap:
     def test_invalid_step_pairs(self):
         f = sin_family(4, 64)
@@ -188,6 +207,40 @@ class TestSinFamilyRNorm:
         for p in (1.0, 1.5, 2.0, 3.0):
             assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p))
 
+    @pytest.mark.parametrize("res", [16, 17, 64, 100, 128, 300])
+    def test_blocked_enumeration_is_bit_identical(self, res):
+        # M on both sides of the first block boundaries and of the stop, which
+        # comes at a block boundary at or past 2 * res coordinates
+        block = rnp_lab._BLOCK_SAMPLES // res
+        stop = block * math.ceil(2 * res / block)
+        for M in sorted({1, block - 1, block, block + 1, 2 * block + 1, stop - 1, stop, stop + 1}):
+            f = sin_family(M, res)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p)), (M, p)
+
+    def test_enumeration_stops_past_twice_the_resolution(self, monkeypatch):
+        lasts = []
+        real = rnp_lab._sin_samples
+
+        def recorded(t, first, last):
+            lasts.append(last)
+            return real(t, first, last)
+
+        monkeypatch.setattr(rnp_lab, "_sin_samples", recorded)
+        _sin_family_r_norm(20000, 512, 2.0)
+        assert 2 * 512 <= lasts[-1] <= 4 * 512
+        assert max(b - a for a, b in zip([0] + lasts, lasts)) * 512 <= rnp_lab._BLOCK_SAMPLES
+
+    def test_memory_stays_bounded_at_fine_resolution(self):
+        # sampling all 4 * 1024 coordinates at once peaks near 96 MB
+        tracemalloc.start()
+        try:
+            _sin_family_r_norm(20000, 1024, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
 
 class TestDichotomyReport:
     def test_growing_m_ladder_witnesses_failure(self):
@@ -222,6 +275,11 @@ class TestDichotomyReport:
     def test_fixed_m1_ladder_converges(self):
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3, 1e-4], resolution=128, fixed_M=1)
         assert rep.meta["verdict"] == VERDICT_RNP_LIKE
+
+    @pytest.mark.parametrize("resolution", [15, 0, -3])
+    def test_small_resolution_rejected_by_name(self, resolution):
+        with pytest.raises(ValueError, match=f"resolution must be >= 16, got {resolution}"):
+            dichotomy_report(T_STAR, [1e-1], resolution=resolution)
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="at least one step"):
