@@ -33,7 +33,7 @@ from .report import CheckRecord, Report, bounded_check, format_float, report_to_
 from .reshetnyak import ac_bound_check, norm_equivalence_check
 from .rnp_lab import dichotomy_gap_floor, dichotomy_report
 from .sobolev import TestFunction, weak_derivative_check
-from .vectorvalues import field_csv_files, load_field_csv, load_scalar_field_csv, lp_norm
+from .vectorvalues import field_csv_files, load_field_csv, load_scalar_field_csv
 
 
 def _validate(args) -> None:
@@ -152,10 +152,8 @@ def _cmd_modulus(args, files: dict) -> Report:
 def _cmd_norms(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     rep = norm_equivalence_check(f, args.p, tol=args.tol)
-    lp = lp_norm(f, args.p)
     rep.meta.update(
         {
-            "lp": lp,
             "sqrtN_margin": rep.meta["sqrtN"] * rep.meta["r_norm"] - rep.meta["w_norm"],
             "p": args.p,
         }

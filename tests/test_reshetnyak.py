@@ -19,6 +19,7 @@ from modlab import (
     value_norm,
     w_norm,
 )
+from modlab import reshetnyak
 from modlab.geometry import curve_integral
 from modlab.reshetnyak import _l1_gstar, _spectral_norms
 from modlab.sobolev import _interpolator, gradient_length
@@ -158,6 +159,59 @@ class TestUpperGradientStar:
                 s = f.values @ v
                 sg = gradient_length(finite_diff_gradient(VectorField(grid=g, values=s[:, None], norm=tag)), tag)
                 assert np.all(sg <= ub.gstar.values + 1e-10)
+
+
+class TestClosedFormSpectralNorm:
+    """l2 g* through the 2 x 2 Gram matrix's closed form, min(N, M) = 2."""
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("grid, M", [(square_grid(24), 2), (square_grid(24), 3), (square_grid(24), 12),
+                                         (cube_grid(8), 2)], ids=["2d-M2", "2d-M3", "2d-M12", "3d-M2"])
+    def test_matches_svd_oracle(self, rng, grid, M, scale):
+        # at 1e-100, ((a - c)/2)^2 + b^2 underflows: without hypot g* came out 29 % low
+        f = VectorField(grid=grid, values=rng.normal(size=(grid.num_cells, M)) * scale, norm=NormTag.L2)
+        oracle = np.linalg.svd(finite_diff_gradient(f), compute_uv=False)[:, 0]
+        ub = upper_gradient_star(f)
+        assert ub.exact and ub.dual_set_descriptor == "spectral"
+        assert np.all(np.abs(ub.gstar.values - oracle) <= 1e-14 * oracle)
+
+    @pytest.mark.parametrize("grid, M", [(square_grid(3), 2), (square_grid(3), 5), (cube_grid(3), 2)])
+    def test_entries_near_1e160_raise_the_gstar_error(self, grid, M):
+        values = np.outer(np.arange(grid.num_cells) * 1e160, np.ones(M))
+        f = VectorField(grid=grid, values=values, norm=NormTag.L2)
+        with pytest.raises(ValueError, match=r"^computing the l2 g\* of the field overflows float64$"):
+            upper_gradient_star(f)
+
+    def test_eigvalsh_only_above_two(self, rng, monkeypatch):
+        def refuse(G):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for grid, M in ((square_grid(8), 3), (square_grid(8), 12), (cube_grid(5), 2)):
+            upper_gradient_star(VectorField(grid=grid, values=rng.normal(size=(grid.num_cells, M)), norm=NormTag.L2))
+        g = cube_grid(5)
+        with pytest.raises(AssertionError, match="eigvalsh reached"):
+            upper_gradient_star(VectorField(grid=g, values=rng.normal(size=(g.num_cells, 3)), norm=NormTag.L2))
+
+
+class TestShortAxisMaxima:
+    @pytest.mark.parametrize(
+        "tag, grid, M",
+        [
+            (NormTag.LINF, Grid(box_min=[0.0], box_max=[1.0], resolution=[300]), 12),
+            (NormTag.LINF, Grid(box_min=[0.0], box_max=[1.0], resolution=[64]), 128),
+            (NormTag.LINF, square_grid(20), 8),
+            (NormTag.LINF, square_grid(20), 40),
+            (NormTag.L1, square_grid(20), 12),
+            (NormTag.L1, square_grid(12), 40),
+            (NormTag.L1, cube_grid(5), 5),
+        ],
+    )
+    def test_gstar_equals_the_np_max_formula(self, rng, monkeypatch, tag, grid, M):
+        f = VectorField(grid=grid, values=rng.normal(size=(grid.num_cells, M)), norm=tag)
+        mine = upper_gradient_star(f).gstar.values
+        monkeypatch.setattr(reshetnyak, "_max_last_axis", lambda x: np.max(x, axis=-1))
+        assert mine.tobytes() == upper_gradient_star(f).gstar.values.tobytes()
 
 
 class TestPlanarL1Walk:

@@ -137,23 +137,29 @@ class TestQuotientGap:
 
 class TestNonCauchyGap:
     def test_invalid_step_pairs(self):
-        f = sin_family(4, 64)
         with pytest.raises(ValueError):
-            noncauchy_gap(f, 0.5, 1e-2, 1e-2)
+            noncauchy_gap(4, 0.5, 1e-2, 1e-2)
         with pytest.raises(ValueError):
-            noncauchy_gap(f, 0.5, 1e-3, 1e-2)
+            noncauchy_gap(4, 0.5, 1e-3, 1e-2)
 
     def test_window_validation(self):
-        f = sin_family(4, 64)
         with pytest.raises(ValueError, match=r"need t and t\+h inside \(0, 1\)"):
-            noncauchy_gap(f, 0.9, 0.2, 0.1)
+            noncauchy_gap(4, 0.9, 0.2, 0.1)
         with pytest.raises(ValueError, match=r"need t and t\+h inside \(0, 1\)"):
-            noncauchy_gap(f, 1.0, 1e-2, 5e-3)
+            noncauchy_gap(4, 1.0, 1e-2, 5e-3)
+
+    @pytest.mark.parametrize("M", [0, -3, 2.5, 4.0, True, "4", None, sin_family(4, 16)])
+    def test_truncation_must_be_a_positive_integer(self, M):
+        # M = 0 once reached an empty loop and returned a gap of 0.0
+        with pytest.raises(ValueError, match=r"^M must be an integer >= 1, got [^\n]+$"):
+            noncauchy_gap(M, T_STAR, 1e-2, 5e-3)
+
+    def test_numpy_integer_truncation_accepted(self):
+        assert noncauchy_gap(np.int64(40), T_STAR, 1e-2, 5e-3) == noncauchy_gap(40, T_STAR, 1e-2, 5e-3)
 
     def test_fixed_m_gap_vanishes_with_h(self):
-        f = sin_family(1, 64)
-        g_coarse = noncauchy_gap(f, T_STAR, 1e-3, 5e-4)
-        g_fine = noncauchy_gap(f, T_STAR, 1e-6, 5e-7)
+        g_coarse = noncauchy_gap(1, T_STAR, 1e-3, 5e-4)
+        g_fine = noncauchy_gap(1, T_STAR, 1e-6, 5e-7)
         assert g_fine <= 10.0 * g_coarse
         assert g_fine < g_coarse
 
@@ -161,8 +167,7 @@ class TestNonCauchyGap:
         for h in (1e-1, 1e-2):
             hp = h / 2.0
             M = math.ceil(10.0 / hp)
-            f = sin_family(M, 64)
-            mine = noncauchy_gap(f, T_STAR, h, hp)
+            mine = noncauchy_gap(M, T_STAR, h, hp)
             oracle = brute_force_quotient_gap(T_STAR, h, hp, M)
             assert mine == pytest.approx(oracle, rel=1e-12)
             assert mine >= dichotomy_gap_floor()["c0"]

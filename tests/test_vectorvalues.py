@@ -42,6 +42,23 @@ class TestValueNorm:
             assert value_norm(c * v, tag) == pytest.approx(abs(c) * value_norm(v, tag), rel=1e-12, abs=1e-12)
 
 
+class TestMaxLastAxis:
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("m", [*range(1, 65), 128])
+    def test_equals_np_max_bit_for_bit(self, lead, m):
+        # lengths up to 64 and 128 cover both sides of the switch at 32
+        x = np.random.default_rng(m).normal(size=(*lead, m))
+        mine = np.asarray(vectorvalues._max_last_axis(x))
+        assert mine.shape == lead
+        assert mine.tobytes() == np.asarray(np.max(x, axis=-1)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 12, 32, 33, 128])
+    def test_linf_value_norms_equal_the_np_max_formula(self, rng, m):
+        v = rng.normal(size=(500, m)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+        assert value_norm(v, NormTag.LINF).tobytes() == np.max(np.abs(v), axis=-1).tobytes()
+        assert value_norm(v[0], NormTag.LINF) == float(np.max(np.abs(v[0])))
+
+
 class TestBochnerIntegral:
     def test_constant_field_on_volume_two_box(self):
         g = Grid(box_min=[0.0], box_max=[2.0], resolution=[8])
