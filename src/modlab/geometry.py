@@ -115,9 +115,12 @@ class Grid:
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Flat cell indices of the cells containing the given points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((pts - self.box_min) / self.spacing).astype(int)
-        idx = np.clip(idx, 0, self.resolution - 1)
-        return np.ravel_multi_index(tuple(idx.T), self.shape)
+        # axis by axis: numpy broadcasts over a short last axis slowly
+        h, flat = self.spacing, 0
+        for axis, n in enumerate(self.resolution):
+            idx = np.floor((pts[:, axis] - self.box_min[axis]) / h[axis]).astype(np.intp)
+            flat = flat * n + np.clip(idx, 0, n - 1)
+        return flat
 
     def to_json(self) -> dict:
         return {
@@ -239,9 +242,23 @@ class CurveFamily:
     label: str = ""
 
     def __post_init__(self):
-        for c in self.curves:
-            if c.length <= 0.0:
-                raise DegenerateCurveError("curve families admit nonconstant curves only")
+        verts = [c.vertices for c in self.curves]
+        if len({v.shape[1] for v in verts}) > 1:
+            nonconstant = all(c.length > 0.0 for c in self.curves)
+        elif verts:
+            # a curve has positive length exactly when one of its segments has
+            # d.d > 0 (a d.d that underflows to 0 gives length 0 too); moving
+            # counts such segments, and the segment joining two curves is
+            # counted in neither
+            d = np.diff(np.concatenate(verts), axis=0)
+            moving = np.concatenate([[0], np.cumsum(np.sum(d * d, axis=1) > 0.0)])
+            ends = np.cumsum([v.shape[0] for v in verts])
+            starts = np.concatenate([[0], ends[:-1]])
+            nonconstant = bool(np.all(moving[ends - 1] > moving[starts]))
+        else:
+            nonconstant = True
+        if not nonconstant:
+            raise DegenerateCurveError("curve families admit nonconstant curves only")
 
     def __len__(self):
         return len(self.curves)
@@ -277,20 +294,17 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     kmin = np.maximum(1, np.floor((np.minimum(p, q) - g.box_min) / h).astype(np.int64) + 1)
     kmax = np.minimum(g.resolution - 1, np.ceil((np.maximum(p, q) - g.box_min) / h).astype(np.int64) - 1)
     count = np.where(d != 0.0, np.maximum(kmax - kmin + 1, 0), 0).ravel()
-    # one entry per (segment, axis, plane k), enumerating k = kmin..kmax
+    # one entry per (segment, axis, plane k), enumerating k = kmin..kmax;
+    # owner is the flat index of (segment, axis) in p and d
     owner = np.repeat(np.arange(count.size), count)
-    first = np.repeat(np.cumsum(count) - count, count)
-    k = kmin.ravel()[owner] + (np.arange(owner.size) - first)
-    seg, axis = np.divmod(owner, g.ndim)
-    planes = g.box_min[axis] + k * h[axis]
-    t = (planes - p[seg, axis]) / d[seg, axis]
+    k = np.repeat(kmin.ravel() - (np.cumsum(count) - count), count) + np.arange(owner.size)
+    axis = owner % g.ndim
+    t = (g.box_min[axis] + k * h[axis] - p.reshape(-1)[owner]) / d.reshape(-1)[owner]
     inside = (t > 0.0) & (t < 1.0)
-    seg, t = seg[inside], t[inside]
-    # order by segment, then t: one sort ranks t, a second sorts the unique
-    # keys seg * size + rank (tied ranks hold equal t, so any tie order does)
-    rank = np.empty(t.size, dtype=np.int64)
-    rank[np.argsort(t)] = np.arange(t.size)
-    order = np.argsort(seg * t.size + rank)
+    seg, t = owner[inside] // g.ndim, t[inside]
+    # order by segment, then t: complex numbers sort by real part, then
+    # imaginary part, and seg is exact as a double
+    order = np.argsort(seg + 1j * t, kind="stable")
     return seg[order], t[order]
 
 
@@ -319,7 +333,8 @@ def _split_segments(curves, g: Grid) -> tuple:
     t[np.arange(len(ct)) + 2 * cseg + 1] = ct
     left = np.delete(np.arange(t.size), ends)
     seg = np.repeat(np.arange(len(p)), ncross + 1)
-    return seg_curve[seg], p[seg], d[seg], seg_len[seg], t[left], t[left + 1]
+    # np.take gathers the rows of a narrow 2-D array far faster than p[seg]
+    return seg_curve[seg], np.take(p, seg, axis=0), np.take(d, seg, axis=0), seg_len[seg], t[left], t[left + 1]
 
 
 def _cell_length_entries(curves: list, g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,11 +359,16 @@ def _cell_length_entries(curves: list, g: Grid) -> tuple[np.ndarray, np.ndarray,
     widths = (b - a) * seg_len
     mids = p + (0.5 * (a + b))[:, None] * d
 
-    # sum each (row, cell) in piece order and drop cells with zero total
-    keys, slot = np.unique(curve * n + g.locate(mids), return_inverse=True)
-    data = np.bincount(slot, weights=widths, minlength=keys.size)
+    # sum each (row, cell) in piece order and drop cells with zero total: a
+    # stable sort keeps each key's pieces in piece order for the bincount
+    keys = curve * n + g.locate(mids)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    data = np.bincount(np.cumsum(first) - 1, weights=widths[order])
     keep = data != 0.0
-    row, cell = np.divmod(keys[keep], n)
+    row, cell = np.divmod(keys[first][keep], n)
     return row, cell, data[keep]
 
 

@@ -52,9 +52,10 @@ class ModulusProblem:
         A = self.constraint_rows
         if A.shape[1] != self.weights.shape[0]:
             raise ValueError("constraint rows and weights disagree on cell count")
-        if A.nnz and A.min() < 0.0:
+        if A.data.size and np.min(A.data) < 0.0:
             raise ValueError("constraint rows must be nonnegative")
-        if A.shape[0] and np.any(np.asarray(A.sum(axis=1)).ravel() <= 0.0):
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        if np.any(np.bincount(rows, weights=A.data, minlength=A.shape[0]) <= 0.0):
             raise ValueError("every constraint row needs positive sum (nonconstant curve)")
 
     @property
@@ -173,7 +174,10 @@ def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
     c, at row j m + i and with value C[i, c] C[j, c], so P has shape
     (m^2, n) and sum_c k_c (k_c + 1) / 2 entries, k_c the entries of
     column c. P @ d read as an m x m Fortran-order array has the upper
-    triangle of C diag(d) C^T and zeros below it.
+    triangle of C diag(d) C^T and zeros below it. Entry e of C starts the
+    pairs with itself and with each entry below it in its column, so the
+    pairs' first factors are C's data and rows each repeated that many
+    times, and only their second factors need a gather.
     """
     import scipy.sparse as sp
 
@@ -181,10 +185,12 @@ def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
     r, v = C.indices, C.data
     k = np.diff(C.indptr)
     later = np.repeat(C.indptr[1:], k) - np.arange(r.size)  # entries at or below each one in its column
-    first = np.repeat(np.arange(r.size), later)
-    second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
     indptr = np.concatenate([[0], np.cumsum(k * (k + 1) // 2)])
-    return sp.csc_matrix((v[first] * v[second], r[second] * m + r[first], indptr), shape=(m * m, C.shape[1]))
+    # second[j] = e + (j - start of e's pairs), for the entry e that pair j starts from
+    second = np.repeat(np.arange(r.size) - (np.cumsum(later) - later), later) + np.arange(indptr[-1])
+    return sp.csc_matrix(
+        (np.repeat(v, later) * v[second], r[second] * m + np.repeat(r, later), indptr), shape=(m * m, C.shape[1])
+    )
 
 
 def _step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -197,13 +203,17 @@ def _step(v: np.ndarray, dv: np.ndarray) -> float:
 def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     """Mehrotra predictor-corrector for  min sum w rho^p  s.t.  A rho - s = 1, (rho, s) >= 0.
 
-    x = (rho, s) and its complement y = (z, lam) each live in one array, so
-    complementarity, step lengths and updates are single numpy calls. Each
-    step solves the normal system (A D A^T + diag(s/lam)) dlam = r, with
+    x = (rho, s) and its complement y = (z, lam) are the two halves of one
+    array, and a step's (dx, dy) the halves of another, so complementarity
+    is one product, and the final step length and update are one ``_step``
+    and one ``+=``: the step map is nondecreasing in min(dv / v), so its
+    minimum over both halves is the step of their joint minimum. Each step
+    solves the normal system (A D A^T + diag(s/lam)) dlam = r, with
     D = (hessian + z/rho)^-1 and a zero hessian at p = 1, by one Cholesky
     factorization of an m x m matrix, m the number of curves. That matrix's
     A D A^T part is one sparse product P @ d, d the diagonal of D and P
-    the pair operator of ``_pair_index``, built once per solve. The
+    the pair operator of ``_pair_index``, built once per solve; LAPACK's
+    potrf factors it in place and potrs solves with the factor. The
     certificates are checked once the complementarity x.y falls below
     ``tol`` times the energy. After a failed factorization the diagonal is
     raised by ``RIDGE`` for the rest of the solve; a second failure ends it
@@ -211,27 +221,50 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     last multipliers, the number of steps and the diagnostics.
     """
     import scipy.sparse as sp
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import get_lapack_funcs
 
     A0, p = prob.constraint_rows, prob.exponent
     m = A0.shape[0]
     # a cell that no curve crosses has rho = 0 at the optimum: drop it
-    used, cols = np.unique(A0.indices, return_inverse=True)
+    crossed = np.zeros(A0.shape[1], dtype=bool)
+    crossed[A0.indices] = True
+    used = np.flatnonzero(crossed)
     n = used.size
-    A = sp.csr_matrix((A0.data, cols, A0.indptr), shape=(m, n))
-    C = A.tocsc()
-    At = C.T
-    P = _pair_index(C)
+    column = np.empty(A0.shape[1], dtype=np.intp)
+    column[used] = np.arange(n)
+    A = sp.csr_matrix((A0.data, column[A0.indices], A0.indptr), shape=(m, n))
+    # A^T as a CSC view: its product adds each cell's terms in row order, as
+    # the CSR transpose of A.tocsc() does, and is faster with few rows
+    At = A.T
+    P = _pair_index(A.tocsc())
     w = prob.weights[used]
     pw = p * w
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
-    x, y = np.empty(n + m), np.empty(n + m)
+    v, dv = np.empty(2 * (n + m)), np.empty(2 * (n + m))
+    x, y, dx, dy = v[: n + m], v[n + m :], dv[: n + m], dv[n + m :]
     rho, s, z, lam = x[:n], x[n:], y[:n], y[n:]
+    drho, ds, dz, dlam = dx[:n], dx[n:], dy[:n], dy[n:]
     rho[:] = 2.0 / float(np.median(A @ np.ones(n)))
     s[:] = np.maximum(A @ rho - 1.0, 1.0)
     g = pw * rho ** (p - 1.0)
     lam[:] = 0.5 * float(np.mean(g)) / float(np.mean(A.data))
     z[:] = np.maximum(g - At @ lam, 0.5 * float(np.mean(g)))
+
+    def direction(rc):
+        # the Newton step that moves the complementarity x y by -rc, written
+        # into dv from this step's residuals, d, h and factor; ds and dz come
+        # from the linear equations, so that the step shrinks both residuals
+        # by exactly its length
+        r = rd + rc[:n] / rho
+        dlam[:], info = potrs(factor, A @ (d * r) - rp - rc[n:] / lam, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        atdl = At @ dlam
+        drho[:] = d * (atdl - r)
+        ds[:] = A @ drho + rp
+        dz[:] = rd + h * drho - atdl
+
     it, ridge, hit = 0, 0.0, False
     while True:
         g = pw * rho ** (p - 1.0)  # gradient of the energy
@@ -254,32 +287,22 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         diag = K[:: m + 1]
         diag *= 1.0 + ridge
         diag += s / lam
-        try:
-            factor = cho_factor(K.reshape(m, m).T, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        # the upper triangle of K read in Fortran order, factored in place
+        factor, info = potrf(K.reshape(m, m).T, lower=False, overwrite_a=True, clean=False)
+        if info < 0:
+            raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+        if info > 0:
             if ridge == 0.0:
                 ridge = RIDGE
                 continue
-            message = f"factorization failed: {exc}"
+            message = f"factorization failed: {info}-th leading minor of the array is not positive definite"
             break
 
-        def direction(rc):
-            # the Newton step that moves the complementarity x y by -rc; ds and
-            # dz come from the linear equations, so that the step shrinks both
-            # residuals by exactly its length
-            r = rd + rc[:n] / rho
-            dlam = cho_solve(factor, A @ (d * r) - rp - rc[n:] / lam, check_finite=False)
-            atdl = At @ dlam
-            drho = d * (atdl - r)
-            return np.concatenate([drho, A @ drho + rp]), np.concatenate([rd + h * drho - atdl, dlam])
-
-        dx, dy = direction(xy)  # predictor
+        direction(xy)  # predictor
         mu = comp / x.size
         mu_aff = float(np.dot(x + _step(x, dx) * dx, y + _step(y, dy) * dy)) / x.size
-        dx, dy = direction(xy + dx * dy - (mu_aff / mu) ** 3 * mu)  # corrector
-        a = 0.99 * min(_step(x, dx), _step(y, dy))
-        x += a * dx
-        y += a * dy
+        direction(xy + dx * dy - (mu_aff / mu) ** 3 * mu)  # corrector
+        v += 0.99 * _step(v, dv) * dv
         it += 1
     rho_raw = np.zeros(prob.weights.size)
     rho_raw[used] = rho

@@ -43,13 +43,28 @@ def _max_last_axis(x: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)
 
 
+# np.sum adds a last axis of fewer than this many entries in order, one row
+# at a time, as a sum over the rows of the contiguous transpose does, and
+# the latter is faster: (4096, 2) 41 against 6 us, (4096, 7) 48 against
+# 15 us on an AMD EPYC core with numpy 2.4. From 8 entries on np.sum adds in
+# blocks, so the bits would differ.
+_SHORT_SUM = 8
+
+
+def _sum_last_axis(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1), bit for bit."""
+    if x.shape[-1] >= _SHORT_SUM:
+        return np.sum(x, axis=-1)
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)
+
+
 def value_norm(v: np.ndarray, tag: NormTag) -> np.ndarray | float:
     """l1/l2/linf norm along the last axis; scalar for a single vector."""
     v = np.asarray(v, dtype=float)
     if tag is NormTag.L1:
-        out = np.sum(np.abs(v), axis=-1)
+        out = _sum_last_axis(np.abs(v))
     elif tag is NormTag.L2:
-        out = np.sqrt(np.sum(v * v, axis=-1))
+        out = np.sqrt(_sum_last_axis(v * v))
     else:
         out = _max_last_axis(np.abs(v))
     return float(out) if np.ndim(out) == 0 else out

@@ -553,6 +553,18 @@ class TestGrid:
         assert g.locate([[0.0, 0.0]])[0] == 0
         assert g.locate([[1.0, 1.0]])[0] == g.num_cells - 1
 
+    @pytest.mark.parametrize("res", [[7], [9, 5], [4, 5, 6]])
+    def test_locate_matches_ravel_multi_index(self, rng, res):
+        g = Grid(box_min=[-0.5] * len(res), box_max=[1.5] * len(res), resolution=res)
+        # inside, on cell planes, on the box faces and beyond them (clipped)
+        pts = np.concatenate([
+            rng.uniform(-0.5, 1.5, size=(200, len(res))),
+            np.round(rng.uniform(-0.5, 1.5, size=(100, len(res))) * 4) / 4,
+            rng.uniform(-3.0, 3.0, size=(100, len(res))),
+        ])
+        idx = np.clip(np.floor((pts - g.box_min) / g.spacing).astype(int), 0, g.resolution - 1)
+        assert np.array_equal(g.locate(pts), np.ravel_multi_index(tuple(idx.T), g.shape))
+
     def test_json_round_trip(self, tmp_path):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 2.0], resolution=[4, 8])
         g.save(tmp_path / "grid.json")
@@ -582,3 +594,54 @@ class TestFamilyIO:
     def test_family_rejects_constant_curves(self):
         with pytest.raises(DegenerateCurveError):
             CurveFamily(curves=[Polyline([[0.5, 0.5], [0.5, 0.5]])])
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [[[0.5, 0.5]]],
+            [[[0.1, 0.1], [0.9, 0.9]], [[0.3, 0.3]]],
+            [[[0.3, 0.3]], [[0.1, 0.1], [0.9, 0.9]]],
+            # the joint of two curves moves, but neither curve does
+            [[[0.1, 0.1], [0.1, 0.1]], [[0.9, 0.9], [0.9, 0.9]]],
+            [[[0.1, 0.1], [0.5, 0.5], [0.5, 0.5]], [[0.2, 0.2], [0.2, 0.2], [0.2, 0.2]]],
+            # d.d underflows to 0, so the length is 0 too
+            [[[0.0, 0.0], [1e-200, 1e-200]]],
+            [[[0.1, 0.1], [0.9, 0.9]], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+        ],
+    )
+    def test_family_rejects_any_constant_curve(self, family):
+        curves = [Polyline(c) for c in family]
+        assert not all(c.length > 0.0 for c in curves)
+        with pytest.raises(DegenerateCurveError, match="nonconstant curves only"):
+            CurveFamily(curves=curves)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [],
+            [[[0.1, 0.1], [0.1, 0.1], [0.9, 0.9]], [[0.9, 0.9], [0.2, 0.2]]],
+            # d.d of 2e-300 is positive, as is the length
+            [[[0.0, 0.0], [1e-150, 0.0]], [[0.0, 0.0], [0.0, 1e-150], [0.0, 1e-150]]],
+            [[[0.1, 0.1], [0.9, 0.9]], [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+        ],
+    )
+    def test_family_accepts_nonconstant_curves(self, family):
+        curves = [Polyline(c) for c in family]
+        assert all(c.length > 0.0 for c in curves)
+        assert len(CurveFamily(curves=curves)) == len(curves)
+
+    def test_family_test_agrees_with_curve_lengths(self, rng):
+        for _ in range(50):
+            # some curves repeat one vertex, so that about a quarter are constant
+            curves = [
+                Polyline(np.repeat(rng.uniform(size=(1, 2)), k, axis=0) if rng.random() < 0.25
+                         else rng.uniform(size=(k, 2)))
+                for k in rng.integers(1, 4, size=int(rng.integers(1, 6)))
+            ]
+            expected = all(c.length > 0.0 for c in curves)
+            try:
+                CurveFamily(curves=curves)
+                accepted = True
+            except DegenerateCurveError:
+                accepted = False
+            assert accepted == expected

@@ -208,19 +208,62 @@ class TestSolve:
         assert result.gap == float("inf") and result.iterations == 3
         assert np.all(result.rho_star.values == 0.0)
 
-    def test_a_failed_factorization_ends_the_solve_with_a_result(self, monkeypatch, rng):
+    @staticmethod
+    def stub_potrf(monkeypatch, info, calls):
+        """Make the solve's LAPACK potrf return ``info`` on its first ``calls``
+        calls (on every call when None) and factor normally after that.
+        Returns the list of the infos it returned."""
         import scipy.linalg
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("stub: not positive definite")
+        lapack = scipy.linalg.get_lapack_funcs
+        seen = []
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        def get_lapack_funcs(names, *args, **kwargs):
+            potrf, potrs = lapack(names, *args, **kwargs)
+
+            def stub(a, **flags):
+                if calls is None or len(seen) < calls:
+                    seen.append(info)
+                    return a, info
+                factor, got = potrf(a, **flags)
+                seen.append(got)
+                return factor, got
+
+            return stub, potrs
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        return seen
+
+    def test_a_failed_factorization_ends_the_solve_with_a_result(self, monkeypatch, rng):
+        seen = self.stub_potrf(monkeypatch, 1, None)
         prob = assemble_problem(CurveFamily(curves=random_curves(rng, 5)), unit_grid(8), 2.0)
         result = solve_modulus(prob)
         assert not result.converged and result.iterations == 0
         assert "factorization failed" in result.diagnostics["message"]
         assert result.dual_value <= result.value and np.isfinite(result.gap)
         assert np.all(prob.constraint_rows @ result.rho_star.values >= 1.0 - 1e-12)
+        # the first failure raises the diagonal, the second ends the solve
+        assert seen == [1, 1]
+        assert result.diagnostics["message"] == (
+            "factorization failed: 1-th leading minor of the array is not positive definite"
+        )
+
+    def test_a_factorization_that_fails_once_is_retried_with_the_ridge(self, monkeypatch, rng):
+        prob = assemble_problem(CurveFamily(curves=random_curves(rng, 5)), unit_grid(8), 2.0)
+        plain = solve_modulus(prob)
+        seen = self.stub_potrf(monkeypatch, 3, 1)
+        result = solve_modulus(prob)
+        assert seen[0] == 3 and len(seen) > 1 and not any(seen[1:])
+        assert result.converged and result.diagnostics["message"] == "certificates met"
+        assert result.gap <= 1e-8 * (1.0 + result.value)
+        assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
+        assert abs(result.value - plain.value) <= 1e-8 * (1.0 + plain.value)
+
+    def test_an_illegal_lapack_argument_raises(self, monkeypatch, rng):
+        self.stub_potrf(monkeypatch, -4, None)
+        prob = assemble_problem(CurveFamily(curves=random_curves(rng, 5)), unit_grid(8), 2.0)
+        with pytest.raises(ValueError, match="illegal value in 4-th argument"):
+            solve_modulus(prob)
 
     def test_lp_certifies_a_family_the_simplex_left_unconverged(self):
         # 200 random polylines (695 vertices) on 48^2: the benchmark's modulus
@@ -290,6 +333,36 @@ class TestInteriorPoint:
         assert result.converged
         assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
         assert result.gap <= 1e-10 * (1.0 + result.value)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "modulus_golden.json").read_text())
+
+
+class TestGoldenOutputs:
+    """Every output bit of twelve seeded solves, recorded in tests/data: random,
+    parallel, duplicate-curve (whose p = 1 solve takes the ridge path) and
+    3-D families at p = 1, 1.5, 2 and 3. A change to the assembly or the
+    solver that moves any of them moves a report."""
+
+    @pytest.mark.parametrize(
+        "family", GOLDEN["families"], ids=[f"{f['kind']}-p{f['p']}-{i}" for i, f in enumerate(GOLDEN["families"])]
+    )
+    def test_outputs_are_bit_identical(self, family):
+        import hashlib
+
+        vertices = np.array(family["vertices"])
+        curves = np.split(vertices, np.cumsum(family["counts"])[:-1])
+        dim = vertices.shape[1]
+        g = Grid([0.0] * dim, [1.0] * dim, family["resolution"])
+        prob = assemble_problem(CurveFamily(curves=[Polyline(c) for c in curves]), g, family["p"])
+        result = solve_modulus(prob, tol=GOLDEN["tol"])
+        rho = np.ascontiguousarray(result.rho_star.values, dtype="<f8")
+        assert float(result.value).hex() == family["value"]
+        assert float(result.dual_value).hex() == family["dual_value"]
+        assert float(result.gap).hex() == family["gap"]
+        assert result.iterations == family["iterations"]
+        assert result.converged == family["converged"]
+        assert hashlib.sha256(rho.tobytes()).hexdigest() == family["rho_sha256"]
 
 
 class TestPairOperator:
@@ -417,4 +490,21 @@ class TestProblemValidation:
         g = unit_grid(4)
         A = sp.csr_matrix(np.zeros((1, g.num_cells)))
         with pytest.raises(ValueError):
+            ModulusProblem(constraint_rows=A, weights=np.full(g.num_cells, g.cell_volume), exponent=2.0, grid=g)
+
+    @pytest.mark.parametrize("row", ["no entries", "explicit zeros"])
+    def test_a_zero_row_among_positive_rows_rejected(self, row):
+        g = unit_grid(4)
+        n = g.num_cells
+        if row == "no entries":
+            A = sp.csr_matrix((np.ones(2), [0, 5], [0, 1, 1, 2]), shape=(3, n))
+        else:
+            A = sp.csr_matrix((np.array([1.0, 0.0, 0.0, 2.0]), [0, 3, 4, 5], [0, 1, 3, 4]), shape=(3, n))
+        with pytest.raises(ValueError, match="positive sum"):
+            ModulusProblem(constraint_rows=A, weights=np.full(n, g.cell_volume), exponent=2.0, grid=g)
+
+    def test_one_negative_entry_rejected(self):
+        g = unit_grid(4)
+        A = sp.csr_matrix((np.array([1.0, 3.0, -1e-300]), [0, 1, 2], [0, 3]), shape=(1, g.num_cells))
+        with pytest.raises(ValueError, match="nonnegative"):
             ModulusProblem(constraint_rows=A, weights=np.full(g.num_cells, g.cell_volume), exponent=2.0, grid=g)

@@ -59,6 +59,26 @@ class TestMaxLastAxis:
         assert value_norm(v[0], NormTag.LINF) == float(np.max(np.abs(v[0])))
 
 
+class TestSumLastAxis:
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5), (4096,)], ids=["1d", "2d", "3d", "tall"])
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_equals_np_sum_bit_for_bit(self, lead, m):
+        # lengths up to 12 cover both sides of the switch at 8; signed zeros
+        # and mixed signs check the order of the additions
+        x = np.random.default_rng(m).normal(size=(*lead, m)) * 10.0 ** np.arange(-3, 3).repeat(3)[:m]
+        x[..., ::3] = -0.0
+        mine = np.asarray(vectorvalues._sum_last_axis(x))
+        assert mine.shape == lead
+        assert mine.tobytes() == np.asarray(np.sum(x, axis=-1)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 7, 8, 12])
+    def test_l1_and_l2_value_norms_equal_the_np_sum_formulas(self, rng, m):
+        v = rng.normal(size=(500, m)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+        assert value_norm(v, NormTag.L1).tobytes() == np.sum(np.abs(v), axis=-1).tobytes()
+        assert value_norm(v, NormTag.L2).tobytes() == np.sqrt(np.sum(v * v, axis=-1)).tobytes()
+        assert value_norm(v[0], NormTag.L2) == float(np.sqrt(np.sum(v[0] * v[0])))
+
+
 class TestBochnerIntegral:
     def test_constant_field_on_volume_two_box(self):
         g = Grid(box_min=[0.0], box_max=[2.0], resolution=[8])
