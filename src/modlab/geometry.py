@@ -294,10 +294,15 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     kmin = np.maximum(1, np.floor((np.minimum(p, q) - g.box_min) / h).astype(np.int64) + 1)
     kmax = np.minimum(g.resolution - 1, np.ceil((np.maximum(p, q) - g.box_min) / h).astype(np.int64) - 1)
     count = np.where(d != 0.0, np.maximum(kmax - kmin + 1, 0), 0).ravel()
-    # one entry per (segment, axis, plane k), enumerating k = kmin..kmax;
-    # owner is the flat index of (segment, axis) in p and d
+    # one entry per (segment, axis, plane k), enumerating k = kmin..kmax
+    # where d > 0 and k = kmax..kmin where d < 0, so that t ascends within
+    # each run and the sort below finds runs already in order; owner is the
+    # flat index of (segment, axis) in p and d
     owner = np.repeat(np.arange(count.size), count)
-    k = np.repeat(kmin.ravel() - (np.cumsum(count) - count), count) + np.arange(owner.size)
+    start = np.cumsum(count) - count
+    down = (d < 0.0).ravel()
+    base = np.where(down, kmax.ravel() + start, kmin.ravel() - start)
+    k = np.repeat(base, count) + np.repeat(np.where(down, -1, 1), count) * np.arange(owner.size)
     axis = owner % g.ndim
     t = (g.box_min[axis] + k * h[axis] - p.reshape(-1)[owner]) / d.reshape(-1)[owner]
     inside = (t > 0.0) & (t < 1.0)

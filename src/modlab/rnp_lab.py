@@ -18,9 +18,11 @@ library's r_norm with the exact linf g* of the sampled family, enumerated in
 blocks of coordinates holding at most 2^16 samples each (one coordinate,
 resolution samples, above resolution 2^16): each cell keeps the running
 maximum of |f_n| and of its np.gradient stencil, and the enumeration stops
-once a rigorous bound (|f_n| <= 1/n, stencils <= resolution/n inside and
-2 resolution/n at the two end cells) shows that no remaining coordinate
-reaches any cell's maximum. Every per-cell maximum is
+once a rigorous bound shows that no remaining coordinate reaches any cell's
+maximum. The bound is the envelope of sinc: |f_n(t)| = t |sinc(nt)|, and
+the stencils are cos(.) sinc(nh) inside and cos(.) sinc(nh/2) at the two
+end cells, so the maxima are final after the first block up to resolution
+512 and after about 128 coordinates above it. Every per-cell maximum is
 then exact, so both norms are bit-identical to those of the whole sampled
 family, a rung holds one block at a time whatever M is, and rungs with
 M >= 4 * resolution share one computation.
@@ -50,13 +52,21 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # The R column and the quotient gap visit at most this many samples at a time.
 _BLOCK_SAMPLES = 2**16
 
+# Slack factors of the stop bounds; _tail_bounds derives the roundoff.
+_EPS = np.finfo(float).eps
 # np.sin is within 4 ulp of sin x, so |fl(sin nt)| <= 1 + 4 eps; the
 # division by n, np.gradient's difference and its division by the spacing
 # each add one rounding of at most eps/2, so a computed value or stencil of
-# coordinate n exceeds its exact bound by a factor below 1 + 6 eps. The stop
-# bound is evaluated with at most two roundings, so scaling it by 1 + 8 eps
-# keeps it above every computed value it stands for.
-_ROUNDOFF_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+# coordinate n exceeds its 1/n bound by a factor below 1 + 6 eps. The bound
+# is evaluated with at most two roundings, so scaling it by 1 + 8 eps keeps
+# it above every computed value it stands for.
+_ROUNDOFF_SLACK = 1.0 + 8.0 * _EPS
+# fl(fl(k x) * _BELOW) < k x for k x > 0 in the normal range, so the
+# nonincreasing sinc envelope taken there is at least B(k x).
+_BELOW = 1.0 - 4.0 * _EPS
+# The computed envelope is at least B (1 - 5 eps); scaled by this and
+# rounded twice more it stays above B (1 + 5 eps).
+_ENVELOPE_SLACK = 1.0 + 16.0 * _EPS
 
 
 def _sin_samples(t: np.ndarray, first: int, last: int) -> np.ndarray:
@@ -136,28 +146,64 @@ def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     return _quotient_gap(int(M), t, h, hprime)
 
 
-def _tail_is_below(fmax: np.ndarray, gmax: np.ndarray, done: int, h: float) -> bool:
-    """Whether no coordinate n > done can raise a cell's maximum of |f_n|
-    (fmax) or of its np.gradient stencil (gmax), on a grid of spacing h.
+def _sinc_envelope(x: np.ndarray) -> np.ndarray:
+    """B(x) for x > 0: an envelope of |sin y / y| over y >= x, nonincreasing in x.
 
-    |sin(nt)/n| <= 1/n; a central difference over 2h is at most 2/(2 n h)
-    and the one-sided differences over h at the two end cells at most
-    2/(n h). All three fall with n, so n = done + 1 bounds the rest.
+    sin y / y decreases on (0, pi) and |sin y / y| <= 1/y < 1/pi past pi, so
+    B(x) = max(sin x / x, 1/pi) below pi and 1/x from pi on; B(x) <= 1/x.
+    Computed, it is at least B(x)(1 - 5 eps): np.sin's 4 ulp and one
+    rounding of the division, or one rounding of 1/pi or of 1/x (np.pi < pi,
+    so the branch taken at np.pi <= x < pi gives 1/x > 1/pi = B(x)).
     """
-    value = _ROUNDOFF_SLACK / (done + 1)
-    stencil = _ROUNDOFF_SLACK / ((done + 1) * h)
-    return bool(np.all(fmax >= value) and np.all(gmax[1:-1] >= stencil) and np.all(gmax[[0, -1]] >= 2.0 * stencil))
+    return np.where(x < np.pi, np.maximum(np.sin(x) / x, 1.0 / np.pi), 1.0 / x)
+
+
+def _tail_bounds(done: int, t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell bounds on the computed |f_n| and on its np.gradient stencil
+    over every coordinate n > done, at the cell centres t of a grid of
+    spacing h.
+
+    Exact bounds, for n >= k = done + 1 and B = _sinc_envelope: a value is
+    |sin(nt)/n| = t |sinc(nt)| <= t B(kt); the central stencil over 2h is
+    cos(nt) sinc(nh), at most B(kh); the one-sided stencil over h at the two
+    end cells is cos(n(t + h/2)) sinc(nh/2), at most B(kh/2). Each also
+    keeps its 1/n bound: 1/k, 1/(kh) and 2/(kh).
+
+    Roundoff, with u = eps/2. A value is fl(fl(sin(fl(n t)))/n): the angle
+    is within u n t of n t, which moves sin(nt)/n by at most u t; np.sin's
+    4 ulp and the division add 4.5 eps relative, so it is at most
+    t B(kt)(1 + 5 eps) + eps t. For the stencils, the stored centre
+    t_j = fl((j + 1/2) h) is within u of (j + 1/2) h, so every computed
+    sample is within eps + 4.5 eps/n <= 6 eps of sin(n (j + 1/2) h)/n, whose
+    differences obey the exact identities above. A difference of two
+    samples is then off by at most 12 eps, and the difference and the
+    division by 2h (or h) each round once more: a computed stencil is at
+    most (B(kh) + 6 eps/h)(1 + eps) inside and (B(kh/2) + 12 eps/h)(1 + eps)
+    at the ends. The returned bounds evaluate B just below its argument
+    (_BELOW), scale it by _ENVELOPE_SLACK and add 2 eps, 8 eps/h and
+    16 eps/h, which covers those and the bounds' own roundings. Each cell
+    takes the smaller of the two bounds, so the stop never comes later than
+    with the 1/n bounds alone.
+    """
+    k = done + 1
+    value = np.minimum(_ROUNDOFF_SLACK / k, t * _sinc_envelope(k * t * _BELOW) * _ENVELOPE_SLACK + 2.0 * _EPS)
+    inner, end = _sinc_envelope(np.array([k * h * _BELOW, k * h / 2.0 * _BELOW])) * _ENVELOPE_SLACK
+    stencil = np.full(t.size, min(_ROUNDOFF_SLACK / (k * h), inner + 8.0 * _EPS / h))
+    stencil[[0, -1]] = min(2.0 * _ROUNDOFF_SLACK / (k * h), end + 16.0 * _EPS / h)
+    return value, stencil
 
 
 def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]:
     """(lp_norm, r_norm) of sin_family(M, resolution), bit for bit.
 
     The coordinates are enumerated in blocks of at most _BLOCK_SAMPLES
-    samples, or of one coordinate when the resolution exceeds it. Each cell keeps the running maximum of the block's linf value
-    norms and of its linf g*, which is the largest |stencil| of the same
-    finite_diff_gradient path; the loop stops at M or once _tail_is_below
-    proves the maxima final. Both L^p norms are then taken from those
-    per-cell maxima as lp_norm and r_norm take them.
+    samples, or of one coordinate when the resolution exceeds it. Each cell
+    keeps the running maximum of the block's linf value norms and of its
+    linf g*, which is the largest |stencil| of the same
+    finite_diff_gradient path; the loop stops at M or once every maximum
+    reaches its _tail_bounds, which proves the maxima final. Both L^p
+    norms are then taken from those per-cell maxima as lp_norm and r_norm
+    take them.
     """
     grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
     t, h = grid.axis_centers(0), grid.spacing[0]
@@ -171,7 +217,8 @@ def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]
         fmax = np.maximum(fmax, f.norms())
         gmax = np.maximum(gmax, upper_gradient_star(f).gstar.values)
         done = last
-        if _tail_is_below(fmax, gmax, done, h):
+        value, stencil = _tail_bounds(done, t, h)
+        if np.all(fmax >= value) and np.all(gmax >= stencil):
             break
     lp = scalar_lp_norm(ScalarField(grid=grid, values=fmax), p)
     return lp, lp + scalar_lp_norm(ScalarField(grid=grid, values=gmax), p)
@@ -213,12 +260,13 @@ def dichotomy_report(
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
     rows = []
-    # The stop bound already holds after 4 * resolution coordinates, with
-    # room for its slack: in every cell the n = 1 coordinate alone gives
-    # |f| >= sin(h/2) > 1/(4 resolution + 1) and stencils >= cos(1) sin(h)/h
-    # > 0.539 > 2 resolution/(4 resolution + 1), h = 1/resolution. So every
-    # M >= 4 * resolution has the same per-cell maxima, and rungs share one
-    # computation per cut min(M, 4 * resolution).
+    # The stop test passes after 4 * resolution coordinates at the latest,
+    # since each cell's bound is at most its 1/n bound and those already
+    # hold there with room for their slack: in every cell the n = 1
+    # coordinate alone gives |f| >= sin(h/2) > 1/(4 resolution + 1) and
+    # stencils >= cos(1) sin(h)/h > 0.539 > 2 resolution/(4 resolution + 1),
+    # h = 1/resolution. So every M >= 4 * resolution has the same per-cell
+    # maxima, and rungs share one computation per cut min(M, 4 * resolution).
     norms = {}
     for h in ladder:
         hprime = h / 2.0

@@ -159,15 +159,15 @@ def weak_derivative_check(
             raise ValueError(f"bump center {t.center.tolist()} must have one coordinate per grid axis ({g.ndim})")
         if not t.supported_inside(g):
             raise ValueError("test-function support touches the grid boundary")
-    centers = g.cell_centers()
+    # phi and dphi act cell by cell, so restricting their points to the
+    # interior once gives the same bits as restricting every bump's values
     interior = _interior_mask(g)
+    centers, fvals, cvals = g.cell_centers()[interior], f.values[interior], cand.values[interior]
     vol = g.cell_volume
     checks = []
     for i, t in enumerate(tests):
-        dphi = t.dphi(centers, axis)[interior]
-        phi = t.phi(centers)[interior]
-        lhs = vol * (dphi @ f.values[interior])
-        rhs = vol * (phi @ cand.values[interior])
+        lhs = vol * (t.dphi(centers, axis) @ fvals)
+        rhs = vol * (t.phi(centers) @ cvals)
         residual = value_norm(lhs + rhs, f.norm)
         scale = max(value_norm(lhs, f.norm), value_norm(rhs, f.norm))
         checks.append(bounded_check(f"bump_{i:02d}", float(residual), float(tol * (1.0 + scale))))

@@ -235,24 +235,24 @@ def load_field_csv(path) -> VectorField:
     def fault(row, rule):
         return ValueError(f"line {_body_line_numbers(lines)[row]} of {path}: {rule}")
 
-    outside = np.any((multi < 0) | (multi >= np.array(grid.shape)), axis=1)
-    if outside.any():
-        row = int(np.argmax(outside))
+    # each rule is one whole-array test; the faulty row is located only once
+    # a rule fails. initial=0 and the reshape keep them defined on a 0-D grid.
+    shape = np.array(grid.shape)
+    if multi.min(initial=0) < 0 or np.any(multi.max(axis=0, initial=0) >= shape):
+        row = int(np.argmax(np.any((multi < 0) | (multi >= shape), axis=1)))
         cell = tuple(int(i) for i in multi[row])
         raise fault(row, f"cell {cell} lies outside the grid of shape {grid.shape}")
-    flat = np.ravel_multi_index(multi.T, grid.shape)
+    flat = np.ravel_multi_index(multi.T, grid.shape).reshape(-1)
     # with one row per cell, a repeated index is also a missing one; name the
     # first row, in file order, whose cell an earlier row already holds
-    first = np.unique(flat, return_index=True)[1]
-    if first.size < flat.size:
+    if np.bincount(flat, minlength=grid.num_cells).max() > 1:
         repeat = np.ones(flat.size, dtype=bool)
-        repeat[first] = False
+        repeat[np.unique(flat, return_index=True)[1]] = False
         row = int(np.argmax(repeat))
         cell = tuple(int(i) for i in multi[row])
         raise fault(row, f"cell {cell} appears twice; every cell needs exactly one row")
-    finite = np.isfinite(row_values).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
+    if not np.isfinite(row_values).all():
+        row = int(np.argmin(np.isfinite(row_values).all(axis=1)))
         raise fault(row, f"values must be finite, found {row_values[row].tolist()}")
     values = np.empty((grid.num_cells, M))
     values[flat] = row_values

@@ -21,7 +21,7 @@ from modlab.rnp_lab import (
     _sin_family_r_norm,
     dichotomy_gap_floor,
 )
-from modlab.reshetnyak import r_norm
+from modlab.reshetnyak import r_norm, upper_gradient_star
 from modlab.vectorvalues import lp_norm
 from oracles import brute_force_quotient_gap, midpoint_quadrature
 
@@ -214,8 +214,10 @@ class TestSinFamilyRNorm:
 
     @pytest.mark.parametrize("res", [16, 17, 64, 100, 128, 300])
     def test_blocked_enumeration_is_bit_identical(self, res):
-        # M on both sides of the first block boundaries and of the stop, which
-        # comes at a block boundary at or past 2 * res coordinates
+        # M on both sides of the first block boundaries, where the sinc
+        # envelope stops the enumeration at these resolutions, and of the
+        # block boundary at or past 2 * res coordinates, where the 1/n bound
+        # alone would stop it
         block = rnp_lab._BLOCK_SAMPLES // res
         stop = block * math.ceil(2 * res / block)
         for M in sorted({1, block - 1, block, block + 1, 2 * block + 1, stop - 1, stop, stop + 1}):
@@ -223,7 +225,8 @@ class TestSinFamilyRNorm:
             for p in (1.0, 1.5, 2.0, 3.0):
                 assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p)), (M, p)
 
-    def test_enumeration_stops_past_twice_the_resolution(self, monkeypatch):
+    @staticmethod
+    def _blocks_sampled(monkeypatch, M, res):
         lasts = []
         real = rnp_lab._sin_samples
 
@@ -232,9 +235,50 @@ class TestSinFamilyRNorm:
             return real(t, first, last)
 
         monkeypatch.setattr(rnp_lab, "_sin_samples", recorded)
-        _sin_family_r_norm(20000, 512, 2.0)
-        assert 2 * 512 <= lasts[-1] <= 4 * 512
+        _sin_family_r_norm(M, res, 2.0)
+        monkeypatch.setattr(rnp_lab, "_sin_samples", real)
+        return lasts
+
+    def test_enumeration_stops_after_one_block(self, monkeypatch):
+        # the sinc envelope proves every maximum final after the first 128
+        # coordinates; the 1/n bound needed 1024
+        lasts = self._blocks_sampled(monkeypatch, 20000, 512)
+        assert lasts == [rnp_lab._BLOCK_SAMPLES // 512]
+        assert lasts[-1] <= 4 * 512
         assert max(b - a for a, b in zip([0] + lasts, lasts)) * 512 <= rnp_lab._BLOCK_SAMPLES
+
+    @pytest.mark.parametrize("res", [512, 1000, 1024])
+    def test_bit_identical_around_the_sinc_stop(self, monkeypatch, res):
+        stop = self._blocks_sampled(monkeypatch, 4 * res, res)[-1]
+        assert stop < 2 * res
+        for M in (stop - 1, stop, stop + 1, 4 * res):
+            f = sin_family(M, res)
+            for p in (1.0, 2.0, 3.0):
+                assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p)), (M, p)
+
+    @pytest.mark.parametrize("res,done", [(16, 40), (100, 60), (512, 128), (1000, 130), (2048, 96)])
+    def test_tail_bounds_hold_for_every_later_coordinate(self, res, done):
+        # the computed values and g* of coordinates done+1 .. done+4*res,
+        # taken through the same path as the R column, stay within the
+        # per-cell bounds, and the right end cell needs its sinc(nh/2) bound
+        grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[res])
+        t, h = grid.axis_centers(0), grid.spacing[0]
+        f = VectorField(grid=grid, values=rnp_lab._sin_samples(t, done + 1, done + 4 * res), norm=NormTag.LINF)
+        value, stencil = rnp_lab._tail_bounds(done, t, h)
+        assert np.all(f.norms() <= value)
+        gstar = upper_gradient_star(f).gstar.values
+        assert np.all(gstar <= stencil)
+        assert gstar[-1] > stencil[1]
+
+    def test_sinc_envelope_bounds_sinc_beyond_its_argument(self):
+        # B(x) >= |sin y / y| for every y >= x on a dense grid reaching far
+        # past pi, with room for B's own roundoff, and B(x) <= 1/x
+        x = np.linspace(1e-3, 40.0, 200001)
+        env = rnp_lab._sinc_envelope(x)
+        sup_beyond = np.maximum.accumulate(np.abs(np.sin(x) / x)[::-1])[::-1]
+        assert np.all(env * (1.0 + 8.0 * np.finfo(float).eps) >= sup_beyond)
+        assert np.all(env <= 1.0 / x)
+        assert np.all(np.diff(env) <= 0.0)
 
     def test_memory_stays_bounded_at_fine_resolution(self):
         # sampling all 4 * 1024 coordinates at once peaks near 96 MB

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -221,6 +223,22 @@ class TestFieldIO:
         (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="appears twice"):
             load_field_csv(tmp_path / "f.csv")
+
+    def test_rules_are_checked_in_order_bounds_repeats_finiteness(self, tmp_path):
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[4])
+        body = ["0,1", "1,nan", "1,2", "3,3"]
+        for rows, rule in [(body, "line 4 .* appears twice"), (body[:2] + ["2,2", "9,3"], "line 5 .* outside the grid"),
+                           (body[:2] + ["2,2", "3,3"], "line 3 .* must be finite")]:
+            (tmp_path / "f.csv").write_text("i,v\n" + "\n".join(rows) + "\n")
+            (tmp_path / "f.csv.json").write_text(json.dumps({"grid": g.to_json(), "dim_M": 1, "norm_tag": "l2"}))
+            with pytest.raises(ValueError, match=rule):
+                load_field_csv(tmp_path / "f.csv")
+
+    def test_a_zero_dimensional_grid_holds_one_row(self, tmp_path):
+        (tmp_path / "f.csv").write_text("v0,v1\n2.5,-1\n")
+        grid = {"box_min": [], "box_max": [], "resolution": []}
+        (tmp_path / "f.csv.json").write_text(json.dumps({"grid": grid, "dim_M": 2, "norm_tag": "l1"}))
+        assert load_field_csv(tmp_path / "f.csv").values.tolist() == [[2.5, -1.0]]
 
 
 LOADER_GRIDS = {
