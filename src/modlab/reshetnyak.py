@@ -175,15 +175,17 @@ def _l1_gstar(J: np.ndarray) -> np.ndarray:
     return _facet_l1_gstar(J, J, np.zeros((1, *J.shape[:2])))
 
 
-def upper_gradient_star(f: VectorField) -> UpperBoundField:
+def upper_gradient_star(f: VectorField, J: np.ndarray | None = None) -> UpperBoundField:
     """Pointwise sup over the dual ball of |grad <v, f>|, exact in every mode.
 
     linf values: the signed coordinate functionals. l2 values: the Jacobian
     spectral norm. l1 values: sum_i |J_i| on 1-D grids, the zonotope vertex
-    walk on 2-D grids and its facet recursion for N >= 3. Raises ValueError
+    walk on 2-D grids and its facet recursion for N >= 3. J is f's
+    finite_diff_gradient, when the caller already has it. Raises ValueError
     when an intermediate, such as a squared Jacobian entry, overflows float64.
     """
-    J = finite_diff_gradient(f)
+    if J is None:
+        J = finite_diff_gradient(f)
     with overflow_as_value_error(f"computing the {f.norm.value} g* of the field overflows float64"):
         if f.norm is NormTag.L2:
             gstar = _spectral_norms(J)
@@ -201,33 +203,33 @@ def upper_gradient_star(f: VectorField) -> UpperBoundField:
     )
 
 
-def _lp_and_r_norm(f: VectorField, p: float) -> tuple[float, float]:
-    """(||f||_p, ||f||_R), with g* computed first: when g* overflows, that
-    overflow is the one reported."""
-    require_exponent(p)
-    gstar = upper_gradient_star(f).gstar
-    lp = lp_norm(f, p)
-    return lp, lp + scalar_lp_norm(gstar, p)
-
-
 def r_norm(f: VectorField, p: float) -> float:
     """Reshetnyak norm ||f||_p + ||g*||_p.
 
     g* is pointwise minimal, so this realizes the infimum over admissible
-    majorants of the discrete model.
+    majorants of the discrete model. g* is computed before the L^p norm, so
+    when both overflow, g*'s overflow is the one reported.
     """
-    return _lp_and_r_norm(f, p)[1]
+    require_exponent(p)
+    gstar = upper_gradient_star(f).gstar
+    return lp_norm(f, p) + scalar_lp_norm(gstar, p)
 
 
 def norm_equivalence_check(f: VectorField, p: float, tol: float = 1e-9) -> Report:
     """Check ||f||_R <= ||f||_W <= sqrt(N) ||f||_R on the discrete model.
 
     Both inequalities are checked for every value norm, M and N, since g* is
-    exact in every mode. The meta records ||f||_p as ``lp``.
+    exact in every mode. The Jacobian and ||f||_p are computed once and
+    handed to both sides, in the order J, g*, ||f||_p, R, W, so an overflow
+    is reported as r_norm and w_norm would report it. The meta records
+    ||f||_p as ``lp``.
     """
-    # R before W: when g* overflows, that overflow is the one reported
-    lp, r = _lp_and_r_norm(f, p)
-    w = w_norm(f, p)
+    require_exponent(p)
+    J = finite_diff_gradient(f)
+    gstar = upper_gradient_star(f, J).gstar
+    lp = lp_norm(f, p)
+    r = lp + scalar_lp_norm(gstar, p)
+    w = w_norm(f, p, J, lp)
     sqrt_n = float(np.sqrt(f.grid.ndim))
     return Report(
         command="norm_equivalence_check",
@@ -268,8 +270,9 @@ def ac_bound_check(
         a, b = np.triu_indices(num_params)
         increments = value_norm(values[b] - values[a], f.norm)
         bounds = prefix[b] - prefix[a] + tol
+    labels = [format(t, ".4g") for t in params.tolist()]
     checks = [
-        bounded_check(f"ac[{params[i]:.4g},{params[j]:.4g}]", float(inc), float(bound))
-        for i, j, inc, bound in zip(a, b, increments, bounds)
+        bounded_check(f"ac[{labels[i]},{labels[j]}]", inc, bound)
+        for i, j, inc, bound in zip(a.tolist(), b.tolist(), increments.tolist(), bounds.tolist())
     ]
     return Report(command="ac_bound_check", checks=checks)

@@ -128,7 +128,8 @@ def field_csv_files(f: VectorField | ScalarField, path) -> dict:
         f = VectorField(grid=f.grid, values=f.values[:, None], norm=NormTag.L2)
     path = Path(path)
     g = f.grid
-    idx = np.stack(np.unravel_index(np.arange(g.num_cells), g.shape), axis=-1)
+    # np.indices, unlike np.unravel_index, also lists the one cell of a 0-D grid
+    idx = np.indices(g.shape).reshape(g.ndim, g.num_cells).T
     header = [f"i{k+1}" for k in range(g.ndim)] + [f"v{k+1}" for k in range(f.dim_M)]
     lines = [",".join(header)]
     for row_idx, row_val in zip(idx, f.values):

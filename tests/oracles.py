@@ -60,6 +60,26 @@ def enumerated_l1_gstar(J: np.ndarray) -> np.ndarray:
     return best
 
 
+# Equal values of shape (num_cells, M) in four memory layouts. np.gradient
+# keeps its input's memory order, so a Fortran-ordered field reaches J's
+# assembly, and every sum over J, with other strides.
+LAYOUTS = {
+    "c-order": lambda v: v,
+    "flipped": lambda v: np.ascontiguousarray(v[::-1, ::-1])[::-1, ::-1],
+    "fortran": np.asfortranarray,
+    "column-sliced": lambda v: np.repeat(v, 2, axis=1)[:, ::2],
+}
+
+
+def stacked_jacobian(f: VectorField) -> np.ndarray:
+    """The finite-difference Jacobian, shape (num_cells, N, M): np.gradient
+    along each grid axis, stacked on a new axis before the values."""
+    g = f.grid
+    cube = f.values.reshape(*g.shape, f.dim_M)
+    parts = [np.gradient(cube, g.spacing[axis], axis=axis) for axis in range(g.ndim)]
+    return np.stack(parts, axis=-2).reshape(g.num_cells, g.ndim, f.dim_M)
+
+
 def ray_l1_gstar(J: np.ndarray) -> np.ndarray:
     """Per cell, max over s in {-1, 1}^M of ||J s|| for N = 3 columns in general position.
 

@@ -71,3 +71,24 @@ def test_norm_check_reaches_the_traced_gstar_and_w_norm():
     for name in ("reshetnyak.gstar_l1", "reshetnyak.gstar_l2", "sobolev.w_norm"):
         assert calls.get(name, 0) >= 1, name
     assert tracer.counts["reshetnyak.gstar_l1_sign_patterns"] > 0
+
+
+def test_norm_check_builds_one_jacobian_and_one_lp_norm():
+    # R and W share them; computing either twice shows as a second span
+    from modlab import Grid, NormTag, VectorField, reshetnyak
+
+    spans = _load_spans()
+    g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[6, 6])
+    values = np.random.default_rng(0).normal(size=(g.num_cells, 3))
+    for tag in NormTag:
+        tracer = spans.Tracer()
+        try:
+            spans.install_modlab(tracer)
+            reshetnyak.norm_equivalence_check(VectorField(grid=g, values=values, norm=tag), 2.0)
+        finally:
+            tracer.uninstall()
+        calls = tracer.call_counts()
+        assert calls.get("sobolev.finite_diff_gradient") == 1, tag
+        assert calls.get("vectorvalues.lp_norm") == 1, tag
+        assert calls.get(f"reshetnyak.gstar_{tag.value}") == 1, tag
+        assert calls.get("sobolev.w_norm") == 1, tag

@@ -18,7 +18,7 @@ from modlab import (
 )
 from modlab import cli as cli_mod
 from modlab.cli import main, plot_files
-from modlab.vectorvalues import save_field_csv
+from modlab.vectorvalues import load_field_csv, save_field_csv
 from modlab.geometry import ScalarField, save_polyline_csv
 
 
@@ -57,6 +57,21 @@ class TestModulusCommand:
         assert {"value", "violation", "iterations", "gap"} <= set(record["meta"])
         assert (modulus_inputs / "rho.csv").exists()
         assert record["inputs"]  # digests recorded
+
+    def test_empty_family_on_a_zero_dimensional_grid_writes_its_density(self, tmp_path, capsys):
+        Grid(box_min=[], box_max=[], resolution=[]).save(tmp_path / "grid.json")
+        save_family(CurveFamily(curves=[], label="empty"), tmp_path / "fam.json")
+        status = main([
+            "modulus",
+            "--family", str(tmp_path / "fam.json"),
+            "--grid", str(tmp_path / "grid.json"),
+            "--out", str(tmp_path / "result.json"),
+            "--rho-out", str(tmp_path / "rho.csv"),
+        ])
+        assert status == 0
+        rho = load_field_csv(tmp_path / "rho.csv")
+        assert rho.grid.ndim == 0
+        assert rho.values.tolist() == [[0.0]]
 
     def test_malformed_grid_json_exits_2(self, modulus_inputs):
         bad = modulus_inputs / "bad.json"

@@ -23,7 +23,7 @@ from modlab import reshetnyak
 from modlab.geometry import curve_integral
 from modlab.reshetnyak import _l1_gstar, _spectral_norms
 from modlab.sobolev import _interpolator, gradient_length
-from oracles import enumerated_l1_gstar, mask_restrict, ray_l1_gstar, sampled_dual_functionals
+from oracles import LAYOUTS, enumerated_l1_gstar, mask_restrict, ray_l1_gstar, sampled_dual_functionals
 
 
 def square_grid(res):
@@ -372,6 +372,56 @@ class TestNormEquivalence:
                 for p in (1.0, 2.0):
                     report = norm_equivalence_check(f, p, tol=1e-9)
                     assert report.passed, (tag, M, p, report.meta)
+
+    @pytest.mark.parametrize("tag", list(NormTag), ids=lambda t: t.value)
+    @pytest.mark.parametrize("resolution", [[11], [6, 5], [4, 3, 5]], ids=["1d", "2d", "3d"])
+    def test_meta_norms_are_the_standalone_norms_bit_for_bit(self, rng, tag, resolution):
+        # the check shares one Jacobian and one ||f||_p between R and W
+        ndim = len(resolution)
+        g = Grid(box_min=[0.0] * ndim, box_max=rng.uniform(0.5, 2.0, ndim), resolution=resolution)
+        f = VectorField(grid=g, values=rng.normal(size=(g.num_cells, 3)), norm=tag)
+        for p in (1.0, 1.5, 2.0):
+            meta = norm_equivalence_check(f, p).meta
+            shared = [meta["r_norm"], meta["w_norm"], meta["lp"]]
+            assert [x.hex() for x in shared] == [r_norm(f, p).hex(), w_norm(f, p).hex(), lp_norm(f, p).hex()]
+
+    @pytest.mark.parametrize("tag", list(NormTag), ids=lambda t: t.value)
+    @pytest.mark.parametrize("resolution", [[9], [5, 4, 6], [3, 4, 3, 4]], ids=["1d", "3d", "4d"])
+    def test_results_do_not_depend_on_the_memory_layout_of_the_values(self, rng, tag, resolution):
+        # J is C-ordered whatever the values' layout, so every sum over it
+        # runs in one order
+        ndim = len(resolution)
+        g = Grid(box_min=[0.0] * ndim, box_max=[1.0] * ndim, resolution=resolution)
+        for M in (3, 5, 12):
+            values = rng.normal(size=(g.num_cells, M))
+            results = []
+            for layout in LAYOUTS.values():
+                f = VectorField(grid=g, values=layout(values), norm=tag)
+                meta = norm_equivalence_check(f, 2.0).meta
+                results.append((upper_gradient_star(f).gstar.values.tobytes(), meta["r_norm"], meta["w_norm"]))
+            assert all(r == results[0] for r in results), M
+
+    @pytest.mark.parametrize(
+        "values,res",
+        [
+            (np.array([1.7e308, -1.7e308] * 5)[:9, None], [3, 3]),
+            (np.outer(np.arange(9.0) * 1e160, [1.0, 1.0]), [3, 3]),
+            (np.full((9, 1), 1e200), [3, 3]),
+            (np.outer(np.arange(9.0) * 1e160, [1.0, 1.0]), [9]),
+        ],
+        ids=["differences", "squares", "values", "gradient-length"],
+    )
+    @pytest.mark.parametrize("tag", list(NormTag), ids=lambda t: t.value)
+    def test_overflow_message_is_the_one_r_norm_gives(self, recwarn, values, res, tag):
+        # the check computes J, g* and ||f||_p in r_norm's order, before W
+        g = Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res)
+        f = VectorField(grid=g, values=values, norm=tag)
+        with pytest.raises(ValueError) as from_r:
+            r_norm(f, 2.0)
+        with pytest.raises(ValueError) as from_check:
+            norm_equivalence_check(f, 2.0)
+        assert str(from_check.value) == str(from_r.value)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_three_axes_large_m_is_two_sided(self, rng):
         g = cube_grid(6)

@@ -18,7 +18,7 @@ from modlab import (
     weak_derivative_check,
 )
 from modlab.sobolev import _gauss_legendre, _interpolator
-from oracles import ftc_residuals, midpoint_quadrature, scipy_interpolator
+from oracles import LAYOUTS, ftc_residuals, midpoint_quadrature, scipy_interpolator, stacked_jacobian
 
 
 def interval_grid(res):
@@ -90,6 +90,32 @@ class TestFiniteDiffGradient:
         g = interval_grid(2)
         f = VectorField(grid=g, values=np.zeros((2, 1)), norm=NormTag.L2)
         with pytest.raises(ValueError):
+            finite_diff_gradient(f)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("M", [1, 2, 3, 12, 40])
+    @pytest.mark.parametrize("resolution", [[9], [5, 7], [3, 4, 5], [3, 4, 3, 5]], ids=["1d", "2d", "3d", "4d"])
+    def test_equals_the_stacked_jacobian_for_every_layout(self, rng, resolution, M, layout):
+        ndim = len(resolution)
+        g = Grid(box_min=[0.0] * ndim, box_max=rng.uniform(0.5, 2.0, ndim), resolution=resolution)
+        values = rng.normal(size=(g.num_cells, M))
+        laid_out = LAYOUTS[layout](values)
+        assert np.array_equal(laid_out, values)
+        f = VectorField(grid=g, values=laid_out, norm=NormTag.L2)
+        assert finite_diff_gradient(f).tobytes() == stacked_jacobian(f).tobytes()
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_overflow_names_the_axis_for_every_layout(self, layout):
+        # the values alternate along axis 1 only, so axis 0's differences are zero
+        g = square_grid(3)
+        values = np.tile([[1.7e308, 1.7e308], [-1.7e308, -1.7e308], [1.7e308, 1.7e308]], (3, 1))
+        f = VectorField(grid=g, values=LAYOUTS[layout](values), norm=NormTag.L2)
+        with pytest.raises(ValueError, match=r"^the field's finite differences along axis 1 overflow float64$"):
+            finite_diff_gradient(f)
+
+    def test_zero_dimensional_grid_rejected(self):
+        f = VectorField(grid=Grid(box_min=[], box_max=[], resolution=[]), values=[[1.0, 2.0]], norm=NormTag.L1)
+        with pytest.raises(ValueError, match="at least one axis"):
             finite_diff_gradient(f)
 
 

@@ -240,6 +240,14 @@ class TestFieldIO:
         (tmp_path / "f.csv.json").write_text(json.dumps({"grid": grid, "dim_M": 2, "norm_tag": "l1"}))
         assert load_field_csv(tmp_path / "f.csv").values.tolist() == [[2.5, -1.0]]
 
+    def test_a_zero_dimensional_grid_is_written_as_one_row(self, tmp_path):
+        g = Grid(box_min=[], box_max=[], resolution=[])
+        save_field_csv(make_field(g, [[2.5, -1.0]], NormTag.L1), tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_text() == "v1,v2\n2.5,-1\n"
+        f = load_field_csv(tmp_path / "f.csv")
+        assert f.grid.ndim == 0 and f.norm is NormTag.L1
+        assert f.values.tolist() == [[2.5, -1.0]]
+
 
 LOADER_GRIDS = {
     1: Grid(box_min=[0.0], box_max=[1.0], resolution=[12]),
