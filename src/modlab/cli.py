@@ -4,12 +4,13 @@ Each command is declared once, in ``_build_parser``: its flags, its required
 file inputs, whose SHA-256 digests go into the report's ``inputs``, and its
 handler, which returns the report and adds any further output file to a dict
 of ``{path: text}``. Exit status: 0 when every check passes, 1 on check
-failures, 2 on parse or precondition errors. Parameters, input files and
-output paths are checked before any computation. Reports are written even
-when checks fail; identical configuration and inputs give byte-identical
-reports apart from the wall-time field. The output files (the report,
-``--rho-out`` and the plot data) are all written or none is. All numeric
-work runs sequentially with fixed reduction order.
+failures, 2 on parse or precondition errors and when memory runs out.
+Parameters, input files and output paths are checked before any
+computation. Reports are written even when checks fail; identical
+configuration and inputs give byte-identical reports apart from the
+wall-time field. The output files (the report, ``--rho-out`` and the plot
+data) are all written or none is. All numeric work runs sequentially with
+fixed reduction order.
 """
 
 from __future__ import annotations
@@ -274,8 +275,8 @@ def main(argv=None) -> int:
         write_files(files)
         if not args.out:
             sys.stdout.write(text)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"modlab: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+        print(f"modlab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1
 

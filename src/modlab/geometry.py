@@ -28,6 +28,7 @@ one-piece case.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -64,15 +65,18 @@ class Grid:
         object.__setattr__(self, "box_max", box_max)
         if not np.all(np.isfinite(resolution)) or np.any(resolution != np.floor(resolution)):
             raise ValueError("resolution must be integral per axis")
-        object.__setattr__(self, "resolution", resolution.astype(int))
-        if not (self.box_min.shape == self.box_max.shape == self.resolution.shape):
+        if not (box_min.shape == box_max.shape == resolution.shape):
             raise ValueError("box_min, box_max and resolution must have matching length")
-        if not np.all(np.isfinite(self.box_min)) or not np.all(np.isfinite(self.box_max)):
+        if not np.all(np.isfinite(box_min)) or not np.all(np.isfinite(box_max)):
             raise ValueError("box bounds must be finite")
-        if not np.all(self.box_min < self.box_max):
+        if not np.all(box_min < box_max):
             raise ValueError("box_min must be strictly below box_max componentwise")
-        if not np.all(self.resolution >= 1):
+        if not np.all(resolution >= 1):
             raise ValueError("resolution must be >= 1 per axis")
+        shape = [int(r) for r in resolution]
+        if math.prod(shape) > np.iinfo(np.intp).max:
+            raise ValueError(f"resolution {shape} has {math.prod(shape)} cells, more than an index can address")
+        object.__setattr__(self, "resolution", resolution.astype(int))
 
     @property
     def ndim(self) -> int:
@@ -84,7 +88,7 @@ class Grid:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.resolution))
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> np.ndarray:

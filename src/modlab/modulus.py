@@ -123,16 +123,6 @@ def _dual_bound(lam: np.ndarray, atl: np.ndarray, w: np.ndarray, p: float) -> fl
     return float(np.sum(lam)) - (p - 1.0) * float(np.sum(w * _dual_rho(atl, w, p) ** p))
 
 
-def _unconverged(prob: ModulusProblem, iterations: int, dual_value: float, diagnostics: dict) -> ModulusResult:
-    """A result that certifies nothing: zero density, infinite violation and gap."""
-    zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
-    return ModulusResult(
-        value=float("nan"), rho_star=zero, max_constraint_violation=float("inf"),
-        iterations=iterations, converged=False, gap=float("inf"),
-        dual_value=dual_value, diagnostics=diagnostics,
-    )
-
-
 def _certify(A, w, p, rho_raw, dual_value, tol):
     """Rescale to exact feasibility; the density, value, violation and gap, and
     whether both certificates meet ``tol``. None when a margin is zero."""
@@ -144,27 +134,6 @@ def _certify(A, w, p, rho_raw, dual_value, tol):
     violation = max(0.0, 1.0 - float(np.min(A @ rho)))
     gap = value - dual_value
     return rho, value, violation, gap, gap <= tol * (1.0 + value) and violation <= tol
-
-
-def _certified(prob, rho_raw, dual_value, tol, iterations, diagnostics) -> ModulusResult:
-    """The certified result of a raw density and a dual value: converged when
-    both certificates meet ``tol``."""
-    cert = _certify(prob.constraint_rows, prob.weights, prob.exponent, rho_raw, dual_value, tol)
-    if cert is None:
-        return _unconverged(
-            prob, iterations, dual_value, dict(diagnostics, message="the raw density left a constraint at zero")
-        )
-    rho, value, violation, gap, converged = cert
-    return ModulusResult(
-        value=value,
-        rho_star=ScalarField(grid=prob.grid, values=rho),
-        max_constraint_violation=violation,
-        iterations=iterations,
-        converged=converged,
-        gap=gap,
-        dual_value=dual_value,
-        diagnostics=diagnostics,
-    )
 
 
 def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
@@ -325,15 +294,27 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
     if prob.num_curves == 0:
-        zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
         return ModulusResult(
             value=0.0, rho_star=zero, max_constraint_violation=0.0,
             iterations=0, converged=True, gap=0.0, dual_value=0.0,
             diagnostics={"solver": "none", "max_iter_hit": False},
         )
     rho_raw, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
-    return _certified(prob, rho_raw, dual_value, tol, iterations, diagnostics)
+    cert = _certify(prob.constraint_rows, prob.weights, prob.exponent, rho_raw, dual_value, tol)
+    if cert is None:
+        # a result that certifies nothing: zero density, infinite violation and gap
+        return ModulusResult(
+            value=float("nan"), rho_star=zero, max_constraint_violation=float("inf"),
+            iterations=iterations, converged=False, gap=float("inf"), dual_value=dual_value,
+            diagnostics=dict(diagnostics, message="the raw density left a constraint at zero"),
+        )
+    rho, value, violation, gap, converged = cert
+    return ModulusResult(
+        value=value, rho_star=ScalarField(grid=prob.grid, values=rho), max_constraint_violation=violation,
+        iterations=iterations, converged=converged, gap=gap, dual_value=dual_value, diagnostics=diagnostics,
+    )
 
 
 def analytic_parallel_segments(measure_E: float, seg_length: float, p: float) -> float:

@@ -14,18 +14,17 @@ The quotients and their gaps are evaluated analytically rather than from
 grid samples: the non-Cauchy phenomenon lives below any fixed grid scale
 and sampling would alias it; the gap is a maximum taken block by block over
 at most 2^16 coordinates at a time. The ladder's R-norm column is the
-library's r_norm with the exact linf g* of the sampled family, enumerated in
-blocks of coordinates holding at most 2^16 samples each (one coordinate,
-resolution samples, above resolution 2^16): each cell keeps the running
-maximum of |f_n| and of its np.gradient stencil, and the enumeration stops
-once a rigorous bound shows that no remaining coordinate reaches any cell's
-maximum. The bound is the envelope of sinc: |f_n(t)| = t |sinc(nt)|, and
-the stencils are cos(.) sinc(nh) inside and cos(.) sinc(nh/2) at the two
-end cells, so the maxima are final after the first block up to resolution
-512 and after about 128 coordinates above it. Every per-cell maximum is
-then exact, so both norms are bit-identical to those of the whole sampled
-family, a rung holds one block at a time whatever M is, and rungs with
-M >= 4 * resolution share one computation.
+library's r_norm with the exact linf g* of the sampled family, taken for
+every rung from one enumeration of the coordinates in blocks of at most
+2^16 samples: each cell keeps the running maximum of |f_n| and of its
+np.gradient stencil, each rung reads them at its M, and the enumeration
+stops once a rigorous bound shows that no remaining coordinate reaches any
+cell's maximum. The bound is the envelope of sinc: |f_n(t)| = t |sinc(nt)|,
+and the stencils are cos(.) sinc(nh) inside and cos(.) sinc(nh/2) at the
+two end cells, so the maxima are final after the first block up to
+resolution 512 and after about 128 coordinates above it. Both norms are
+then bit-identical to those of the whole sampled family, and a ladder
+holds one block at a time whatever M is.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ _BLOCK_SAMPLES = 2**16
 
 # Slack factors of the stop bounds; _tail_bounds derives the roundoff.
 _EPS = np.finfo(float).eps
-# np.sin is within 4 ulp of sin x, so |fl(sin nt)| <= 1 + 4 eps; the
-# division by n, np.gradient's difference and its division by the spacing
-# each add one rounding of at most eps/2, so a computed value or stencil of
-# coordinate n exceeds its 1/n bound by a factor below 1 + 6 eps. The bound
-# is evaluated with at most two roundings, so scaling it by 1 + 8 eps keeps
-# it above every computed value it stands for.
-_ROUNDOFF_SLACK = 1.0 + 8.0 * _EPS
 # fl(fl(k x) * _BELOW) < k x for k x > 0 in the normal range, so the
 # nonincreasing sinc envelope taken there is at least B(k x).
 _BELOW = 1.0 - 4.0 * _EPS
@@ -73,6 +65,13 @@ def _sin_samples(t: np.ndarray, first: int, last: int) -> np.ndarray:
     """sin(n t)/n at the points t for the coordinates n = first..last, one column each."""
     n = np.arange(first, last + 1, dtype=float)
     return np.sin(np.outer(t, n)) / n
+
+
+def _require_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        got = repr(value) if isinstance(value, numbers.Number) else f"a {type(value).__name__}"
+        raise ValueError(f"{name} must be an integer >= 1, got {got}")
+    return int(value)
 
 
 def _require_resolution(resolution: int) -> None:
@@ -138,12 +137,10 @@ def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     For fixed M the gap vanishes with h (finite dimension has the
     Radon-Nikodym property).
     """
-    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
-        got = repr(M) if isinstance(M, numbers.Number) else f"a {type(M).__name__}"
-        raise ValueError(f"M must be an integer >= 1, got {got}")
+    M = _require_count("M", M)
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
-    return _quotient_gap(int(M), t, h, hprime)
+    return _quotient_gap(M, t, h, hprime)
 
 
 def _sinc_envelope(x: np.ndarray) -> np.ndarray:
@@ -166,8 +163,7 @@ def _tail_bounds(done: int, t: np.ndarray, h: float) -> tuple[np.ndarray, np.nda
     Exact bounds, for n >= k = done + 1 and B = _sinc_envelope: a value is
     |sin(nt)/n| = t |sinc(nt)| <= t B(kt); the central stencil over 2h is
     cos(nt) sinc(nh), at most B(kh); the one-sided stencil over h at the two
-    end cells is cos(n(t + h/2)) sinc(nh/2), at most B(kh/2). Each also
-    keeps its 1/n bound: 1/k, 1/(kh) and 2/(kh).
+    end cells is cos(n(t + h/2)) sinc(nh/2), at most B(kh/2).
 
     Roundoff, with u = eps/2. A value is fl(fl(sin(fl(n t)))/n): the angle
     is within u n t of n t, which moves sin(nt)/n by at most u t; np.sin's
@@ -181,47 +177,51 @@ def _tail_bounds(done: int, t: np.ndarray, h: float) -> tuple[np.ndarray, np.nda
     most (B(kh) + 6 eps/h)(1 + eps) inside and (B(kh/2) + 12 eps/h)(1 + eps)
     at the ends. The returned bounds evaluate B just below its argument
     (_BELOW), scale it by _ENVELOPE_SLACK and add 2 eps, 8 eps/h and
-    16 eps/h, which covers those and the bounds' own roundings. Each cell
-    takes the smaller of the two bounds, so the stop never comes later than
-    with the 1/n bounds alone.
+    16 eps/h, which covers those and the bounds' own roundings. Since
+    B(x) <= 1/x they are 1/k, 1/(kh) and 2/(kh) at most, plus that slack,
+    which the n = 1 coordinate alone exceeds in every cell once k >
+    4 * resolution (|f_1| >= sin(h/2), stencils >= cos(1) sin(h)/h > 0.539),
+    so the stop comes by the first block end at or past 4 * resolution.
     """
     k = done + 1
-    value = np.minimum(_ROUNDOFF_SLACK / k, t * _sinc_envelope(k * t * _BELOW) * _ENVELOPE_SLACK + 2.0 * _EPS)
+    value = t * _sinc_envelope(k * t * _BELOW) * _ENVELOPE_SLACK + 2.0 * _EPS
     inner, end = _sinc_envelope(np.array([k * h * _BELOW, k * h / 2.0 * _BELOW])) * _ENVELOPE_SLACK
-    stencil = np.full(t.size, min(_ROUNDOFF_SLACK / (k * h), inner + 8.0 * _EPS / h))
-    stencil[[0, -1]] = min(2.0 * _ROUNDOFF_SLACK / (k * h), end + 16.0 * _EPS / h)
+    stencil = np.full(t.size, inner + 8.0 * _EPS / h)
+    stencil[[0, -1]] = end + 16.0 * _EPS / h
     return value, stencil
 
 
-def _sin_family_r_norm(M: int, resolution: int, p: float) -> tuple[float, float]:
-    """(lp_norm, r_norm) of sin_family(M, resolution), bit for bit.
+def _sin_family_r_norms(Ms, resolution: int, p: float) -> list[tuple[float, float]]:
+    """(lp_norm, r_norm) of sin_family(M, resolution) for each M of the
+    nondecreasing Ms, bit for bit.
 
-    The coordinates are enumerated in blocks of at most _BLOCK_SAMPLES
-    samples, or of one coordinate when the resolution exceeds it. Each cell
-    keeps the running maximum of the block's linf value norms and of its
-    linf g*, which is the largest |stencil| of the same
-    finite_diff_gradient path; the loop stops at M or once every maximum
-    reaches its _tail_bounds, which proves the maxima final. Both L^p
-    norms are then taken from those per-cell maxima as lp_norm and r_norm
-    take them.
+    The coordinates are enumerated once, in blocks of at most _BLOCK_SAMPLES
+    samples (one coordinate above that resolution), each ending at the next
+    M if that comes first. Each cell keeps the running maximum of the
+    blocks' linf value norms and linf g*, the largest |stencil| of the same
+    finite_diff_gradient path; each M takes both L^p norms from those maxima
+    as lp_norm and r_norm take them. Once every maximum reaches its
+    _tail_bounds they are final, and no further coordinate is sampled.
     """
     grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
     t, h = grid.axis_centers(0), grid.spacing[0]
     block = max(1, _BLOCK_SAMPLES // resolution)
     fmax = np.zeros(resolution)
     gmax = np.zeros(resolution)
-    done = 0
-    while done < M:
-        last = min(done + block, M)
-        f = VectorField(grid=grid, values=_sin_samples(t, done + 1, last), norm=NormTag.LINF)
-        fmax = np.maximum(fmax, f.norms())
-        gmax = np.maximum(gmax, upper_gradient_star(f).gstar.values)
-        done = last
-        value, stencil = _tail_bounds(done, t, h)
-        if np.all(fmax >= value) and np.all(gmax >= stencil):
-            break
-    lp = scalar_lp_norm(ScalarField(grid=grid, values=fmax), p)
-    return lp, lp + scalar_lp_norm(ScalarField(grid=grid, values=gmax), p)
+    done, final = 0, False
+    norms = []
+    for M in Ms:
+        while done < M and not final:
+            last = min(done + block, M)
+            f = VectorField(grid=grid, values=_sin_samples(t, done + 1, last), norm=NormTag.LINF)
+            fmax = np.maximum(fmax, f.norms())
+            gmax = np.maximum(gmax, upper_gradient_star(f).gstar.values)
+            done = last
+            value, stencil = _tail_bounds(done, t, h)
+            final = np.all(fmax >= value) and np.all(gmax >= stencil)
+        lp = scalar_lp_norm(ScalarField(grid=grid, values=fmax), p)
+        norms.append((lp, lp + scalar_lp_norm(ScalarField(grid=grid, values=gmax), p)))
+    return norms
 
 
 def dichotomy_gap_floor() -> dict:
@@ -253,33 +253,18 @@ def dichotomy_report(
     ladder = [float(h) for h in h_ladder]
     if not ladder:
         raise ValueError("h_ladder must hold at least one step")
-    if fixed_M is not None and fixed_M < 1:
-        raise ValueError(f"fixed_M must be >= 1, got {fixed_M}")
+    if fixed_M is not None:
+        fixed_M = _require_count("fixed_M", fixed_M)
     if any(not h > 0.0 for h in ladder):
         raise ValueError("every step h of h_ladder must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
-    rows = []
-    # The stop test passes after 4 * resolution coordinates at the latest,
-    # since each cell's bound is at most its 1/n bound and those already
-    # hold there with room for their slack: in every cell the n = 1
-    # coordinate alone gives |f| >= sin(h/2) > 1/(4 resolution + 1) and
-    # stencils >= cos(1) sin(h)/h > 0.539 > 2 resolution/(4 resolution + 1),
-    # h = 1/resolution. So every M >= 4 * resolution has the same per-cell
-    # maxima, and rungs share one computation per cut min(M, 4 * resolution).
-    norms = {}
-    for h in ladder:
-        hprime = h / 2.0
-        M = fixed_M if fixed_M is not None else math.ceil(10.0 / hprime)
-        gap = _quotient_gap(M, t, h, hprime)
-        cut = min(M, 4 * resolution)
-        if cut not in norms:
-            norms[cut] = _sin_family_r_norm(cut, resolution, p)
-        lp, r = norms[cut]
-        rows.append([h, hprime, float(M), gap, r, lp])
-    gaps = [row[3] for row in rows]
-    rvals = [row[4] for row in rows]
-    lpvals = [row[5] for row in rows]
+    # a strictly decreasing ladder gives nondecreasing truncations
+    Ms = [fixed_M if fixed_M is not None else math.ceil(10.0 / (h / 2.0)) for h in ladder]
+    # the gaps check t against every step before any coordinate is sampled
+    gaps = [_quotient_gap(M, t, h, h / 2.0) for h, M in zip(ladder, Ms)]
+    lpvals, rvals = zip(*_sin_family_r_norms(Ms, resolution, p))
+    rows = [[h, h / 2.0, float(M), gap, r, lp] for h, M, gap, r, lp in zip(ladder, Ms, gaps, rvals, lpvals)]
     r_bounded = all(r <= lp + 1.0 + 1e-6 for r, lp in zip(rvals, lpvals))
     r_constant = max(rvals) <= 1.05 * min(rvals)
     decayed = gaps[-1] <= 0.1 * gaps[0]

@@ -600,6 +600,31 @@ class TestMalformedInputsExit2:
         argv = ["counterexample", "--resolution", "64"] + args
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, named)
 
+    @pytest.mark.parametrize("resolution", [[2**32, 2**32], [2**32, 2**31], [2**63, 1]])
+    def test_grid_with_more_cells_than_an_index_holds(self, modulus_inputs, capsys, resolution):
+        # the cell counts once wrapped around to 0 and -2^63, and a zero-cell
+        # grid died with a numpy traceback and exit status 1
+        grid = modulus_inputs / "grid.json"
+        grid.unlink()
+        grid.write_text(json.dumps({"box_min": [0.0, 0.0], "box_max": [1.0, 1.0], "resolution": resolution}))
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(grid)]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(resolution))
+
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("Unable to allocate 20.8 GiB for an array with shape (2791728742,) and data type float64"),
+         MemoryError()],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory(self, modulus_inputs, capsys, monkeypatch, error):
+        # raised, never allocated: on a larger host the allocation could succeed
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "solve_modulus", out_of_memory)
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(error) or "MemoryError")
+
     def test_grid_record_missing_a_key(self, modulus_inputs, capsys):
         grid = modulus_inputs / "grid.json"
         grid.write_text(json.dumps({"box_max": [1.0, 1.0], "resolution": [16, 16]}))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -543,6 +544,20 @@ class TestGrid:
         with pytest.raises(ValueError, match="integral"):
             Grid.from_json({"box_min": [0.0], "box_max": [1.0], "resolution": [4.5]})
         assert Grid(box_min=[0.0], box_max=[1.0], resolution=[4.0]).shape == (4,)
+
+    @pytest.mark.parametrize("res", [[2**32, 2**32], [2**32, 2**31], [2**63], [2**64], [2**62, 2, 1]])
+    def test_more_cells_than_an_index_holds_rejected_by_resolution(self, res):
+        # these counts once wrapped around in int64 (to 0 and to -2^63), and an
+        # entry >= 2^63 warned on its cast, then failed as "resolution must be >= 1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"resolution {res} has {math.prod(res)} cells")):
+                Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res)
+
+    @pytest.mark.parametrize("res", [[2**31, 2**31], [2**62, 1], [2**60, 2, 2]])
+    def test_largest_cell_counts_are_exact(self, res):
+        # a grid holds its bounds and resolution only, so none of these allocates
+        assert Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res).num_cells == math.prod(res)
 
     def test_json_record_must_be_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):

@@ -18,7 +18,7 @@ from modlab import rnp_lab
 from modlab.rnp_lab import (
     VERDICT_NON_CAUCHY,
     VERDICT_RNP_LIKE,
-    _sin_family_r_norm,
+    _sin_family_r_norms,
     dichotomy_gap_floor,
 )
 from modlab.reshetnyak import r_norm, upper_gradient_star
@@ -26,6 +26,21 @@ from modlab.vectorvalues import lp_norm
 from oracles import brute_force_quotient_gap, midpoint_quadrature
 
 T_STAR = 1.0 / math.sqrt(2.0)
+
+
+def sampled_ranges(monkeypatch, fn, *args, **kwargs):
+    """The (first, last) coordinate ranges that fn(*args, **kwargs) samples."""
+    ranges = []
+    real = rnp_lab._sin_samples
+
+    def recorded(t, first, last):
+        ranges.append((first, last))
+        return real(t, first, last)
+
+    monkeypatch.setattr(rnp_lab, "_sin_samples", recorded)
+    fn(*args, **kwargs)
+    monkeypatch.setattr(rnp_lab, "_sin_samples", real)
+    return ranges
 
 
 class TestSinFamily:
@@ -179,19 +194,18 @@ class TestSinFamilyRNorm:
         f = sin_family(M, res)
         lp_direct = lp_norm(f, 2.0)
         r_direct = r_norm(f, 2.0)
-        lp_chunked, r_chunked = _sin_family_r_norm(M, res, 2.0)
+        [(lp_chunked, r_chunked)] = _sin_family_r_norms([M], res, 2.0)
         assert lp_chunked == pytest.approx(lp_direct, rel=1e-13)
         assert r_chunked == pytest.approx(r_direct, rel=1e-13)
 
     def test_lp_norm_matches_sine_quadrature(self):
         # ||f(t)||_inf = sin t on (0,1), so the l2 norm is that of sin
-        lp, _ = _sin_family_r_norm(64, 2048, 2.0)
+        [(lp, _)] = _sin_family_r_norms([64], 2048, 2.0)
         oracle = math.sqrt(midpoint_quadrature(lambda t: np.sin(t) ** 2, 0.0, 1.0, n=2048))
         assert lp == pytest.approx(oracle, rel=1e-12)
 
     def test_r_norm_uniformly_bounded_in_m(self):
-        for M in (8, 64, 512):
-            lp, r = _sin_family_r_norm(M, 128, 2.0)
+        for lp, r in _sin_family_r_norms([8, 64, 512], 128, 2.0):
             assert r <= lp + 1.0 + 1e-6
 
     def test_unit_majorant_dominates_increments_along_segments(self):
@@ -204,40 +218,38 @@ class TestSinFamilyRNorm:
             seg = Polyline([[a], [b]])
             assert ac_bound_check(f, ones, seg, tol=1e-3).passed
 
+    @staticmethod
+    def _whole_family_norms(Ms, res, p):
+        return [(lp_norm(f, p), r_norm(f, p)) for f in (sin_family(M, res) for M in Ms)]
+
     @pytest.mark.parametrize("M,res", [(200, 16), (5000, 64), (20000, 128)])
     def test_cut_at_four_resolution_coordinates_is_exact(self, M, res):
-        # every rung here keeps fewer than M coordinates; the dropped tail
-        # must not move a single bit of either norm
-        f = sin_family(M, res)
+        # every rung here samples fewer than M coordinates, alone or as the
+        # last rung of a ladder; the dropped tail must not move a single bit
+        # of either norm
+        ladder = [3, 4 * res, M]
         for p in (1.0, 1.5, 2.0, 3.0):
-            assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p))
+            assert _sin_family_r_norms([M], res, p) == self._whole_family_norms([M], res, p)
+            assert _sin_family_r_norms(ladder, res, p) == self._whole_family_norms(ladder, res, p)
 
     @pytest.mark.parametrize("res", [16, 17, 64, 100, 128, 300])
     def test_blocked_enumeration_is_bit_identical(self, res):
         # M on both sides of the first block boundaries, where the sinc
         # envelope stops the enumeration at these resolutions, and of the
-        # block boundary at or past 2 * res coordinates, where the 1/n bound
-        # alone would stop it
+        # block boundary at or past 2 * res coordinates
         block = rnp_lab._BLOCK_SAMPLES // res
         stop = block * math.ceil(2 * res / block)
-        for M in sorted({1, block - 1, block, block + 1, 2 * block + 1, stop - 1, stop, stop + 1}):
-            f = sin_family(M, res)
-            for p in (1.0, 1.5, 2.0, 3.0):
-                assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p)), (M, p)
+        Ms = sorted({1, block - 1, block, block + 1, 2 * block + 1, stop - 1, stop, stop + 1})
+        for p in (1.0, 1.5, 2.0, 3.0):
+            whole = self._whole_family_norms(Ms, res, p)
+            for M, norms in zip(Ms, whole):
+                assert _sin_family_r_norms([M], res, p) == [norms], (M, p)
+            # the same rungs as one ladder, blocks ending at each M
+            assert _sin_family_r_norms(Ms, res, p) == whole, p
 
     @staticmethod
     def _blocks_sampled(monkeypatch, M, res):
-        lasts = []
-        real = rnp_lab._sin_samples
-
-        def recorded(t, first, last):
-            lasts.append(last)
-            return real(t, first, last)
-
-        monkeypatch.setattr(rnp_lab, "_sin_samples", recorded)
-        _sin_family_r_norm(M, res, 2.0)
-        monkeypatch.setattr(rnp_lab, "_sin_samples", real)
-        return lasts
+        return [last for _, last in sampled_ranges(monkeypatch, _sin_family_r_norms, [M], res, 2.0)]
 
     def test_enumeration_stops_after_one_block(self, monkeypatch):
         # the sinc envelope proves every maximum final after the first 128
@@ -251,10 +263,12 @@ class TestSinFamilyRNorm:
     def test_bit_identical_around_the_sinc_stop(self, monkeypatch, res):
         stop = self._blocks_sampled(monkeypatch, 4 * res, res)[-1]
         assert stop < 2 * res
-        for M in (stop - 1, stop, stop + 1, 4 * res):
-            f = sin_family(M, res)
-            for p in (1.0, 2.0, 3.0):
-                assert _sin_family_r_norm(M, res, p) == (lp_norm(f, p), r_norm(f, p)), (M, p)
+        Ms = [stop - 1, stop, stop + 1, 4 * res]
+        for p in (1.0, 2.0, 3.0):
+            whole = self._whole_family_norms(Ms, res, p)
+            for M, norms in zip(Ms, whole):
+                assert _sin_family_r_norms([M], res, p) == [norms], (M, p)
+            assert _sin_family_r_norms(Ms, res, p) == whole, p
 
     @pytest.mark.parametrize("res,done", [(16, 40), (100, 60), (512, 128), (1000, 130), (2048, 96)])
     def test_tail_bounds_hold_for_every_later_coordinate(self, res, done):
@@ -280,15 +294,27 @@ class TestSinFamilyRNorm:
         assert np.all(env <= 1.0 / x)
         assert np.all(np.diff(env) <= 0.0)
 
-    def test_memory_stays_bounded_at_fine_resolution(self):
+    @pytest.mark.parametrize("Ms", [[20000], [200, 2000, 20000, 200000]])
+    def test_memory_stays_bounded_at_fine_resolution(self, Ms):
         # sampling all 4 * 1024 coordinates at once peaks near 96 MB
         tracemalloc.start()
         try:
-            _sin_family_r_norm(20000, 1024, 2.0)
+            _sin_family_r_norms(Ms, 1024, 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize("res", [16, 17, 64, 128, 256, 512, 1000, 1024, 4096, 2**16, 2**17])
+    def test_first_coordinate_beats_the_bounds_past_four_resolution(self, res):
+        # so the stop comes by the first block end at or past 4 * res,
+        # whatever the blocks are
+        grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[res])
+        t, h = grid.axis_centers(0), grid.spacing[0]
+        f = VectorField(grid=grid, values=rnp_lab._sin_samples(t, 1, 1), norm=NormTag.LINF)
+        value, stencil = rnp_lab._tail_bounds(4 * res, t, h)
+        assert np.all(f.norms() >= value)
+        assert np.all(upper_gradient_star(f).gstar.values >= stencil)
 
 
 class TestDichotomyReport:
@@ -300,26 +326,44 @@ class TestDichotomyReport:
         rows = rep.series[0].rows
         assert [row[2] for row in rows] == [200.0, 2000.0]
 
-    @pytest.mark.parametrize(
-        "ladder,fixed_M,cuts",
-        [([1e-1, 1e-2, 1e-3, 1e-4], None, [200, 512]), ([1e-2, 1e-3, 1e-4], 3, [3])],
-    )
-    def test_each_distinct_cut_computed_once(self, monkeypatch, ladder, fixed_M, cuts):
-        # at resolution 128 the cut is min(M, 512): the scaled rungs 1e-2 to
-        # 1e-4 (M = 2000, 20000, 200000) all sample the same 512 coordinates
-        uncached = [dichotomy_report(T_STAR, [h], resolution=128, fixed_M=fixed_M).series[0].rows[0] for h in ladder]
-        calls = []
-        real = rnp_lab._sin_family_r_norm
+    @pytest.mark.parametrize("resolution", [128, 512])
+    @pytest.mark.parametrize("ladder,fixed_M", [([1e-1, 1e-2, 1e-3, 1e-4], None), ([1e-2, 1e-3, 1e-4], 3)])
+    def test_ladder_is_one_enumeration(self, monkeypatch, resolution, ladder, fixed_M):
+        # the rungs' R column samples each coordinate once, in ascending
+        # contiguous blocks, and every row is the single-rung report's
+        def rows(steps):
+            return dichotomy_report(T_STAR, steps, resolution=resolution, fixed_M=fixed_M).series[0].rows
 
-        def counted(M, resolution, p):
-            calls.append(M)
-            return real(M, resolution, p)
-
-        monkeypatch.setattr(rnp_lab, "_sin_family_r_norm", counted)
-        rep = dichotomy_report(T_STAR, ladder, resolution=128, fixed_M=fixed_M)
-        assert calls == cuts
+        ranges = sampled_ranges(monkeypatch, rows, ladder)
+        assert [first for first, _ in ranges] == [1] + [last + 1 for _, last in ranges[:-1]]
+        assert all(first <= last for first, last in ranges)
         # the checks and the verdict are computed from the rows alone
-        assert json.dumps(rep.series[0].rows) == json.dumps(uncached)
+        assert json.dumps(rows(ladder)) == json.dumps([rows([h])[0] for h in ladder])
+
+    @pytest.mark.parametrize("fixed_M", [0, -3, 2.5, 3.0, True, "3", math.nan])
+    def test_fixed_truncation_must_be_a_positive_integer(self, monkeypatch, fixed_M):
+        # 2.5 and 3.0 once reached range() as a TypeError, and True passed as 1
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rung was computed")
+
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", unreachable)
+        with pytest.raises(ValueError, match=r"^fixed_M must be an integer >= 1, got [^\n]+$"):
+            dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=fixed_M)
+
+    def test_numpy_integer_fixed_truncation_accepted(self):
+        rep = dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=np.int64(3))
+        assert json.dumps(rep.series[0].rows) == json.dumps(
+            dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=3).series[0].rows
+        )
+        assert type(rep.meta["fixed_M"]) is int
+
+    def test_window_checked_before_any_coordinate_is_sampled(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a coordinate was sampled")
+
+        monkeypatch.setattr(rnp_lab, "_sin_samples", unreachable)
+        with pytest.raises(ValueError, match=r"need t and t\+h inside \(0, 1\)"):
+            dichotomy_report(0.95, [1e-1, 1e-2], resolution=128)
 
     def test_fixed_m1_ladder_converges(self):
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3, 1e-4], resolution=128, fixed_M=1)
