@@ -6,27 +6,27 @@ constant. Curves are polylines, for which the length supremum over partitions
 is attained by the vertex chain, so lengths and per-cell traversal lengths
 are computed in closed form.
 
-Per-cell traversal lengths are computed in one place,
-``_cell_length_entries``, which splits every segment of a whole family at its
-cell-plane crossings in one vectorized pass and returns the (curve, cell,
-length) entries in numpy arrays. ``cell_length_rows`` packs them into a
-sparse matrix for the modulus program, importing scipy.sparse on its first
-call, and ``cell_lengths`` is its one-curve case. ``curve_integrals`` sums
-the same entries times the cell values per curve with numpy alone, adding
-them in the order the sparse product does, so each line integral is
-bit-identical to a constraint row times the density; ``curve_integral`` is
-its one-curve case. The split itself, ``_split_segments``, also cuts curves
-where an interpolated field changes formula, for the exact line integrals of
-``sobolev``.
+Curves are split packed: ``_split_segments`` takes stacked vertices and the
+vertex count of each curve, and splits every segment at its cell-plane
+crossings in one vectorized pass; it also cuts curves where an interpolated
+field changes formula, for the exact line integrals of ``sobolev``. Per-cell
+traversal lengths are computed in one place, ``_cell_length_entries``, as
+(curve, cell, length) arrays. ``cell_length_rows`` packs them into a sparse
+matrix for the modulus program, importing scipy.sparse on its first call;
+``curve_integrals`` sums them times the cell values per curve with numpy
+alone, in the sparse product's order, so each line integral is bit-identical
+to a constraint row times the density. Both pack their list of curves once
+(``_pack``), and ``cell_lengths`` and ``curve_integral`` are their one-curve
+cases.
 
-Sub-curves are cut in one place too: ``cut`` returns the consecutive pieces
-of a curve between sorted arc-length parameters from one evaluation of their
-points and one search of the cumulative arc length, and ``restrict`` is its
-one-piece case.
+Sub-curves are cut in one place too: ``_cut_packed`` gives the points at
+sorted arc-length parameters and the packed pieces between them, which the
+curve checks use as they are; ``cut`` and ``restrict`` wrap them in Polylines.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -73,10 +73,12 @@ class Grid:
             raise ValueError("box_min must be strictly below box_max componentwise")
         if not np.all(resolution >= 1):
             raise ValueError("resolution must be >= 1 per axis")
-        shape = [int(r) for r in resolution]
+        # integer entries keep their exact value, which float64 rounds above 2^53
+        exact = np.ravel(np.asarray(self.resolution, dtype=object)).tolist()
+        shape = [int(x) if isinstance(x, (int, np.integer)) else int(r) for x, r in zip(exact, resolution)]
         if math.prod(shape) > np.iinfo(np.intp).max:
             raise ValueError(f"resolution {shape} has {math.prod(shape)} cells, more than an index can address")
-        object.__setattr__(self, "resolution", resolution.astype(int))
+        object.__setattr__(self, "resolution", np.array(shape, dtype=int))
 
     @property
     def ndim(self) -> int:
@@ -165,25 +167,24 @@ class Polyline:
     def ndim(self) -> int:
         return self.vertices.shape[1]
 
-    @property
+    @functools.cached_property  # computed once and shared: the vertices never change
     def segment_lengths(self) -> np.ndarray:
         d = np.diff(self.vertices, axis=0)
         return np.sqrt(np.sum(d * d, axis=1))
 
-    @property
+    @functools.cached_property
     def cumulative_arclength(self) -> np.ndarray:
         """Nondecreasing arc positions of the vertices; starts at 0."""
         return np.concatenate([[0.0], np.cumsum(self.segment_lengths)])
 
-    @property
+    @functools.cached_property
     def length(self) -> float:
         return float(np.sum(self.segment_lengths))
 
     def points_at(self, ts) -> np.ndarray:
         """Points at arc-length parameters ``ts`` along the chain."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        seg_len = self.segment_lengths
-        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        seg_len, cum = self.segment_lengths, self.cumulative_arclength
         total = cum[-1]
         # written so that NaN, which fails every comparison, fails the test
         if not np.all((ts >= -BOX_TOL * (1 + total)) & (ts <= total * (1 + BOX_TOL) + BOX_TOL)):
@@ -194,24 +195,20 @@ class Polyline:
         seg = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0, len(cum) - 2)
         width = seg_len[seg]
         frac = np.where(width > 0, (ts - cum[seg]) / np.where(width > 0, width, 1.0), 0.0)
-        p0 = self.vertices[seg]
-        p1 = self.vertices[seg + 1]
+        p0, p1 = self.vertices[seg], self.vertices[seg + 1]
         return p0 + frac[:, None] * (p1 - p0)
 
     def __repr__(self):
         return f"Polyline({self.vertices.shape[0]} vertices, length={self.length:.6g})"
 
 
-def cut(c: Polyline, ts) -> list:
-    """The consecutive sub-curves of ``c`` between sorted arc-length
-    parameters ``ts`` in [0, length], one Polyline per pair of neighbours.
-    Parameters up to BOX_TOL beyond the length are taken as the length.
-
-    Piece k runs from the point at ts[k] through the vertices strictly
-    between ts[k] and ts[k + 1] in arc position to the point at ts[k + 1].
-    The points are evaluated once and the vertex ranges come from one pair
-    of searches of the nondecreasing cumulative arc length.
-    """
+def _cut_packed(c: Polyline, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of ``c`` at sorted arc-length parameters ``ts`` in
+    [0, length] (up to BOX_TOL beyond it taken as the length) and the packed
+    pieces between them: piece k runs from the point at ts[k] through the
+    vertices strictly between ts[k] and ts[k + 1] in arc position to the
+    point at ts[k + 1]. One search of the cumulative arc length finds the
+    vertex ranges, and one gather stacks every piece."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     total = c.length
     if ts.ndim != 1 or not (ts.size and 0.0 <= ts[0] and ts[-1] <= total * (1 + BOX_TOL) + BOX_TOL):
@@ -223,18 +220,24 @@ def cut(c: Polyline, ts) -> list:
     cum = c.cumulative_arclength
     # vertices[lo:hi] are those with ts[k] < cum < ts[k + 1]; lo >= hi when none is
     lo = np.searchsorted(cum, ts[:-1], side="right")
-    hi = np.searchsorted(cum, ts[1:], side="left")
-    return [
-        Polyline(np.vstack([points[k], c.vertices[a:b], points[k + 1]]))
-        for k, (a, b) in enumerate(zip(lo, hi))
-    ]
+    counts = np.maximum(np.searchsorted(cum, ts[1:], side="left") - lo, 0) + 2
+    ends = np.cumsum(counts)
+    # rows of [points; vertices]: vertex j of piece k is vertex lo[k] - 1 + j,
+    # but the first and last, which are points k and k + 1
+    rows = np.repeat(len(ts) + lo - 1 - (ends - counts), counts) + np.arange(counts.sum())
+    rows[ends - counts], rows[ends - 1] = np.arange(len(ts) - 1), np.arange(1, len(ts))
+    return points, np.take(np.concatenate([points, c.vertices]), rows, axis=0), counts
+
+
+def cut(c: Polyline, ts) -> list:
+    """The consecutive sub-curves of ``c`` between sorted arc-length
+    parameters ``ts``, one Polyline per pair of neighbours (``_cut_packed``)."""
+    _, verts, counts = _cut_packed(c, ts)
+    return [Polyline(verts[end - n : end]) for n, end in zip(counts, np.cumsum(counts))]
 
 
 def restrict(c: Polyline, s: float, t: float) -> Polyline:
     """Subcurve of ``c`` between arc-length parameters s <= t."""
-    total = c.length
-    if not (0.0 <= s <= t <= total * (1 + BOX_TOL) + BOX_TOL):
-        raise ValueError(f"need 0 <= s <= t <= length, got s={s}, t={t}, length={total}")
     return cut(c, [s, t])[0]
 
 
@@ -317,16 +320,27 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     return seg[order], t[order]
 
 
-def _split_segments(curves, g: Grid) -> tuple:
-    """The nonconstant segments of ``curves`` cut at the interior cell planes of ``g``.
+def _pack(curves, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of ``curves`` stacked and the vertex count of each, once
+    every curve is checked to have g's dimension and to stay in its box."""
+    for c in curves:
+        if c.ndim != g.ndim:
+            raise ValueError(f"the curve has {c.ndim} coordinates per vertex but the grid has {g.ndim} axes")
+    verts = np.concatenate([c.vertices for c in curves]) if curves else np.zeros((0, g.ndim))
+    if not g.contains(verts):
+        raise DomainError("curve exits the grid box")
+    return verts, np.array([c.vertices.shape[0] for c in curves], dtype=np.intp)
+
+
+def _split_segments(verts: np.ndarray, counts: np.ndarray, g: Grid) -> tuple:
+    """The nonconstant segments of packed curves (``counts[j]`` rows of ``verts``) cut at g's interior cell planes.
 
     Returns six arrays with one entry per piece, in curve, segment and then
     parameter order: the curve, the start p, difference d and length of the
     piece's segment, and the parameters t0 <= t1 of the piece on it, which
     spans p + t0 d to p + t1 d. The pieces of a segment tile [0, 1].
     """
-    verts = np.concatenate([c.vertices for c in curves])
-    owner = np.repeat(np.arange(len(curves)), [c.vertices.shape[0] for c in curves])
+    owner = np.repeat(np.arange(len(counts)), counts)
     p, q = verts[:-1], verts[1:]
     d = q - p
     seg_len = np.sqrt(np.sum(d * d, axis=1))
@@ -346,8 +360,8 @@ def _split_segments(curves, g: Grid) -> tuple:
     return seg_curve[seg], np.take(p, seg, axis=0), np.take(d, seg, axis=0), seg_len[seg], t[left], t[left + 1]
 
 
-def _cell_length_entries(curves: list, g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arc length of each curve inside each cell, as (row, cell, length) entries.
+def _cell_length_entries(verts: np.ndarray, counts: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc length of each curve packed by ``_pack`` inside each cell, as (row, cell, length) entries.
 
     Every segment of every curve is split at the interior cell planes it
     crosses; the cell owning each piece is the one holding the piece
@@ -358,13 +372,7 @@ def _cell_length_entries(curves: list, g: Grid) -> tuple[np.ndarray, np.ndarray,
     constant curve has no entry.
     """
     n = g.num_cells
-    if any(c.ndim != g.ndim for c in curves):
-        raise ValueError("curve dimension does not match grid dimension")
-    if not curves:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-    if not g.contains(np.concatenate([c.vertices for c in curves])):
-        raise DomainError("curve exits the grid box")
-    curve, p, d, seg_len, a, b = _split_segments(curves, g)
+    curve, p, d, seg_len, a, b = _split_segments(verts, counts, g)
     widths = (b - a) * seg_len
     mids = p + (0.5 * (a + b))[:, None] * d
 
@@ -388,7 +396,7 @@ def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     curves = list(curves)
-    row, cell, length = _cell_length_entries(curves, g)
+    row, cell, length = _cell_length_entries(*_pack(curves, g), g)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(curves)))])
     return sp.csr_matrix((length, cell, indptr), shape=(len(curves), g.num_cells))
 
@@ -396,6 +404,15 @@ def cell_length_rows(curves, g: Grid) -> sp.csr_matrix:
 def cell_lengths(c: Polyline, g: Grid) -> sp.csr_matrix:
     """Arc length of ``c`` inside each cell, as a sparse 1 x num_cells row."""
     return cell_length_rows([c], g)
+
+
+def _packed_integrals(rho: ScalarField, verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``curve_integrals`` of packed curves checked by ``_pack``."""
+    row, cell, length = _cell_length_entries(verts, counts, rho.grid)
+    # an overflow gives inf without a warning, in the products as in the sums
+    with np.errstate(over="ignore"):
+        products = length * rho.values[cell]
+    return np.bincount(row, weights=products, minlength=len(counts))
 
 
 def curve_integrals(rho: ScalarField, curves) -> np.ndarray:
@@ -406,12 +423,7 @@ def curve_integrals(rho: ScalarField, curves) -> np.ndarray:
     order in which the sparse product adds them, so the result is
     bit-identical to ``cell_length_rows(curves, rho.grid) @ rho.values``.
     """
-    curves = list(curves)
-    row, cell, length = _cell_length_entries(curves, rho.grid)
-    # an overflow gives inf without a warning, in the products as in the sums
-    with np.errstate(over="ignore"):
-        products = length * rho.values[cell]
-    return np.bincount(row, weights=products, minlength=len(curves))
+    return _packed_integrals(rho, *_pack(list(curves), rho.grid))
 
 
 def curve_integral(rho: ScalarField, c: Polyline) -> float:

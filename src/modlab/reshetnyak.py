@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import overflow_as_value_error, require_exponent
-from .geometry import Polyline, ScalarField, curve_integrals
+from .geometry import Polyline, ScalarField, _pack, _packed_integrals
 from .report import Report, bounded_check
-from .sobolev import _sample_curve, finite_diff_gradient, w_norm
+from .sobolev import _pairs, _sample_curve, finite_diff_gradient, w_norm
 from .vectorvalues import NormTag, VectorField, _max_last_axis, lp_norm, scalar_lp_norm, value_norm
 
 # A column whose projection onto a facet hyperplane is at most this times n
@@ -261,13 +261,15 @@ def ac_bound_check(
     """
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
-    # f and g are finite; an inf from curve_integrals, which overflows
+    # f and g are finite; an inf from the integrals, which overflow
     # without raising, turns into a NaN in the pairs (a, a)
     with overflow_as_value_error("the AC bound check along the curve overflows float64", invalid="raise"):
-        params, values, pieces = _sample_curve(f, c, num_params)
+        params, values, verts, counts = _sample_curve(f, c, num_params)
+        if g.grid is not f.grid:  # the pieces lie in c's hull, so c is checked in g's box
+            _pack([c], g.grid)
         # integral of g over c|[params[a], params[b]] is prefix[b] - prefix[a]
-        prefix = np.concatenate([[0.0], np.cumsum(curve_integrals(g, pieces))])
-        a, b = np.triu_indices(num_params)
+        prefix = np.concatenate([[0.0], np.cumsum(_packed_integrals(g, verts, counts))])
+        a, b = _pairs(num_params, 0)
         increments = value_norm(values[b] - values[a], f.norm)
         bounds = prefix[b] - prefix[a] + tol
     labels = [format(t, ".4g") for t in params.tolist()]

@@ -196,16 +196,16 @@ def _sin_family_r_norms(Ms, resolution: int, p: float) -> list[tuple[float, floa
     nondecreasing Ms, bit for bit.
 
     The coordinates are enumerated once, in blocks of at most _BLOCK_SAMPLES
-    samples (one coordinate above that resolution), each ending at the next
-    M if that comes first. Each cell keeps the running maximum of the
-    blocks' linf value norms and linf g*, the largest |stencil| of the same
-    finite_diff_gradient path; each M takes both L^p norms from those maxima
-    as lp_norm and r_norm take them. Once every maximum reaches its
-    _tail_bounds they are final, and no further coordinate is sampled.
+    samples (one coordinate above that resolution) and 4 * resolution, each
+    ending at the next M if that comes first. Each cell keeps the running
+    maximum of the blocks' linf value norms and linf g*, the largest |stencil|
+    of the same finite_diff_gradient path; each M takes both L^p norms from
+    those maxima as lp_norm and r_norm take them. Once every maximum reaches
+    its _tail_bounds, by 4 * resolution coordinates, no more are sampled.
     """
     grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
     t, h = grid.axis_centers(0), grid.spacing[0]
-    block = max(1, _BLOCK_SAMPLES // resolution)
+    block = max(1, min(_BLOCK_SAMPLES // resolution, 4 * resolution))
     fmax = np.zeros(resolution)
     gmax = np.zeros(resolution)
     done, final = 0, False

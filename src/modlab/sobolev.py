@@ -27,8 +27,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, overflow_as_value_error, require_exponent
-from .geometry import Grid, Polyline, ScalarField, _split_segments, cut
+from .errors import overflow_as_value_error, require_exponent
+from .geometry import Grid, Polyline, ScalarField, _cut_packed, _pack, _split_segments
 from .report import Report, bounded_check
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
 
@@ -143,13 +143,9 @@ def w_norm(f: VectorField, p: float, J: np.ndarray | None = None, lp: float | No
 
 
 def _interior_mask(g: Grid) -> np.ndarray:
-    mask = np.ones(g.shape, dtype=bool)
-    for axis in range(g.ndim):
-        sl = [slice(None)] * g.ndim
-        sl[axis] = 0
-        mask[tuple(sl)] = False
-        sl[axis] = -1
-        mask[tuple(sl)] = False
+    """Flat mask of the cells that touch no face of the box."""
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[(slice(1, -1),) * g.ndim] = True
     return mask.ravel()
 
 
@@ -237,22 +233,15 @@ def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
     """The start both curve checks share: check that c has one coordinate per
     grid axis and stays in the box and that num_params >= 2, then return the
     num_params equispaced arc-length parameters, f interpolated at their
-    points, and the num_params - 1 consecutive pieces of c between them.
-
-    The pieces come from one ``cut``, whose points at the parameters are the
-    pieces' ends, so f is interpolated at those same points."""
+    points, which end the pieces, and the num_params - 1 consecutive pieces
+    of c between them, packed by ``_cut_packed``; they stay in the box too."""
     g = f.grid
-    if c.ndim != g.ndim:
-        raise ValueError(f"the curve has {c.ndim} coordinates per vertex but the field's grid has {g.ndim} axes")
-    if not g.contains(c.vertices):
-        raise DomainError("curve exits the grid box")
+    _pack([c], g)
     if num_params < 2:
         raise ValueError(f"num_params must be at least 2, got {num_params}")
     params = np.linspace(0.0, c.length, num_params)
-    pieces = cut(c, params)
-    points = np.array([piece.vertices[0] for piece in pieces] + [pieces[-1].vertices[-1]])
-    values = _interpolator(g, f.values)(points)
-    return params, values, pieces
+    points, verts, counts = _cut_packed(c, params)
+    return params, _interpolator(g, f.values)(points), verts, counts
 
 
 @functools.cache
@@ -261,6 +250,20 @@ def _gauss_legendre(n: int) -> tuple:
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=8)
+def _centre_planes(g: Grid) -> Grid:
+    """The grid whose interior planes are all the planes of g's cell centres."""
+    return Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int, k: int) -> tuple:
+    """np.triu_indices(n, k), read-only."""
+    a, b = np.triu_indices(n, k)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def ftc_along_curve_check(
@@ -297,10 +300,8 @@ def ftc_along_curve_check(
     # einsum ignores np.errstate; its sums overflow only where the squares
     # in gradient_length do, and invalid="raise" stops their NaNs first
     with overflow_as_value_error("the FTC check along the curve overflows float64", invalid="raise"):
-        params, values, pieces = _sample_curve(f, c, num_params)
-        # the interior planes of this grid are all the planes of cell centres
-        centres = Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
-        piece, p, d, seg_len, t0, t1 = _split_segments(pieces, centres)
+        params, values, verts, counts = _sample_curve(f, c, num_params)
+        piece, p, d, seg_len, t0, t1 = _split_segments(verts, counts, _centre_planes(g))
         x, w = _gauss_legendre(g.ndim // 2 + 1)
         nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
         grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))
@@ -310,7 +311,7 @@ def ftc_along_curve_check(
         integrals = np.zeros((num_params - 1, f.dim_M))
         np.add.at(integrals, piece, ((t1 - t0) * seg_len)[:, None] * np.einsum("j,kjm->km", w / 2, directional))
         prefix = np.concatenate([np.zeros((1, f.dim_M)), np.cumsum(integrals, axis=0)])
-        a, b = np.triu_indices(num_params, 1)
+        a, b = _pairs(num_params, 1)
         residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
         worst = float(np.max(value_norm(directional, tag) - gradient_length(grads, tag), initial=0.0))
     labels = [format(t, ".4g") for t in params.tolist()]

@@ -600,10 +600,11 @@ class TestMalformedInputsExit2:
         argv = ["counterexample", "--resolution", "64"] + args
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, named)
 
-    @pytest.mark.parametrize("resolution", [[2**32, 2**32], [2**32, 2**31], [2**63, 1]])
+    @pytest.mark.parametrize("resolution", [[2**32, 2**32], [2**32, 2**31], [2**63, 1], [3, 3074457345618258603]])
     def test_grid_with_more_cells_than_an_index_holds(self, modulus_inputs, capsys, resolution):
         # the cell counts once wrapped around to 0 and -2^63, and a zero-cell
-        # grid died with a numpy traceback and exit status 1
+        # grid died with a numpy traceback and exit status 1; the last one's
+        # count fitted an index once float64 had rounded its second entry
         grid = modulus_inputs / "grid.json"
         grid.unlink()
         grid.write_text(json.dumps({"box_min": [0.0, 0.0], "box_max": [1.0, 1.0], "resolution": resolution}))

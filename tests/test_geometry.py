@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -189,10 +190,11 @@ class TestCut:
         lo, hi = c.vertices.min(axis=0) - 1.0, c.vertices.max(axis=0) + 1.0
         g = Grid(box_min=lo, box_max=hi, resolution=[4] * c.ndim)
         f = VectorField(grid=g, values=np.random.default_rng(7).normal(size=(g.num_cells, 2)), norm=NormTag.L2)
-        params, values, pieces = _sample_curve(f, c, num_params)
+        params, values, verts, counts = _sample_curve(f, c, num_params)
         assert params[-1] == c.length
+        pieces = np.split(verts, np.cumsum(counts)[:-1])
         for piece, s, t in zip(pieces, params[:-1], params[1:], strict=True):
-            assert np.array_equal(piece.vertices, mask_restrict(c, s, t).vertices)
+            assert np.array_equal(piece, mask_restrict(c, s, t).vertices)
         assert np.array_equal(values, _interpolator(g, f.values)(c.points_at(params)))
 
     def test_unsorted_or_out_of_range_parameters_rejected(self):
@@ -558,6 +560,22 @@ class TestGrid:
     def test_largest_cell_counts_are_exact(self, res):
         # a grid holds its bounds and resolution only, so none of these allocates
         assert Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res).num_cells == math.prod(res)
+
+    @pytest.mark.parametrize("res", [[2**53 + 1], np.array([2**53 + 1]), [4, 2**61 - 1], [2**63 - 1]])
+    def test_integer_resolution_is_exact_above_two_to_the_53(self, res):
+        # float64 once rounded these, 2^53 + 1 to 2^53 without a word
+        g = Grid(box_min=[0.0] * len(res), box_max=[1.0] * len(res), resolution=res)
+        assert g.resolution.tolist() == list(res)
+        assert g.shape == tuple(res) and g.num_cells == math.prod(res)
+
+    def test_json_resolution_is_exact_above_two_to_the_53(self):
+        g = Grid.from_json(json.loads('{"box_min": [0], "box_max": [1], "resolution": [9007199254740993]}'))
+        assert g.resolution.tolist() == [2**53 + 1]
+
+    def test_count_that_rounding_would_have_accepted_is_rejected(self):
+        # float64 gives 3 * 3074457345618258432 cells, which an index holds
+        with pytest.raises(ValueError, match=re.escape("resolution [3, 3074457345618258603] has 9223372036854775809 cells")):
+            Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3074457345618258603])
 
     def test_json_record_must_be_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):

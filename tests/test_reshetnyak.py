@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modlab import (
+    DomainError,
     Grid,
     NormTag,
     Polyline,
@@ -482,6 +483,21 @@ class TestAcBound:
         with pytest.raises(ValueError, match="AC bound check along the curve overflows float64"):
             ac_bound_check(f, huge, c, tol=1e-6, num_params=2)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_majorant_on_another_grid_is_checked_in_its_own_box(self):
+        # the curve stays in f's box but leaves the majorant's; an equal grid
+        # object gives the same report as f's own grid
+        g = square_grid(8)
+        f = VectorField(grid=g, values=g.cell_centers().copy(), norm=NormTag.L2)
+        c = Polyline([[0.2, 0.2], [0.9, 0.6]])
+        small = Grid(box_min=[0.0, 0.0], box_max=[0.8, 1.0], resolution=[8, 8])
+        with pytest.raises(DomainError, match="exits the grid box"):
+            ac_bound_check(f, ScalarField(grid=small, values=np.ones(64)), c, tol=1e-6)
+        same = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
+        ones = np.ones(64)
+        assert ac_bound_check(f, ScalarField(grid=same, values=ones), c, 1e-6).to_dict() == ac_bound_check(
+            f, ScalarField(grid=g, values=ones), c, 1e-6
+        ).to_dict()
 
     @pytest.mark.parametrize("num_params", [0, 1])
     def test_fewer_than_two_parameters_rejected(self, num_params):

@@ -237,7 +237,7 @@ class TestSinFamilyRNorm:
         # M on both sides of the first block boundaries, where the sinc
         # envelope stops the enumeration at these resolutions, and of the
         # block boundary at or past 2 * res coordinates
-        block = rnp_lab._BLOCK_SAMPLES // res
+        block = min(rnp_lab._BLOCK_SAMPLES // res, 4 * res)
         stop = block * math.ceil(2 * res / block)
         Ms = sorted({1, block - 1, block, block + 1, 2 * block + 1, stop - 1, stop, stop + 1})
         for p in (1.0, 1.5, 2.0, 3.0):
@@ -258,6 +258,12 @@ class TestSinFamilyRNorm:
         assert lasts == [rnp_lab._BLOCK_SAMPLES // 512]
         assert lasts[-1] <= 4 * 512
         assert max(b - a for a, b in zip([0] + lasts, lasts)) * 512 <= rnp_lab._BLOCK_SAMPLES
+
+    def test_low_resolution_samples_four_resolution_coordinates(self, monkeypatch):
+        # a first block of _BLOCK_SAMPLES // 16 = 4096 coordinates sampled 64
+        # times more than the sinc stop needs at resolution 16
+        assert self._blocks_sampled(monkeypatch, 20000, 16) == [4 * 16]
+        assert self._blocks_sampled(monkeypatch, 50, 16) == [50]
 
     @pytest.mark.parametrize("res", [512, 1000, 1024])
     def test_bit_identical_around_the_sinc_stop(self, monkeypatch, res):
