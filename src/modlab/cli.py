@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from . import acceptance
-from .errors import require_keys
+from .errors import named, require_count, require_exponent, require_keys, require_tolerance
 from .geometry import Grid, load_family, load_polyline_csv
 from .modulus import assemble_problem, solve_modulus
 from .report import CheckRecord, Report, bounded_check, format_float, report_to_json, sha256_digest
@@ -39,12 +38,12 @@ from .vectorvalues import field_csv_files, load_field_csv, load_scalar_field_csv
 
 def _validate(args) -> None:
     """Reject bad parameters, missing inputs and unwritable outputs, in that order."""
-    if "p" in args and not 1.0 <= args.p < math.inf:
-        raise ValueError("p must be finite and >= 1")
-    if "tol" in args and not 0.0 < args.tol < math.inf:
-        raise ValueError("tol must be finite and positive")
-    if "max_iter" in args and args.max_iter < 1:
-        raise ValueError("--max-iter must be at least 1")
+    if "p" in args:
+        require_exponent(args.p)
+    if "tol" in args:
+        require_tolerance(args.tol)
+    if "max_iter" in args:
+        require_count(args.max_iter, "--max-iter")
     for name in args.inputs:
         path = getattr(args, name)
         if not path.is_file():
@@ -159,21 +158,20 @@ def _cmd_norms(args, files: dict) -> Report:
             "p": args.p,
         }
     )
-    rep.command = "norms"
     return rep
 
 
 def _cmd_weakcheck(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     cand = load_field_csv(args.cand)
-    bumps_spec = json.loads(args.bumps.read_text())
-    if not isinstance(bumps_spec, list) or not all(isinstance(b, dict) for b in bumps_spec):
-        raise ValueError("the bump battery must be a JSON list of {center, radius} objects")
-    for i, b in enumerate(bumps_spec):
-        require_keys(b, ("center", "radius"), f"bump {i} in {args.bumps}")
-    tests = [TestFunction(center=b["center"], radius=b["radius"]) for b in bumps_spec]
+    bumps = json.loads(args.bumps.read_text())
+    if not isinstance(bumps, list):
+        raise ValueError(f"the bump battery {args.bumps} must be a JSON list, got {type(bumps).__name__}")
+    tests = []
+    for i, b in enumerate(bumps):
+        with named(f"bump {i} in {args.bumps}"):
+            tests.append(TestFunction(*require_keys(b, ("center", "radius"))))
     rep = weak_derivative_check(f, cand, axis=args.axis, tests=tests, tol=args.tol)
-    rep.command = "weakcheck"
     rep.meta.update({"axis": args.axis, "tol": args.tol, "bumps": len(tests)})
     return rep
 
@@ -182,9 +180,7 @@ def _cmd_acbound(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     g = load_scalar_field_csv(args.g)
     curve = load_polyline_csv(args.curve)
-    rep = ac_bound_check(f, g, curve, tol=args.tol)
-    rep.command = "acbound"
-    return rep
+    return ac_bound_check(f, g, curve, tol=args.tol)
 
 
 def _cmd_counterexample(args, files: dict) -> Report:
@@ -192,7 +188,7 @@ def _cmd_counterexample(args, files: dict) -> Report:
         ladder = [float(x) for x in args.ladder.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--ladder must be comma-separated numbers: {args.ladder!r}") from None
-    rep = dichotomy_report(
+    return dichotomy_report(
         t=args.t,
         h_ladder=ladder,
         p=args.p,
@@ -200,8 +196,6 @@ def _cmd_counterexample(args, files: dict) -> Report:
         fixed_M=args.fixed_m,
         gap_floor=dichotomy_gap_floor()["c0"] if args.fixed_m is None else None,
     )
-    rep.command = "counterexample"
-    return rep
 
 
 def _cmd_suite(args, files: dict) -> Report:
@@ -265,6 +259,7 @@ def main(argv=None) -> int:
         _validate(args)
         files = {}
         report = args.handler(args, files)
+        report.command = args.command
         report.inputs = {name: sha256_digest(getattr(args, name)) for name in args.inputs}
         report.wall_time_s = time.perf_counter() - started
         text = report_to_json(report)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateCurveError, DomainError, require_keys
+from .errors import DegenerateCurveError, DomainError, named, require_count, require_keys, require_reals
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -54,30 +54,18 @@ class Grid:
     resolution: np.ndarray
 
     def __post_init__(self):
-        try:
-            box_min, box_max, resolution = (
-                np.atleast_1d(np.asarray(v, dtype=float))
-                for v in (self.box_min, self.box_max, self.resolution)
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"box_min, box_max and resolution must be numeric: {exc}") from None
-        object.__setattr__(self, "box_min", box_min)
-        object.__setattr__(self, "box_max", box_max)
-        if not np.all(np.isfinite(resolution)) or np.any(resolution != np.floor(resolution)):
-            raise ValueError("resolution must be integral per axis")
-        if not (box_min.shape == box_max.shape == resolution.shape):
+        box_min, box_max, resolution = (require_reals(getattr(self, k), k) for k in ("box_min", "box_max", "resolution"))
+        if not len(box_min) == len(box_max) == len(resolution):
             raise ValueError("box_min, box_max and resolution must have matching length")
-        if not np.all(np.isfinite(box_min)) or not np.all(np.isfinite(box_max)):
-            raise ValueError("box bounds must be finite")
+        # a Python int keeps an integer resolution exact, which float64 rounds above 2^53
+        shape = [require_count(r, "resolution", whole_floats=True) for r in resolution]
+        box_min, box_max = np.array(box_min, dtype=float), np.array(box_max, dtype=float)
         if not np.all(box_min < box_max):
             raise ValueError("box_min must be strictly below box_max componentwise")
-        if not np.all(resolution >= 1):
-            raise ValueError("resolution must be >= 1 per axis")
-        # integer entries keep their exact value, which float64 rounds above 2^53
-        exact = np.ravel(np.asarray(self.resolution, dtype=object)).tolist()
-        shape = [int(x) if isinstance(x, (int, np.integer)) else int(r) for x, r in zip(exact, resolution)]
         if math.prod(shape) > np.iinfo(np.intp).max:
             raise ValueError(f"resolution {shape} has {math.prod(shape)} cells, more than an index can address")
+        object.__setattr__(self, "box_min", box_min)
+        object.__setattr__(self, "box_max", box_max)
         object.__setattr__(self, "resolution", np.array(shape, dtype=int))
 
     @property
@@ -137,10 +125,8 @@ class Grid:
 
     @classmethod
     def from_json(cls, record: dict, where: str = "grid record") -> "Grid":
-        if not isinstance(record, dict):
-            raise ValueError(f"{where} must be a JSON object, got {type(record).__name__}")
-        require_keys(record, ("box_min", "box_max", "resolution"), where)
-        return cls(record["box_min"], record["box_max"], record["resolution"])
+        with named(where):
+            return cls(*require_keys(record, ("box_min", "box_max", "resolution")))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json()) + "\n")
@@ -476,9 +462,12 @@ def save_family(fam: CurveFamily, manifest_path) -> None:
 
 def load_family(manifest_path) -> CurveFamily:
     manifest_path = Path(manifest_path)
-    record = json.loads(manifest_path.read_text())
-    rels = record.get("curves") if isinstance(record, dict) else None
-    if not isinstance(rels, list) or not all(isinstance(rel, str) for rel in rels):
-        raise ValueError(f"{manifest_path} must be a JSON object whose 'curves' is a list of path strings")
+    with named(f"the family manifest {manifest_path}"):
+        record = json.loads(manifest_path.read_text())
+        (rels,) = require_keys(record, ("curves",))
+        if not isinstance(rels, list) or not all(isinstance(rel, str) for rel in rels):
+            raise ValueError("'curves' must be a list of path strings")
+        if not isinstance(label := record.get("label", ""), str):
+            raise ValueError(f"'label' must be a string, got {type(label).__name__}")
     curves = [load_polyline_csv(manifest_path.parent / rel) for rel in rels]
-    return CurveFamily(curves=curves, label=record.get("label", ""))
+    return CurveFamily(curves=curves, label=label)

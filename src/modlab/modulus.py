@@ -15,13 +15,12 @@ so importing modlab loads numpy alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ScheduleError, require_exponent
+from .errors import ScheduleError, require_count, require_exponent, require_tolerance
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
 
@@ -290,10 +289,8 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     ``max_iter`` caps its steps; ``diagnostics`` names the ``solver`` that
     ran and says whether it stopped at ``max_iter`` (``max_iter_hit``).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    require_tolerance(tol)
+    max_iter = require_count(max_iter, "max_iter", 0)
     zero = ScalarField(grid=prob.grid, values=np.zeros(prob.grid.num_cells))
     if prob.num_curves == 0:
         return ModulusResult(

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from importlib import resources
 
 import numpy as np
 
-from .errors import require_exponent
+from .errors import require_count, require_exponent
 from .geometry import Grid, ScalarField
 from .report import Report, Series, bounded_check
 from .reshetnyak import upper_gradient_star
@@ -67,24 +66,10 @@ def _sin_samples(t: np.ndarray, first: int, last: int) -> np.ndarray:
     return np.sin(np.outer(t, n)) / n
 
 
-def _require_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        got = repr(value) if isinstance(value, numbers.Number) else f"a {type(value).__name__}"
-        raise ValueError(f"{name} must be an integer >= 1, got {got}")
-    return int(value)
-
-
-def _require_resolution(resolution: int) -> None:
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
-
-
 def sin_family(M: int, resolution: int) -> VectorField:
     """Sample the truncated sin family at cell centers, sup-norm values; the
     field's dim_M is the truncation M."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    _require_resolution(resolution)
+    M, resolution = require_count(M, "M"), require_count(resolution, "resolution", 16)
     grid = Grid(box_min=[0.0], box_max=[1.0], resolution=[resolution])
     return VectorField(grid=grid, values=_sin_samples(grid.axis_centers(0), 1, M), norm=NormTag.LINF)
 
@@ -137,7 +122,7 @@ def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     For fixed M the gap vanishes with h (finite dimension has the
     Radon-Nikodym property).
     """
-    M = _require_count("M", M)
+    M = require_count(M, "M")
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
     return _quotient_gap(M, t, h, hprime)
@@ -249,12 +234,12 @@ def dichotomy_report(
     does not decay; strong gap decay yields "RNP-like: quotients converge".
     """
     require_exponent(p)
-    _require_resolution(resolution)
+    resolution = require_count(resolution, "resolution", 16)
     ladder = [float(h) for h in h_ladder]
     if not ladder:
         raise ValueError("h_ladder must hold at least one step")
     if fixed_M is not None:
-        fixed_M = _require_count("fixed_M", fixed_M)
+        fixed_M = require_count(fixed_M, "fixed_M")
     if any(not h > 0.0 for h in ladder):
         raise ValueError("every step h of h_ladder must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):

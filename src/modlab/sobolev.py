@@ -23,11 +23,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import overflow_as_value_error, require_exponent
+from .errors import overflow_as_value_error, require_count, require_exponent, require_reals
 from .geometry import Grid, Polyline, ScalarField, _cut_packed, _pack, _split_segments
 from .report import Report, bounded_check
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
@@ -47,14 +46,10 @@ class TestFunction:
     __test__ = False  # not a pytest class despite the Test* name
 
     def __post_init__(self):
-        try:
-            self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"bump center must be numeric: {exc}") from None
-        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
-            raise ValueError("bump center must be a finite point")
-        if isinstance(self.radius, bool) or not isinstance(self.radius, Real) or not 0.0 < self.radius < np.inf:
-            raise ValueError("bump radius must be a positive real number")
+        self.center = np.array(require_reals(self.center, "bump center"), dtype=float)
+        (self.radius,) = require_reals([self.radius], "bump radius")  # a radius given as a list is nested here
+        if self.radius <= 0.0:
+            raise ValueError(f"bump radius must be positive, got {self.radius}")
 
     def _u(self, points: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(points) - self.center
@@ -237,8 +232,7 @@ def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
     of c between them, packed by ``_cut_packed``; they stay in the box too."""
     g = f.grid
     _pack([c], g)
-    if num_params < 2:
-        raise ValueError(f"num_params must be at least 2, got {num_params}")
+    num_params = require_count(num_params, "num_params", 2)
     params = np.linspace(0.0, c.length, num_params)
     points, verts, counts = _cut_packed(c, params)
     return params, _interpolator(g, f.values)(points), verts, counts

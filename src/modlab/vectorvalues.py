@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import overflow_as_value_error, require_exponent, require_keys
+from .errors import named, overflow_as_value_error, require_count, require_exponent, require_keys
 from .geometry import Grid, ScalarField
 
 
@@ -214,17 +214,10 @@ def load_field_csv(path) -> VectorField:
     cell rule and finiteness are checked once over all rows.
     """
     path = Path(path)
-    sidecar = json.loads(_sidecar_path(path).read_text())
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"the sidecar of {path} must be a JSON object")
-    require_keys(sidecar, ("grid", "dim_M", "norm_tag"), f"the sidecar of {path}")
-    grid = Grid.from_json(sidecar["grid"], f"the grid record in the sidecar of {path}")
-    M = sidecar["dim_M"]
-    integral = isinstance(M, int) or (isinstance(M, float) and M.is_integer())
-    if isinstance(M, bool) or not integral or M < 1:
-        raise ValueError(f"dim_M in the sidecar of {path} must be an integer >= 1")
-    M = int(M)
-    tag = NormTag(sidecar["norm_tag"])
+    with named(f"the sidecar of {path}"):
+        record, M, tag = require_keys(json.loads(_sidecar_path(path).read_text()), ("grid", "dim_M", "norm_tag"))
+        grid = Grid.from_json(record, "the grid record")
+        M, tag = require_count(M, "dim_M", whole_floats=True), NormTag(tag)
     text = path.read_text()
     lines = text.splitlines()
     body = [ln for ln in lines if ln.strip()][1:]  # header row

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modlab.errors import require_keys
+from modlab.errors import require_count, require_keys
 from modlab.geometry import BOX_TOL, Grid, Polyline
 from modlab.vectorvalues import NormTag, VectorField, _sidecar_path
 
@@ -300,17 +300,8 @@ def ftc_residuals(f, G, c, num_params: int) -> list:
 def load_field_csv_rows(path) -> VectorField:
     """The field-CSV reader as one numpy call per row, kept as the loader's oracle."""
     path = Path(path)
-    sidecar = json.loads(_sidecar_path(path).read_text())
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"the sidecar of {path} must be a JSON object")
-    require_keys(sidecar, ("grid", "dim_M", "norm_tag"), f"the sidecar of {path}")
-    grid = Grid.from_json(sidecar["grid"], f"the grid record in the sidecar of {path}")
-    M = sidecar["dim_M"]
-    integral = isinstance(M, int) or (isinstance(M, float) and M.is_integer())
-    if isinstance(M, bool) or not integral or M < 1:
-        raise ValueError(f"dim_M in the sidecar of {path} must be an integer >= 1")
-    M = int(M)
-    tag = NormTag(sidecar["norm_tag"])
+    record, M, tag = require_keys(json.loads(_sidecar_path(path).read_text()), ("grid", "dim_M", "norm_tag"))
+    grid, M, tag = Grid.from_json(record), require_count(M, "dim_M", whole_floats=True), NormTag(tag)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     body = lines[1:]  # header row
     if len(body) != grid.num_cells:

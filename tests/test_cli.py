@@ -451,6 +451,34 @@ class TestMalformedInputsExit2:
         argv = ["modulus", "--family", str(manifest), "--grid", str(modulus_inputs / "grid.json")]
         assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys)
 
+    def test_unparsable_family_manifest_is_named(self, modulus_inputs, capsys):
+        manifest = modulus_inputs / "bad_fam.json"
+        manifest.write_text("{not json")
+        argv = ["modulus", "--family", str(manifest), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(manifest))
+
+    @pytest.mark.parametrize("label", ['{"x": [1, NaN]}', "5", "null", '["rows"]'])
+    def test_family_label_that_is_not_a_string(self, modulus_inputs, capsys, label):
+        # a dict label, NaN and all, was once copied into the report's meta
+        manifest = modulus_inputs / "bad_fam.json"
+        manifest.write_text('{"label": %s, "curves": []}' % label)
+        argv = ["modulus", "--family", str(manifest), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(manifest), "'label'")
+
+    @pytest.mark.parametrize(
+        "record,named",
+        [({"box_min": ["0", "0"], "box_max": [True, 1], "resolution": ["4", 4]}, "box_min"),
+         ({"box_min": [0, 0], "box_max": [True, 1], "resolution": [4, 4]}, "box_max"),
+         ({"box_min": [0, 0], "box_max": [1, 1], "resolution": ["4", 4]}, "resolution"),
+         ({"box_min": [[0, 0]], "box_max": [[1, 1]], "resolution": [[4, 4]]}, "box_min")],
+        ids=["quoted", "bool", "quoted-resolution", "nested"],
+    )
+    def test_grid_record_with_entries_that_are_not_numbers(self, modulus_inputs, capsys, record, named):
+        grid = modulus_inputs / "g.json"
+        grid.write_text(json.dumps(record))
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(grid)]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(grid), f"{named} must hold finite numbers")
+
     @pytest.mark.parametrize(
         "sidecar", ["[1]", "dim_M 2.7", "dim_M true", "dim_M 0", "dim_M 1", "dim_M 1000000000000000"]
     )
@@ -544,9 +572,10 @@ class TestMalformedInputsExit2:
             [{"center": [0.5, 0.5], "radius": "0.2"}],
             [{"center": [0.5], "radius": 0.2}],
             [{"center": [0.5, "x"], "radius": 0.2}],
+            [{"center": ["0.5", 0.5], "radius": 0.3}],
             [],
         ],
-        ids=["list-of-lists", "object", "string-radius", "short-center", "string-center", "empty"],
+        ids=["list-of-lists", "object", "string-radius", "short-center", "string-center", "quoted-center", "empty"],
     )
     def test_bump_battery(self, tmp_path, capsys, bumps):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])

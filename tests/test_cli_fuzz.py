@@ -7,11 +7,14 @@ bytes; a field CSV body is a valid file's rows, shuffled and respelled,
 with one or two drawn faults (and once with none), or rows drawn from the
 token grammar of ``field_csv_faults.token_rows``. ``main`` must not raise
 or warn, must return 0, 1 or 2, and on 2 must print one line that is more
-than a bare key and write no report.
+than a bare key and write no report. One property is an oracle, not only
+this contract: a valid grid record, sidecar or bump battery with one number
+respelled as another JSON type must exit 2 naming the file and the key.
 Sizes stay small so that a well-formed draw runs in milliseconds.
 """
 
 import contextlib
+import functools
 import io
 import json
 import re
@@ -76,6 +79,7 @@ def write(path, content):
 
 
 def run_main(argv, out):
+    """main's status and stderr text, once the exit-code contract is checked."""
     if out.exists():
         out.unlink()
     err = io.StringIO()
@@ -92,6 +96,7 @@ def run_main(argv, out):
         assert not out.exists()
     else:
         assert out.exists()
+    return status, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +196,46 @@ def test_field_csv_body(work, seed, faults):
 def test_field_csv_tokens(work, rows):
     write_field(work / "t.csv", field_grid, 2, rows, np.random.default_rng(0))
     run_main(["norms", "--f", str(work / "t.csv")], work / "r.json")
+
+
+VALID = {
+    "grid": {"box_min": [0.0, 0.0], "box_max": [1.0, 1.0], "resolution": [4, 4]},
+    "sidecar": {"norm_tag": "l2", "dim_M": 2, "grid": {"box_min": [0.0, 0.0], "box_max": [1.0, 1.0], "resolution": [3, 3]}},
+    "bumps": [{"center": [0.5, 0.5], "radius": 0.2}],
+}
+# the ways a number can be written as another JSON type
+RESPELLINGS = {"string": json.dumps, "true": lambda x: True, "false": lambda x: False, "null": lambda x: None,
+               "list": lambda x: [x]}
+
+
+def number_paths(record, path=()):
+    """The key and index path of every number in a JSON record."""
+    if isinstance(record, (dict, list)):
+        items = record.items() if isinstance(record, dict) else enumerate(record)
+        return [p for k, v in items for p in number_paths(v, path + (k,))]
+    return [path] if type(record) in (int, float) else []
+
+
+respelled_numbers = st.sampled_from(sorted(VALID)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.sampled_from(number_paths(VALID[kind])), st.sampled_from(sorted(RESPELLINGS)))
+)
+
+
+@settings(FUZZ, max_examples=100)
+@given(case=respelled_numbers)
+def test_a_number_respelled_as_another_json_type_exits_2(work, case):
+    kind, path, respelling = case
+    record = json.loads(json.dumps(VALID[kind]))
+    *parents, last = path
+    holder = functools.reduce(lambda node, key: node[key], parents, record)
+    holder[last] = RESPELLINGS[respelling](holder[last])
+    f, cand = str(work / "f.csv"), str(work / "cand.csv")
+    written, named, argv = {
+        "grid": ("g.json", "g.json", ["modulus", "--family", str(work / "fam.json"), "--grid", str(work / "g.json")]),
+        "sidecar": ("v.csv.json", "v.csv", ["norms", "--f", str(work / "v.csv")]),
+        "bumps": ("b.json", "b.json", ["weakcheck", "--f", f, "--cand", cand, "--axis", "0", "--bumps", str(work / "b.json")]),
+    }[kind]
+    write(work / written, json.dumps(record))
+    status, err = run_main(argv, work / "r.json")
+    key = [k for k in path if isinstance(k, str)][-1]
+    assert status == 2 and str(work / named) in err and key in err, (case, err)

@@ -541,9 +541,9 @@ class TestGrid:
             Grid(box_min=[0.0], box_max=[1.0], resolution=[0])
 
     def test_fractional_resolution_rejected(self):
-        with pytest.raises(ValueError, match="integral"):
+        with pytest.raises(ValueError, match="resolution must be an integer >= 1, got 4.5"):
             Grid(box_min=[0.0], box_max=[1.0], resolution=[4.5])
-        with pytest.raises(ValueError, match="integral"):
+        with pytest.raises(ValueError, match="resolution must be an integer >= 1, got 4.5"):
             Grid.from_json({"box_min": [0.0], "box_max": [1.0], "resolution": [4.5]})
         assert Grid(box_min=[0.0], box_max=[1.0], resolution=[4.0]).shape == (4,)
 
@@ -580,6 +580,31 @@ class TestGrid:
     def test_json_record_must_be_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             Grid.from_json([0, 1])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("box_min", ["0", 0]), ("box_max", [True, 1]), ("resolution", ["4", 4]), ("resolution", [4, False]),
+         ("box_min", [None, 0]), ("box_min", [[0, 0]]), ("resolution", [[4, 4]]), ("box_max", [1, float("nan")]),
+         ("box_min", [10**400, 0]), ("resolution", np.array([True, True])), ("box_max", np.ones((1, 2)))],
+    )
+    def test_entries_that_are_not_finite_numbers_rejected_by_field(self, field, value):
+        # strings, bools and nested lists were once parsed through float64
+        record = {"box_min": [0, 0], "box_max": [1, 1], "resolution": [4, 4], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must hold finite numbers only, got "):
+            Grid(**record)
+        with pytest.raises(ValueError, match=f"^grid record: {field} must hold finite numbers only"):
+            Grid.from_json(record)
+
+    @pytest.mark.parametrize(
+        "box_min,box_max,resolution",
+        [(np.zeros(2), np.ones(2), np.array([3, 4])), ([np.float64(0), np.int32(0)], (1, np.float32(1)), [np.int8(3), 4.0]),
+         (np.float64(0), np.array(1.0), np.int64(4)), (0, 1, 4)],
+    )
+    def test_numpy_arrays_scalars_and_single_numbers_accepted(self, box_min, box_max, resolution):
+        g = Grid(box_min=box_min, box_max=box_max, resolution=resolution)
+        want = Grid(box_min=[0.0] * g.ndim, box_max=[1.0] * g.ndim, resolution=np.ravel(resolution).tolist())
+        assert g.box_min.dtype == g.box_max.dtype == float and g.resolution.dtype == int
+        assert g.to_json() == want.to_json()
 
     def test_locate_corners(self):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])

@@ -182,7 +182,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             solve_modulus(prob, tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [-1, 2.5, None])
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, None, True])
     def test_max_iter_not_a_count_rejected(self, rng, monkeypatch, max_iter):
         # a negative or fractional cap was never met, so it removed the step cap
         prob = assemble_problem(CurveFamily(curves=random_curves(rng, 2)), unit_grid(8), 2.0)

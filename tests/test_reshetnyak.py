@@ -499,7 +499,7 @@ class TestAcBound:
             f, ScalarField(grid=g, values=ones), c, 1e-6
         ).to_dict()
 
-    @pytest.mark.parametrize("num_params", [0, 1])
+    @pytest.mark.parametrize("num_params", [0, 1, 2.5, True])
     def test_fewer_than_two_parameters_rejected(self, num_params):
         g = square_grid(8)
         f = VectorField(grid=g, values=np.zeros((g.num_cells, 1)), norm=NormTag.L2)

@@ -68,6 +68,12 @@ class TestSinFamily:
         with pytest.raises(ValueError):
             sin_family(4, 8)
 
+    @pytest.mark.parametrize("M,resolution,named", [(2.5, 64, "M"), (True, 64, "M"), (4, 64.0, "resolution"), (4, True, "resolution")])
+    def test_counts_must_be_integers(self, M, resolution, named):
+        # 2.5 once kept 3 coordinates and True one
+        with pytest.raises(ValueError, match=f"^{named} must be an integer >= "):
+            sin_family(M, resolution)
+
 
 class TestLipschitzCertificate:
     def test_upper_bound_holds_for_every_m(self):
@@ -375,9 +381,9 @@ class TestDichotomyReport:
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3, 1e-4], resolution=128, fixed_M=1)
         assert rep.meta["verdict"] == VERDICT_RNP_LIKE
 
-    @pytest.mark.parametrize("resolution", [15, 0, -3])
+    @pytest.mark.parametrize("resolution", [15, 0, -3, 64.0])
     def test_small_resolution_rejected_by_name(self, resolution):
-        with pytest.raises(ValueError, match=f"resolution must be >= 16, got {resolution}"):
+        with pytest.raises(ValueError, match=f"resolution must be an integer >= 16, got {resolution}"):
             dichotomy_report(T_STAR, [1e-1], resolution=resolution)
 
     def test_empty_ladder_rejected(self):

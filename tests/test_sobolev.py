@@ -177,6 +177,16 @@ class TestWeakDerivativeCheck:
         with pytest.raises(ValueError, match="at least one bump"):
             weak_derivative_check(f, zero, 0, [], tol=5e-3)
 
+    @pytest.mark.parametrize(
+        "center,radius,named",
+        [(["0.5", 0.5], 0.3, "bump center"), ([0.5, None], 0.3, "bump center"), ([[0.5, 0.5]], 0.3, "bump center"),
+         ([0.5, float("inf")], 0.3, "bump center"), ([0.5, 0.5], "0.3", "bump radius"), ([0.5, 0.5], [0.3], "bump radius"),
+         ([0.5, 0.5], True, "bump radius"), ([0.5, 0.5], 0.0, "bump radius must be positive")],
+    )
+    def test_bump_needs_finite_numbers(self, center, radius, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            TestFunction(center, radius)
+
     def test_boundary_touching_support_rejected(self):
         g = interval_grid(64)
         f = VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2)

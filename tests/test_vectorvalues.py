@@ -234,6 +234,13 @@ class TestFieldIO:
             with pytest.raises(ValueError, match=rule):
                 load_field_csv(tmp_path / "f.csv")
 
+    def test_counts_may_be_written_as_whole_floats(self, tmp_path):
+        (tmp_path / "f.csv").write_text("i1,v1,v2\n0,1,2\n1,3,4\n")
+        grid = {"box_min": [0], "box_max": [1], "resolution": [2.0]}
+        (tmp_path / "f.csv.json").write_text(json.dumps({"grid": grid, "dim_M": 2.0, "norm_tag": "l1"}))
+        f = load_field_csv(tmp_path / "f.csv")
+        assert f.grid.shape == (2,) and f.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_a_zero_dimensional_grid_holds_one_row(self, tmp_path):
         (tmp_path / "f.csv").write_text("v0,v1\n2.5,-1\n")
         grid = {"box_min": [], "box_max": [], "resolution": []}
