@@ -35,12 +35,13 @@ bumps = [TestFunction(center=[rng.uniform(0.3, 0.7)], radius=rng.uniform(0.1, 0.
 print("== certifying 2x as the weak derivative of x^2 ==")
 report = weak_derivative_check(f, true_derivative, axis=0, tests=bumps, tol=5e-3)
 for check in report.checks:
-    print(f"  {check.name}: residual={check.value:.2e}  pass={check.passed}")
+    print(f"  {check['name']}: residual={check['value']:.2e}  pass={check['pass']}")
 
 print()
 print("== the zero candidate fails every bump ==")
 report = weak_derivative_check(f, wrong_candidate, axis=0, tests=bumps, tol=5e-3)
-print(f"  residuals: {[f'{c.value:.3f}' for c in report.checks]}  -> passed={report.passed}")
+residuals = [f"{c['value']:.3f}" for c in report.checks]
+print(f"  residuals: {residuals}  -> passed={report.passed}")
 
 print()
 print("== Sobolev norm of f(x) = x at p = 1 ==")
@@ -59,6 +60,6 @@ smooth = VectorField(
 gradient = finite_diff_gradient(smooth)
 diagonal = Polyline([[0.05, 0.05], [0.95, 0.95]])
 report = ftc_along_curve_check(smooth, gradient, diagonal, tol=5e-3, num_params=4)
-worst = max(c.value for c in report.checks if c.name.startswith("ftc"))
+worst = max(c["value"] for c in report.checks if c["name"].startswith("ftc"))
 print(f"  worst increment-vs-integral residual: {worst:.2e}  passed={report.passed}")
 print(f"  gradient length at the center cell: {gradient_length(gradient, smooth.norm)[grid2.num_cells // 2]:.4f}")

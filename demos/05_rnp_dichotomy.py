@@ -19,7 +19,7 @@ t_star = 1.0 / math.sqrt(2.0)
 print("== the family is 1-Lipschitz at every truncation ==")
 for M in (1, 8, 64):
     report = lipschitz_certificate(sin_family(M, 1024))
-    print(f"  M={M:3d}: certificate = {report.checks[0].value:.6f} (must stay <= 1)")
+    print(f"  M={M:3d}: certificate = {report.checks[0]['value']:.6f} (must stay <= 1)")
 
 print()
 print("== quotient gaps: truncation scaled with the step ==")
@@ -39,7 +39,7 @@ for h in (1e-3, 1e-4, 1e-5, 1e-6):
 print()
 print("== the full ladder report ==")
 report = dichotomy_report(t_star, [1e-1, 1e-2, 1e-3], resolution=256, gap_floor=fixture["c0"])
-print(f"  columns: {report.series[0].columns}")
-for row in report.series[0].rows:
+print(f"  columns: {report.series[0]['columns']}")
+for row in report.series[0]["rows"]:
     print(f"  h={row[0]:<8g} M={int(row[2]):<7d} gap={row[3]:.4f} r_norm={row[4]:.6f}")
 print(f"  verdict: {report.meta['verdict']}")

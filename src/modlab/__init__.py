@@ -33,7 +33,7 @@ from .modulus import (
     fuglede_schedule,
     solve_modulus,
 )
-from .report import CheckRecord, Report, Series, __version__
+from .report import Report, __version__
 from .reshetnyak import (
     UpperBoundField,
     ac_bound_check,

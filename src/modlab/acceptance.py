@@ -22,7 +22,7 @@ from .modulus import (
     fuglede_schedule,
     solve_modulus,
 )
-from .report import Report, Series, bounded_check
+from .report import Report, bounded_check
 from .reshetnyak import ac_bound_check, norm_equivalence_check, r_norm
 from .rnp_lab import (
     VERDICT_NON_CAUCHY,
@@ -90,7 +90,7 @@ def criterion_segment_families() -> Report:
     return Report(
         command="criterion_1_segment_families",
         checks=checks,
-        series=[Series(name="modulus_refinement", columns=["resolution", "value"], rows=series_rows)],
+        series=[{"name": "modulus_refinement", "columns": ["resolution", "value"], "rows": series_rows}],
         meta={"analytic_full": exact, "analytic_half": half},
     )
 
@@ -211,9 +211,9 @@ def criterion_weak_derivative() -> Report:
     exact = weak_derivative_check(const, zero2, axis=0, tests=sym_bumps, tol=1e-12)
 
     checks = [
-        bounded_check("x2_candidate_2x_passes", float(sum(c.passed for c in good.checks)), float(len(good.checks)), lower=True),
-        bounded_check("x2_candidate_zero_fails_every_bump", float(sum(not c.passed for c in bad.checks)), float(len(bad.checks)), lower=True),
-        bounded_check("constant_candidate_zero_exact", float(sum(c.passed for c in exact.checks)), float(len(exact.checks)), lower=True),
+        bounded_check("x2_candidate_2x_passes", float(sum(c["pass"] for c in good.checks)), float(len(good.checks)), lower=True),
+        bounded_check("x2_candidate_zero_fails_every_bump", float(sum(not c["pass"] for c in bad.checks)), float(len(bad.checks)), lower=True),
+        bounded_check("constant_candidate_zero_exact", float(sum(c["pass"] for c in exact.checks)), float(len(exact.checks)), lower=True),
     ]
     return Report(command="criterion_4_weak_derivative", checks=checks)
 
@@ -288,7 +288,7 @@ def criterion_ftc_ac() -> Report:
     G = finite_diff_gradient(f)
     diag = Polyline([[0.02, 0.02], [0.98, 0.98]])
     ftc = ftc_along_curve_check(f, G, diag, tol=1e-3)
-    worst = max(c.value for c in ftc.checks if c.name.startswith("ftc"))
+    worst = max(c["value"] for c in ftc.checks if c["name"].startswith("ftc"))
     # the verdict also carries the report's chain-rule check
     checks.append(bounded_check("ftc_smooth_residual", worst, 1e-3, passed=ftc.passed))
 
@@ -361,7 +361,7 @@ def criterion_fuglede() -> Report:
     return Report(
         command="criterion_8_fuglede",
         checks=checks,
-        series=[Series(name="fuglede_schedule", columns=["k", "index", "bound"], rows=[[float(k + 1), float(i), b] for k, (i, b) in enumerate(schedule)])],
+        series=[{"name": "fuglede_schedule", "columns": ["k", "index", "bound"], "rows": [[float(k + 1), float(i), b] for k, (i, b) in enumerate(schedule)]}],
         meta={"sum": total},
     )
 

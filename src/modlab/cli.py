@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from . import acceptance
 from .errors import named, require_count, require_exponent, require_keys, require_tolerance
 from .geometry import Grid, load_family, load_polyline_csv
 from .modulus import assemble_problem, solve_modulus
-from .report import CheckRecord, Report, bounded_check, format_float, report_to_json, sha256_digest
+from .report import Report, bounded_check, format_float, report_to_json, sha256_digest
 from .reshetnyak import ac_bound_check, norm_equivalence_check
 from .rnp_lab import dichotomy_gap_floor, dichotomy_report
 from .sobolev import TestFunction, weak_derivative_check
@@ -112,10 +111,10 @@ def plot_files(report: Report, path) -> dict:
     if not report.series:
         print("plot export: report contains no series; nothing to export")
     for s in report.series:
-        rows = sorted(s.rows, key=lambda r: r[0])
-        lines = [",".join(s.columns)]
+        rows = sorted(s["rows"], key=lambda r: r[0])
+        lines = [",".join(s["columns"])]
         lines += [",".join(format_float(float(x)) for x in row) for row in rows]
-        files[Path(path) / f"{s.name}.csv"] = "\n".join(lines) + "\n"
+        files[Path(path) / f"{s['name']}.csv"] = "\n".join(lines) + "\n"
     return files
 
 
@@ -125,7 +124,7 @@ def _cmd_modulus(args, files: dict) -> Report:
     prob = assemble_problem(fam, grid, args.p)
     result = solve_modulus(prob, tol=args.tol, max_iter=args.max_iter)
     checks = [
-        CheckRecord(name="converged", value=float(result.converged), bound=1.0, passed=result.converged),
+        {"name": "converged", "value": float(result.converged), "bound": 1.0, "margin": None, "pass": bool(result.converged)},
         bounded_check("duality_gap", result.gap, args.tol * (1.0 + result.value)),
         bounded_check("constraint_violation", result.max_constraint_violation, args.tol),
     ]
@@ -164,7 +163,8 @@ def _cmd_norms(args, files: dict) -> Report:
 def _cmd_weakcheck(args, files: dict) -> Report:
     f = load_field_csv(args.f)
     cand = load_field_csv(args.cand)
-    bumps = json.loads(args.bumps.read_text())
+    with named(f"the bump battery {args.bumps}"):
+        bumps = json.loads(args.bumps.read_text())
     if not isinstance(bumps, list):
         raise ValueError(f"the bump battery {args.bumps} must be a JSON list, got {type(bumps).__name__}")
     tests = []
@@ -200,7 +200,7 @@ def _cmd_counterexample(args, files: dict) -> Report:
 
 def _cmd_suite(args, files: dict) -> Report:
     reports = acceptance.run_all()
-    checks = [replace(c, name=f"{rep.command}.{c.name}") for rep in reports for c in rep.checks]
+    checks = [dict(c, name=f"{rep.command}.{c['name']}") for rep in reports for c in rep.checks]
     series = [s for rep in reports for s in rep.series]
     return Report(command="suite", checks=checks, series=series)
 

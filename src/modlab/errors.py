@@ -1,8 +1,9 @@
 """Exception types and the input rules, each decided here once: a JSON
 object holding named keys (``require_keys``), a count (``require_count``),
-a flat list of finite real numbers (``require_reals``), a tolerance
-(``require_tolerance``) and an exponent (``require_exponent``). A reader of
-a file wraps them in ``named`` to put the file in the message."""
+a flat list of finite real numbers (``require_reals``), an array of real
+numbers (``require_real_array``), a tolerance (``require_tolerance``) and
+an exponent (``require_exponent``). A reader of a file wraps them in
+``named`` to put the file in the message."""
 
 import math
 import numbers
@@ -43,6 +44,18 @@ def require_reals(values, name: str) -> list:
         if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
             raise ValueError(f"{name} must hold finite numbers only, got {x!r}")
     return items
+
+
+def require_real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, if it holds real numbers only: an array needs
+    an integer or float dtype, a test of O(1), and the entries of a list, at any
+    depth, must pass ``require_reals``; strings and bools are refused."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got an array of dtype {values.dtype}")
+    else:
+        require_reals(np.asarray(values, dtype=object).ravel(), name)
+    return np.asarray(values, dtype=float)
 
 
 def require_tolerance(tol: float) -> None:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateCurveError, DomainError, named, require_count, require_keys, require_reals
+from .errors import DegenerateCurveError, DomainError, named, require_count, require_keys, require_real_array, require_reals
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -133,14 +133,16 @@ class Grid:
 
     @classmethod
     def load(cls, path) -> "Grid":
-        return cls.from_json(json.loads(Path(path).read_text()), f"the grid record in {path}")
+        with named(where := f"the grid record in {path}"):
+            record = json.loads(Path(path).read_text())
+        return cls.from_json(record, where)
 
 
 class Polyline:
     """Rectifiable curve given by an ordered vertex chain in R^N."""
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = require_real_array(vertices, "vertices")
         if v.ndim == 1:
             v = v[None, :]
         if v.ndim != 2 or v.shape[0] < 1:
@@ -268,7 +270,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        self.values = require_real_array(self.values, "values").reshape(-1)
         if self.values.shape[0] != self.grid.num_cells:
             raise ValueError("values must carry one entry per grid cell")
         if not np.all(np.isfinite(self.values)):

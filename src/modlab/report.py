@@ -1,13 +1,17 @@
-"""JSON-serializable records of checks, with deterministic serialization.
+"""Reports as the JSON they are written as, with deterministic serialization.
 
-Every check of a value against a bound is built by ``bounded_check``, so one
-rule holds in every report: the margin is bound - value (value - bound for a
+A check is the dict ``{"name", "value", "bound", "margin", "pass"}`` and a
+series the dict ``{"name", "columns", "rows"}``; a ``Report`` holds them as
+they are written. Every check of a value against a bound is built by
+``bounded_check``, or by ``bounded_checks`` for arrays of them, so one rule
+holds in every report: the margin is bound - value (value - bound for a
 lower bound), and it is >= 0 exactly when the check passes.
 
 Reports are byte-stable for a fixed configuration and artifact version,
 except for the wall-time field; floats are emitted with 17 significant
 digits, and strings (keys too) as JSON string literals that escape every
-control character.
+control character. The writer takes the JSON types only (dict, list, str,
+float, int, bool and None) and raises TypeError on any other.
 """
 
 from __future__ import annotations
@@ -17,31 +21,13 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring  # json.dumps(s, ensure_ascii=False) without an encoder per call
 from pathlib import Path
 
+import numpy as np
+
 __version__ = "0.1.0"
 
 
-@dataclass
-class CheckRecord:
-    """One named check: value against bound, margin, and the verdict."""
-
-    name: str
-    value: float | list | None = None
-    bound: float | None = None
-    margin: float | None = None
-    passed: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "bound": self.bound,
-            "margin": self.margin,
-            "pass": bool(self.passed),
-        }
-
-
-def bounded_check(name: str, value, bound, lower: bool = False, passed: bool | None = None) -> CheckRecord:
-    """A check of value <= bound, or of value >= bound when ``lower``.
+def bounded_check(name: str, value, bound, lower: bool = False, passed: bool | None = None) -> dict:
+    """The record of a check of value <= bound, or of value >= bound when ``lower``.
 
     The margin is nonnegative on the passing side. ``passed`` overrides the
     verdict where the gate is not literally that comparison (a strict
@@ -50,19 +36,19 @@ def bounded_check(name: str, value, bound, lower: bool = False, passed: bool | N
     margin = value - bound if lower else bound - value
     if passed is None:
         passed = value >= bound if lower else value <= bound
-    return CheckRecord(name=name, value=value, bound=bound, margin=margin, passed=bool(passed))
+    return {"name": name, "value": value, "bound": bound, "margin": margin, "pass": bool(passed)}
 
 
-@dataclass
-class Series:
-    """Tabular series (ladders, refinement studies) for plot-data export."""
-
-    name: str
-    columns: list
-    rows: list
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "columns": list(self.columns), "rows": [list(r) for r in self.rows]}
+def bounded_checks(names, values, bounds) -> list:
+    """``bounded_check(name, value, bound)`` for each entry of float arrays,
+    with ``bounds`` broadcast to the shape of ``values``."""
+    values = np.asarray(values, dtype=float)
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=float), values.shape)
+    columns = values.tolist(), bounds.tolist(), (bounds - values).tolist(), (values <= bounds).tolist()
+    return [
+        {"name": name, "value": value, "bound": bound, "margin": margin, "pass": passed}
+        for name, value, bound, margin, passed in zip(names, *columns)
+    ]
 
 
 @dataclass
@@ -77,15 +63,15 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c["pass"] for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
             "command": self.command,
             "version": self.version,
             "inputs": dict(sorted(self.inputs.items())),
-            "checks": [c.to_dict() for c in self.checks],
-            "series": [s.to_dict() for s in self.series],
+            "checks": self.checks,
+            "series": self.series,
             "meta": self.meta,
             "passed": self.passed,
             "wall_time_s": self.wall_time_s,
@@ -108,14 +94,14 @@ def _dumps(obj, indent: int = 0) -> str:
             return "{}"
         items = []
         for k, v in obj.items():
-            items.append(f"{pad}  {encode_basestring(str(k))}: {_dumps(v, indent + 1)}")
+            items.append(f"{pad}  {encode_basestring(k)}: {_dumps(v, indent + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         items = [f"{pad}  {_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or type(obj).__name__ == "bool_":
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
@@ -125,11 +111,7 @@ def _dumps(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, str):
         return encode_basestring(obj)
-    # numpy scalars and anything else numeric-like
-    try:
-        return format_float(float(obj))
-    except (TypeError, ValueError):
-        return _dumps(str(obj), indent)
+    raise TypeError(f"a report holds JSON types only, got {type(obj).__name__}")
 
 
 def report_to_json(report: Report) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import overflow_as_value_error, require_exponent
 from .geometry import Polyline, ScalarField, _pack, _packed_integrals
-from .report import Report, bounded_check
+from .report import Report, bounded_check, bounded_checks
 from .sobolev import _pairs, _sample_curve, finite_diff_gradient, w_norm
 from .vectorvalues import NormTag, VectorField, _max_last_axis, lp_norm, scalar_lp_norm, value_norm
 
@@ -273,8 +273,5 @@ def ac_bound_check(
         increments = value_norm(values[b] - values[a], f.norm)
         bounds = prefix[b] - prefix[a] + tol
     labels = [format(t, ".4g") for t in params.tolist()]
-    checks = [
-        bounded_check(f"ac[{labels[i]},{labels[j]}]", inc, bound)
-        for i, j, inc, bound in zip(a.tolist(), b.tolist(), increments.tolist(), bounds.tolist())
-    ]
-    return Report(command="ac_bound_check", checks=checks)
+    names = [f"ac[{labels[i]},{labels[j]}]" for i, j in zip(a.tolist(), b.tolist())]
+    return Report(command="ac_bound_check", checks=bounded_checks(names, increments, bounds))

@@ -35,9 +35,9 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import require_count, require_exponent
+from .errors import require_count, require_exponent, require_reals
 from .geometry import Grid, ScalarField
-from .report import Report, Series, bounded_check
+from .report import Report, bounded_check
 from .reshetnyak import upper_gradient_star
 from .vectorvalues import NormTag, VectorField, scalar_lp_norm
 
@@ -235,7 +235,7 @@ def dichotomy_report(
     """
     require_exponent(p)
     resolution = require_count(resolution, "resolution", 16)
-    ladder = [float(h) for h in h_ladder]
+    ladder = [float(h) for h in require_reals(h_ladder, "h_ladder")]
     if not ladder:
         raise ValueError("h_ladder must hold at least one step")
     if fixed_M is not None:
@@ -271,12 +271,6 @@ def dichotomy_report(
     return Report(
         command="dichotomy_report",
         checks=checks,
-        series=[
-            Series(
-                name="dichotomy",
-                columns=["h", "hprime", "M", "gap", "r_norm", "lp_norm"],
-                rows=rows,
-            )
-        ],
+        series=[{"name": "dichotomy", "columns": ["h", "hprime", "M", "gap", "r_norm", "lp_norm"], "rows": rows}],
         meta={"t": t, "p": p, "resolution": resolution, "fixed_M": fixed_M, "verdict": verdict},
     )

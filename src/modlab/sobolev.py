@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import overflow_as_value_error, require_count, require_exponent, require_reals
 from .geometry import Grid, Polyline, ScalarField, _cut_packed, _pack, _split_segments
-from .report import Report, bounded_check
+from .report import Report, bounded_check, bounded_checks
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
 
 
@@ -178,14 +178,14 @@ def weak_derivative_check(
     interior = _interior_mask(g)
     centers, fvals, cvals = g.cell_centers()[interior], f.values[interior], cand.values[interior]
     vol = g.cell_volume
-    checks = []
-    for i, t in enumerate(tests):
+    residuals, bounds = [], []
+    for t in tests:
         lhs = vol * (t.dphi(centers, axis) @ fvals)
         rhs = vol * (t.phi(centers) @ cvals)
-        residual = value_norm(lhs + rhs, f.norm)
-        scale = max(value_norm(lhs, f.norm), value_norm(rhs, f.norm))
-        checks.append(bounded_check(f"bump_{i:02d}", float(residual), float(tol * (1.0 + scale))))
-    return Report(command="weak_derivative_check", checks=checks)
+        residuals.append(value_norm(lhs + rhs, f.norm))
+        bounds.append(tol * (1.0 + max(value_norm(lhs, f.norm), value_norm(rhs, f.norm))))
+    names = [f"bump_{i:02d}" for i in range(len(tests))]
+    return Report(command="weak_derivative_check", checks=bounded_checks(names, residuals, bounds))
 
 
 def _interpolator(g: Grid, values: np.ndarray):
@@ -309,10 +309,8 @@ def ftc_along_curve_check(
         residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
         worst = float(np.max(value_norm(directional, tag) - gradient_length(grads, tag), initial=0.0))
     labels = [format(t, ".4g") for t in params.tolist()]
-    checks = [
-        bounded_check(f"ftc[{labels[i]},{labels[j]}]", r, float(tol))
-        for i, j, r in zip(a.tolist(), b.tolist(), residuals.tolist())
-    ]
-    chain_bound = 1e-12 * (1.0 + max(abs(ck.value) for ck in checks))
+    names = [f"ftc[{labels[i]},{labels[j]}]" for i, j in zip(a.tolist(), b.tolist())]
+    checks = bounded_checks(names, residuals, tol)
+    chain_bound = 1e-12 * (1.0 + max(ck["value"] for ck in checks))
     checks.append(bounded_check("chain_rule_bound", worst, chain_bound))
     return Report(command="ftc_along_curve_check", checks=checks)

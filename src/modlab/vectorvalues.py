@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import named, overflow_as_value_error, require_count, require_exponent, require_keys
+from .errors import named, overflow_as_value_error, require_count, require_exponent, require_keys, require_real_array
 from .geometry import Grid, ScalarField
 
 
@@ -79,7 +79,7 @@ class VectorField:
     norm: NormTag
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = require_real_array(self.values, "values")
         if self.values.ndim == 1:
             self.values = self.values[:, None]
         if self.values.ndim != 2 or self.values.shape[0] != self.grid.num_cells:

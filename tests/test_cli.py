@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from modlab import (
-    CheckRecord,
     CurveFamily,
     Grid,
     NormTag,
@@ -57,6 +56,12 @@ class TestModulusCommand:
         assert {"value", "violation", "iterations", "gap"} <= set(record["meta"])
         assert (modulus_inputs / "rho.csv").exists()
         assert record["inputs"]  # digests recorded
+
+    def test_rho_out_is_a_field_csv_with_its_header(self, modulus_inputs):
+        rho = modulus_inputs / "rho.csv"
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json")]
+        assert main(argv + ["--out", str(modulus_inputs / "r.json"), "--rho-out", str(rho)]) == 0
+        assert rho.read_text().splitlines()[0] == "i1,i2,v1"
 
     def test_empty_family_on_a_zero_dimensional_grid_writes_its_density(self, tmp_path, capsys):
         Grid(box_min=[], box_max=[], resolution=[]).save(tmp_path / "grid.json")
@@ -255,10 +260,10 @@ class TestSuiteCommand:
         from modlab import cli as cli_mod
 
         def fake_all_pass():
-            return [Report(command="c", checks=[CheckRecord(name="x", value=0.0, passed=True)])]
+            return [Report(command="c", checks=[{"name": "x", "value": 0.0, "bound": None, "margin": None, "pass": True}])]
 
         def fake_one_fail():
-            return [Report(command="c", checks=[CheckRecord(name="x", value=2.0, bound=1.0, passed=False)])]
+            return [Report(command="c", checks=[{"name": "x", "value": 2.0, "bound": 1.0, "margin": None, "pass": False}])]
 
         monkeypatch.setattr(cli_mod.acceptance, "run_all", fake_all_pass)
         assert main(["suite", "--out", str(tmp_path / "s1.json")]) == 0
@@ -290,13 +295,7 @@ class TestPlotExport:
     def test_series_sorted_and_headered(self, tmp_path):
         rep = Report(
             command="study",
-            series=[
-                type(
-                    "S",
-                    (),
-                    {"name": "refine", "columns": ["resolution", "value"], "rows": [[128.0, 1.0], [64.0, 0.9]]},
-                )()
-            ],
+            series=[{"name": "refine", "columns": ["resolution", "value"], "rows": [[128.0, 1.0], [64.0, 0.9]]}],
         )
         files = plot_files(rep, tmp_path)
         assert list(files) == [tmp_path / "refine.csv"]
@@ -456,6 +455,17 @@ class TestMalformedInputsExit2:
         manifest.write_text("{not json")
         argv = ["modulus", "--family", str(manifest), "--grid", str(modulus_inputs / "grid.json")]
         assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(manifest))
+
+    def test_unparsable_grid_record_is_named(self, modulus_inputs, capsys):
+        grid = modulus_inputs / "bad_grid.json"
+        grid.write_text("{not json")
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(grid)]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(grid))
+
+    def test_unparsable_bump_battery_is_named(self, tmp_path, capsys):
+        argv, _ = _weakcheck_argv(lambda x: 2.0 * x, 0)(tmp_path)
+        (tmp_path / "bumps.json").write_text("{not json")
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "bumps.json"))
 
     @pytest.mark.parametrize("label", ['{"x": [1, NaN]}', "5", "null", '["rows"]'])
     def test_family_label_that_is_not_a_string(self, modulus_inputs, capsys, label):

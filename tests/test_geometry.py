@@ -36,6 +36,36 @@ def polyline_on_circle(k):
     return Polyline(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
 
 
+class TestConstructorsRefuseNonNumbers:
+    """Strings and bools were once parsed through float64 by the constructors."""
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[["0.1", True], ["0.9", "0.7"]], [[0.1, 0.2], [0.9, True]], [[0.1, 0.2], [0.9, None]],
+         np.array([[True, False], [False, True]]), np.array([["0.1", "0.2"], ["0.9", "0.7"]]),
+         np.array([[0.1, 0.2], [0.9, 0.7]], dtype=object)],
+        ids=["strings-and-bool", "bool", "none", "bool-array", "string-array", "object-array"],
+    )
+    def test_polyline(self, vertices):
+        with pytest.raises(ValueError, match="^vertices must hold"):
+            Polyline(vertices)
+
+    @pytest.mark.parametrize(
+        "values",
+        [["1", True, 1.0, 1.0], [1.0, 1.0, 1.0, False], np.ones(4, dtype=bool), np.array(["1", "1", "1", "1"])],
+        ids=["strings-and-bool", "bool", "bool-array", "string-array"],
+    )
+    def test_scalar_field(self, values):
+        with pytest.raises(ValueError, match="^values must hold"):
+            ScalarField(Grid([0.0, 0.0], [1.0, 1.0], [2, 2]), values)
+
+    def test_numbers_of_every_kind_are_kept(self):
+        vertices = [[np.float32(0.25), 0], [1, np.int64(1)]]
+        assert Polyline(vertices).vertices.tolist() == [[0.25, 0.0], [1.0, 1.0]]
+        assert Polyline(np.array([[0, 0], [3, 4]])).length == 5.0
+        assert ScalarField(Grid([0.0], [1.0], [2]), [np.int8(2), 0.5]).values.tolist() == [2.0, 0.5]
+
+
 class TestLength:
     def test_segment_3_4_5(self):
         assert Polyline([[0.0, 0.0], [3.0, 4.0]]).length == 5.0

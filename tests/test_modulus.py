@@ -486,6 +486,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ModulusProblem(constraint_rows=A, weights=np.full(g.num_cells, g.cell_volume), exponent=2.0, grid=g)
 
+    def test_zero_weight_rejected(self):
+        g = unit_grid(4)
+        weights = np.full(g.num_cells, g.cell_volume)
+        weights[5] = 0.0
+        with pytest.raises(ValueError, match="weights must be positive"):
+            ModulusProblem(constraint_rows=sp.csr_matrix(np.ones((1, g.num_cells))), weights=weights, exponent=2.0, grid=g)
+
     def test_zero_row_rejected(self):
         g = unit_grid(4)
         A = sp.csr_matrix(np.zeros((1, g.num_cells)))

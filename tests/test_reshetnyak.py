@@ -430,7 +430,7 @@ class TestNormEquivalence:
         report = norm_equivalence_check(f, 2.0)
         assert report.passed
         assert not report.meta["one_sided"]
-        assert [c.name for c in report.checks] == ["r_le_w", "w_le_sqrtN_r"]
+        assert [c["name"] for c in report.checks] == ["r_le_w", "w_le_sqrtN_r"]
 
 
 class TestAcBound:
@@ -464,7 +464,7 @@ class TestAcBound:
         zero = ScalarField(grid=g, values=np.zeros(g.num_cells))
         c = Polyline([[0.2, 0.2], [0.8, 0.8]])
         report = ac_bound_check(f, zero, c, tol=1e-12, num_params=2)
-        trivial = [ck for ck in report.checks if ck.value == 0.0 and ck.bound <= 1e-12]
+        trivial = [ck for ck in report.checks if ck["value"] == 0.0 and ck["bound"] <= 1e-12]
         assert trivial  # the s = t pairs give 0 <= 0
 
     def test_negative_majorant_rejected(self):
@@ -523,8 +523,8 @@ class TestAcBound:
                 pairs = [(s, t) for i, s in enumerate(params) for t in params[i:]]
                 assert len(report.checks) == len(pairs)
                 for ck, (s, t) in zip(report.checks, pairs):
-                    assert ck.name == f"ac[{s:.4g},{t:.4g}]"
+                    assert ck["name"] == f"ac[{s:.4g},{t:.4g}]"
                     oracle = curve_integral(majorant, mask_restrict(c, s, t)) if t > s else 0.0
-                    assert abs(ck.bound - oracle) <= 1e-13 * oracle
+                    assert abs(ck["bound"] - oracle) <= 1e-13 * oracle
                     ends = interp(c.points_at([s, t]))
-                    assert ck.value == value_norm(ends[1] - ends[0], tag)
+                    assert ck["value"] == value_norm(ends[1] - ends[0], tag)

@@ -79,18 +79,18 @@ class TestLipschitzCertificate:
     def test_upper_bound_holds_for_every_m(self):
         for M in (1, 4, 16):
             rep = lipschitz_certificate(sin_family(M, 256))
-            cert = rep.checks[0].value
+            cert = rep.checks[0]["value"]
             assert cert <= 1.0 + 1e-9
-            assert rep.checks[0].passed
+            assert rep.checks[0]["pass"]
 
     def test_m1_certificate_below_sup_of_cosine(self):
         rep = lipschitz_certificate(sin_family(1, 512))
         # mean-value bound: quotients of sin are cosines at midpoints
-        assert rep.checks[0].value <= 1.0
+        assert rep.checks[0]["value"] <= 1.0
 
     def test_certificate_nearly_attained_for_m64(self):
         rep = lipschitz_certificate(sin_family(64, 4096))
-        cert = rep.checks[0].value
+        cert = rep.checks[0]["value"]
         # an explicit adjacent pair already gives a slope above 0.9
         t = (np.arange(4096) + 0.5) / 4096
         best = 0.0
@@ -109,7 +109,7 @@ class TestLipschitzCertificate:
         np.fill_diagonal(dt, np.inf)
         s = f.values
         oracle = max(float(np.max(np.abs(s[:, None, n] - s[None, :, n]) * (1.0 / dt))) for n in range(M))
-        assert lipschitz_certificate(f).checks[0].value == oracle
+        assert lipschitz_certificate(f).checks[0]["value"] == oracle
 
     def test_field_on_a_2d_grid_rejected(self):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[16, 16])
@@ -330,12 +330,19 @@ class TestSinFamilyRNorm:
 
 
 class TestDichotomyReport:
+    @pytest.mark.parametrize("ladder", [["0.1"], [0.1, "0.01"], [True], [0.1, None], "0.1"],
+                             ids=["string", "string-rung", "bool", "none", "bare-string"])
+    def test_steps_that_are_not_numbers_refused(self, ladder):
+        # the ladder once ran from strings parsed through float()
+        with pytest.raises(ValueError, match="^h_ladder must hold finite numbers only"):
+            dichotomy_report(T_STAR, ladder, resolution=64)
+
     def test_growing_m_ladder_witnesses_failure(self):
         fixture = dichotomy_gap_floor()
         rep = dichotomy_report(T_STAR, [1e-1, 1e-2], resolution=128, gap_floor=fixture["c0"])
         assert rep.meta["verdict"] == VERDICT_NON_CAUCHY
         assert rep.passed
-        rows = rep.series[0].rows
+        rows = rep.series[0]["rows"]
         assert [row[2] for row in rows] == [200.0, 2000.0]
 
     @pytest.mark.parametrize("resolution", [128, 512])
@@ -344,7 +351,7 @@ class TestDichotomyReport:
         # the rungs' R column samples each coordinate once, in ascending
         # contiguous blocks, and every row is the single-rung report's
         def rows(steps):
-            return dichotomy_report(T_STAR, steps, resolution=resolution, fixed_M=fixed_M).series[0].rows
+            return dichotomy_report(T_STAR, steps, resolution=resolution, fixed_M=fixed_M).series[0]["rows"]
 
         ranges = sampled_ranges(monkeypatch, rows, ladder)
         assert [first for first, _ in ranges] == [1] + [last + 1 for _, last in ranges[:-1]]
@@ -364,8 +371,8 @@ class TestDichotomyReport:
 
     def test_numpy_integer_fixed_truncation_accepted(self):
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=np.int64(3))
-        assert json.dumps(rep.series[0].rows) == json.dumps(
-            dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=3).series[0].rows
+        assert json.dumps(rep.series[0]["rows"]) == json.dumps(
+            dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=3).series[0]["rows"]
         )
         assert type(rep.meta["fixed_M"]) is int
 

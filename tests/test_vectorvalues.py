@@ -123,6 +123,18 @@ class TestBochnerIntegral:
             assert worst <= 1e-12
 
 
+class TestVectorFieldValues:
+    @pytest.mark.parametrize(
+        "values",
+        [[["1"], [2.0]], [[True], [2.0]], np.array([[True], [False]]), np.array([["1"], ["2"]])],
+        ids=["string", "bool", "bool-array", "string-array"],
+    )
+    def test_strings_and_bools_refused(self, values):
+        # they were once parsed through float64
+        with pytest.raises(ValueError, match="^values must hold"):
+            VectorField(grid=Grid(box_min=[0.0], box_max=[1.0], resolution=[2]), values=values, norm=NormTag.L2)
+
+
 class TestLpNorm:
     def test_constant_on_unit_volume(self):
         g = Grid(box_min=[0.0], box_max=[1.0], resolution=[4])
