@@ -88,6 +88,11 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
+    @functools.cached_property  # computed once per grid: a Grid never changes
+    def centre_planes(self) -> "Grid":
+        """The grid whose interior planes are all the planes of this grid's cell centres."""
+        return Grid(self.box_min - self.spacing / 2, self.box_max + self.spacing / 2, self.resolution + 1)
+
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
         return self.box_min[axis] + (np.arange(self.resolution[axis]) + 0.5) * h
@@ -444,9 +449,13 @@ def load_polyline_csv(path) -> Polyline:
                 f"line {number} of {path} has {len(parts)} columns where the first row has {len(rows[0])}"
             )
         try:
-            rows.append([float(x) for x in parts])
+            row = [float(x) for x in parts]
+            finite = all(map(math.isfinite, row))
         except ValueError:
-            raise ValueError(f"line {number} of {path} holds a coordinate that is not a number: {line!r}") from None
+            finite = False
+        if not finite:
+            raise ValueError(f"line {number} of {path} holds a coordinate that is not a finite number: {line!r}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"empty polyline file: {path}")
     return Polyline(np.asarray(rows))

@@ -1,12 +1,13 @@
 """Discrete p-modulus of finite curve families as a convex program.
 
-The problem is  minimize sum_c w_c rho_c^p  subject to  A rho >= 1, rho >= 0,
-with one constraint row per curve (arc length spent in each cell) and
-Lebesgue cell volumes w. Every p >= 1 is solved by one primal-dual
-interior-point method; at p = 1 the program is linear. The result carries
-certificates that do not rely on the solver's own claims: the density is
-rescaled to exact feasibility, and its gap to the Lagrange dual bound at the
-solver's multipliers bounds the distance to the optimum.
+The problem is  minimize w sum_c rho_c^p  subject to  A rho >= 1, rho >= 0,
+with one constraint row per curve (arc length spent in each cell) and w the
+grid's Lebesgue cell volume, the same for every cell. Every p >= 1 is solved
+by one primal-dual interior-point method; at p = 1 the program is linear.
+The result carries certificates that do not rely on the solver's own
+claims: the density is rescaled to exact feasibility, and its gap to the
+Lagrange dual bound at the solver's multipliers bounds the distance to the
+optimum.
 
 scipy is imported where it is used: scipy.sparse loads on the first
 assembly, through ``cell_length_rows``, and scipy.linalg on the first solve,
@@ -36,21 +37,18 @@ RIDGE = 1e-14
 
 @dataclass
 class ModulusProblem:
-    """Constraint rows, cell weights and exponent of one modulus program."""
+    """Constraint rows and exponent of one modulus program on a grid, whose
+    cell volume weighs every cell."""
 
     constraint_rows: sp.csr_matrix
-    weights: np.ndarray
     exponent: float
     grid: Grid
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         require_exponent(self.exponent)
-        if np.any(self.weights <= 0.0):
-            raise ValueError("cell weights must be positive")
         A = self.constraint_rows
-        if A.shape[1] != self.weights.shape[0]:
-            raise ValueError("constraint rows and weights disagree on cell count")
+        if A.shape[1] != self.grid.num_cells:
+            raise ValueError(f"constraint rows have {A.shape[1]} columns, the grid {self.grid.num_cells} cells")
         if A.data.size and np.min(A.data) < 0.0:
             raise ValueError("constraint rows must be nonnegative")
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -81,12 +79,9 @@ def assemble_problem(fam: CurveFamily, g: Grid, p: float) -> ModulusProblem:
     whole family: row j holds the arc length curve j spends in each cell. A
     density rho is admissible for the family exactly when A rho >= 1
     componentwise, and row j times rho is ``curve_integral(rho, curve j)``.
-    The weights are the Lebesgue cell volumes.
     """
     require_exponent(p)
-    A = cell_length_rows(fam.curves, g)
-    w = np.full(g.num_cells, g.cell_volume)
-    return ModulusProblem(constraint_rows=A, weights=w, exponent=p, grid=g)
+    return ModulusProblem(constraint_rows=cell_length_rows(fam.curves, g), exponent=p, grid=g)
 
 
 # No modlab code calls these two wrappers any more. They stay because the
@@ -105,14 +100,15 @@ def minimize(fun, x0, jac, method, bounds, options):
     return minimize(fun, x0, jac=jac, method=method, bounds=bounds, options=options)
 
 
-def _dual_rho(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+def _dual_rho(s: np.ndarray, w: float, p: float) -> np.ndarray:
     # stationarity of the Lagrangian: p w rho^(p-1) = A^T lambda
     base = np.maximum(s, 0.0) / (p * w)
     return base ** (1.0 / (p - 1.0))
 
 
-def _dual_bound(lam: np.ndarray, atl: np.ndarray, w: np.ndarray, p: float) -> float:
-    """The Lagrange dual bound at multipliers lam >= 0, with atl = A^T lam.
+def _dual_bound(lam: np.ndarray, atl: np.ndarray, w: float, p: float) -> float:
+    """The Lagrange dual bound at multipliers lam >= 0, with atl = A^T lam and
+    cell volume w.
 
     It bounds the modulus from below whatever lam is. At p = 1 the linear
     program's dual asks for A^T lam <= w, so lam is first scaled onto it.
@@ -169,7 +165,7 @@ def _step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
-    """Mehrotra predictor-corrector for  min sum w rho^p  s.t.  A rho - s = 1, (rho, s) >= 0.
+    """Mehrotra predictor-corrector for  min w sum rho^p  s.t.  A rho - s = 1, (rho, s) >= 0.
 
     x = (rho, s) and its complement y = (z, lam) are the two halves of one
     array, and a step's (dx, dy) the halves of another, so complementarity
@@ -205,7 +201,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     # the CSR transpose of A.tocsc() does, and is faster with few rows
     At = A.T
     P = _pair_index(A.tocsc())
-    w = prob.weights[used]
+    w = prob.grid.cell_volume
     pw = p * w
     potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
@@ -272,7 +268,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         direction(xy + dx * dy - (mu_aff / mu) ** 3 * mu)  # corrector
         v += 0.99 * _step(v, dv) * dv
         it += 1
-    rho_raw = np.zeros(prob.weights.size)
+    rho_raw = np.zeros(A0.shape[1])
     rho_raw[used] = rho
     diagnostics = {"message": message, "solver": "primal-dual-ipm", "max_iter_hit": hit}
     return rho_raw, _dual_bound(lam, atl, w, p), it, diagnostics
@@ -299,7 +295,7 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
             diagnostics={"solver": "none", "max_iter_hit": False},
         )
     rho_raw, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
-    cert = _certify(prob.constraint_rows, prob.weights, prob.exponent, rho_raw, dual_value, tol)
+    cert = _certify(prob.constraint_rows, prob.grid.cell_volume, prob.exponent, rho_raw, dual_value, tol)
     if cert is None:
         # a result that certifies nothing: zero density, infinite violation and gap
         return ModulusResult(

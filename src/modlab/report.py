@@ -58,7 +58,6 @@ class Report:
     series: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
-    version: str = __version__
     wall_time_s: float | None = None
 
     @property
@@ -68,7 +67,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "command": self.command,
-            "version": self.version,
+            "version": __version__,
             "inputs": dict(sorted(self.inputs.items())),
             "checks": self.checks,
             "series": self.series,

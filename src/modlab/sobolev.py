@@ -247,12 +247,6 @@ def _gauss_legendre(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _centre_planes(g: Grid) -> Grid:
-    """The grid whose interior planes are all the planes of g's cell centres."""
-    return Grid(g.box_min - g.spacing / 2, g.box_max + g.spacing / 2, g.resolution + 1)
-
-
-@functools.lru_cache(maxsize=8)
 def _pairs(n: int, k: int) -> tuple:
     """np.triu_indices(n, k), read-only."""
     a, b = np.triu_indices(n, k)
@@ -295,7 +289,7 @@ def ftc_along_curve_check(
     # in gradient_length do, and invalid="raise" stops their NaNs first
     with overflow_as_value_error("the FTC check along the curve overflows float64", invalid="raise"):
         params, values, verts, counts = _sample_curve(f, c, num_params)
-        piece, p, d, seg_len, t0, t1 = _split_segments(verts, counts, _centre_planes(g))
+        piece, p, d, seg_len, t0, t1 = _split_segments(verts, counts, g.centre_planes)
         x, w = _gauss_legendre(g.ndim // 2 + 1)
         nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
         grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))

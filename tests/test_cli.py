@@ -724,9 +724,17 @@ class TestMalformedInputsExit2:
         argv = self._acbound_argv(tmp_path, "0.1,0.1\n\n0.5,0.5\n0.6,0.6,0.6\n0.7,0.7\n")
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "c.csv"), "line 4")
 
-    def test_unparsable_polyline_coordinate(self, tmp_path, capsys):
-        argv = self._acbound_argv(tmp_path, "0.1,0.1\n\n0.5,x\n0.7,0.7\n")
+    @pytest.mark.parametrize("coordinate", ["x", "nan", "inf", "1e999"])
+    def test_unparsable_polyline_coordinate(self, tmp_path, capsys, coordinate):
+        argv = self._acbound_argv(tmp_path, f"0.1,0.1\n\n0.5,{coordinate}\n0.7,0.7\n")
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "c.csv"), "line 3")
+
+    @pytest.mark.parametrize("coordinate", ["nan", "-inf", "1e999"])
+    def test_family_curve_with_a_coordinate_that_is_not_finite(self, modulus_inputs, capsys, coordinate):
+        curve = modulus_inputs / "curve_0003.csv"
+        curve.write_text(f"0.0,0.21875\n1.0,{coordinate}\n")
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_without_report(argv, modulus_inputs / "r.json", capsys, str(curve), "line 2")
 
     def test_acbound_curve_of_another_dimension(self, tmp_path, capsys):
         argv = self._acbound_argv(tmp_path, "0.1,0.1,0.1\n0.5,0.5,0.5\n")

@@ -653,6 +653,15 @@ class TestGrid:
         idx = np.clip(np.floor((pts - g.box_min) / g.spacing).astype(int), 0, g.resolution - 1)
         assert np.array_equal(g.locate(pts), np.ravel_multi_index(tuple(idx.T), g.shape))
 
+    def test_centre_planes_are_the_cell_centres_and_built_once(self):
+        g = Grid(box_min=[0.0, -1.0], box_max=[1.0, 2.0], resolution=[4, 6])
+        planes = g.centre_planes
+        assert planes is g.centre_planes
+        assert np.array_equal(planes.resolution, [5, 7])
+        for axis in range(2):
+            interior = planes.box_min[axis] + np.arange(1, planes.resolution[axis]) * planes.spacing[axis]
+            assert np.allclose(interior, g.axis_centers(axis), rtol=0.0, atol=1e-15)
+
     def test_json_round_trip(self, tmp_path):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 2.0], resolution=[4, 8])
         g.save(tmp_path / "grid.json")
@@ -667,6 +676,12 @@ class TestFamilyIO:
         save_polyline_csv(c, tmp_path / "c.csv")
         c2 = load_polyline_csv(tmp_path / "c.csv")
         assert np.array_equal(c2.vertices, c.vertices)
+
+    @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_polyline_coordinate_that_is_not_finite_names_its_file_and_line(self, tmp_path, coordinate):
+        (tmp_path / "c.csv").write_text(f"0.1,0.1\n\n0.5,{coordinate}\n0.7,0.7\n")
+        with pytest.raises(ValueError, match=r"line 3 of .*c\.csv holds a coordinate that is not a finite number"):
+            load_polyline_csv(tmp_path / "c.csv")
 
     def test_family_manifest_round_trip(self, tmp_path):
         fam = CurveFamily(

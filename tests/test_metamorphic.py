@@ -3,7 +3,7 @@
 Dilating the box [0,1]^2 and its curves by 2, at the same resolution, doubles
 every arc length spent in a cell and quadruples every cell volume, both
 exactly in binary floating point. The program for the image family is then
-the original one with rows 2A and weights 4w, whose p-modulus is
+the original one with rows 2A and cell volume 4w, whose p-modulus is
 2^(2-p) times the original: rho/2 is admissible for the image exactly when
 rho is admissible for the original. These checks use neither the oracles
 nor the solvers' own claims; the solved values are compared through their
@@ -41,7 +41,7 @@ def test_dilation_by_two_scales_rows_weights_and_modulus(curves):
         A, B = small.constraint_rows, big.constraint_rows
         assert np.array_equal(B.indptr, A.indptr) and np.array_equal(B.indices, A.indices)
         assert np.array_equal(B.data, 2.0 * A.data)
-        assert np.array_equal(big.weights, 4.0 * small.weights)
+        assert big.grid.cell_volume == 4.0 * small.grid.cell_volume
 
         v, w = solve_modulus(small), solve_modulus(big)
         scale = 2.0 ** (2.0 - p)
