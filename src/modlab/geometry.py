@@ -7,17 +7,17 @@ is attained by the vertex chain, so lengths and per-cell traversal lengths
 are computed in closed form.
 
 Curves are split packed: ``_split_segments`` takes stacked vertices and the
-vertex count of each curve, and splits every segment at its cell-plane
-crossings in one vectorized pass; it also cuts curves where an interpolated
-field changes formula, for the exact line integrals of ``sobolev``. Per-cell
-traversal lengths are computed in one place, ``_cell_length_entries``, as
-(curve, cell, length) arrays. ``cell_length_rows`` packs them into a sparse
-matrix for the modulus program, importing scipy.sparse on its first call;
-``curve_integrals`` sums them times the cell values per curve with numpy
-alone, in the sparse product's order, so each line integral is bit-identical
-to a constraint row times the density. Both pack their list of curves once
-(``_pack``), and ``cell_lengths`` and ``curve_integral`` are their one-curve
-cases.
+vertex count of each curve, and cuts every segment between the neighbours of
+one sorted list of its ends and cell-plane crossings (``_breakpoints``); it
+also cuts curves where an interpolated field changes formula, for the exact
+line integrals of ``sobolev``. Per-cell traversal lengths are computed in
+one place, ``_cell_length_entries``, as (curve, cell, length) arrays.
+``cell_length_rows`` packs them into a sparse matrix for the modulus
+program, importing scipy.sparse on its first call; ``curve_integrals`` sums
+them times the cell values per curve with numpy alone, in the sparse
+product's order, so each line integral is bit-identical to a constraint row
+times the density. Both pack their list of curves once (``_pack``), and
+``cell_lengths`` and ``curve_integral`` are their one-curve cases.
 
 Sub-curves are cut in one place too: ``_cut_packed`` gives the points at
 sorted arc-length parameters and the packed pieces between them, which the
@@ -282,12 +282,11 @@ class ScalarField:
             raise ValueError("field values must be finite")
 
 
-def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior cell-plane crossings of the segments p[s] -> q[s], all at once.
-
-    Returns the segment index and the parameter t in (0, 1) of every
-    crossing, sorted by segment and then by t. A crossing of several planes
-    at one point (a grid vertex or edge) appears once per plane.
+def _breakpoints(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends t = 0 and t = 1 of the segments p[s] -> q[s] and their interior
+    cell-plane crossings, all at once, as segment indices and parameters t
+    sorted by segment and then by t. A crossing of several planes at one
+    point (a grid vertex or edge) appears once per plane.
     """
     d = q - p
     h = g.spacing
@@ -306,9 +305,12 @@ def _plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     axis = owner % g.ndim
     t = (g.box_min[axis] + k * h[axis] - p.reshape(-1)[owner]) / d.reshape(-1)[owner]
     inside = (t > 0.0) & (t < 1.0)
-    seg, t = owner[inside] // g.ndim, t[inside]
+    ends = np.arange(len(p))
+    seg = np.concatenate([ends, owner[inside] // g.ndim, ends])
+    t = np.concatenate([np.zeros(len(p)), t[inside], np.ones(len(p))])
     # order by segment, then t: complex numbers sort by real part, then
-    # imaginary part, and seg is exact as a double
+    # imaginary part, and seg is exact as a double; crossings lie strictly
+    # inside (0, 1), so no end ties with one
     order = np.argsort(seg + 1j * t, kind="stable")
     return seg[order], t[order]
 
@@ -331,7 +333,8 @@ def _split_segments(verts: np.ndarray, counts: np.ndarray, g: Grid) -> tuple:
     Returns six arrays with one entry per piece, in curve, segment and then
     parameter order: the curve, the start p, difference d and length of the
     piece's segment, and the parameters t0 <= t1 of the piece on it, which
-    spans p + t0 d to p + t1 d. The pieces of a segment tile [0, 1].
+    spans p + t0 d to p + t1 d. Neighbouring breakpoints of a segment
+    (``_breakpoints``) bound its pieces, which tile [0, 1].
     """
     owner = np.repeat(np.arange(len(counts)), counts)
     p, q = verts[:-1], verts[1:]
@@ -339,16 +342,9 @@ def _split_segments(verts: np.ndarray, counts: np.ndarray, g: Grid) -> tuple:
     seg_len = np.sqrt(np.sum(d * d, axis=1))
     live = (owner[:-1] == owner[1:]) & (seg_len > 0.0)
     p, q, d, seg_len, seg_curve = p[live], q[live], d[live], seg_len[live], owner[:-1][live]
-    # breakpoints of segment s: 0, its sorted crossings, 1, laid out in blocks
-    cseg, ct = _plane_crossings(g, p, q)
-    ncross = np.bincount(cseg, minlength=len(p))
-    ends = np.cumsum(ncross + 2) - 1
-    t = np.empty(len(ct) + 2 * len(p))
-    t[ends - ncross - 1] = 0.0
-    t[ends] = 1.0
-    t[np.arange(len(ct)) + 2 * cseg + 1] = ct
-    left = np.delete(np.arange(t.size), ends)
-    seg = np.repeat(np.arange(len(p)), ncross + 1)
+    seg, t = _breakpoints(g, p, q)
+    left = np.flatnonzero(seg[1:] == seg[:-1])
+    seg = seg[left]
     # np.take gathers the rows of a narrow 2-D array far faster than p[seg]
     return seg_curve[seg], np.take(p, seg, axis=0), np.take(d, seg, axis=0), seg_len[seg], t[left], t[left + 1]
 
@@ -369,16 +365,12 @@ def _cell_length_entries(verts: np.ndarray, counts: np.ndarray, g: Grid) -> tupl
     widths = (b - a) * seg_len
     mids = p + (0.5 * (a + b))[:, None] * d
 
-    # sum each (row, cell) in piece order and drop cells with zero total: a
-    # stable sort keeps each key's pieces in piece order for the bincount
-    keys = curve * n + g.locate(mids)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    data = np.bincount(np.cumsum(first) - 1, weights=widths[order])
+    # sum each (row, cell) and drop cells with zero total: bincount adds
+    # each key's pieces in piece order
+    keys, inverse = np.unique(curve * n + g.locate(mids), return_inverse=True)
+    data = np.bincount(inverse, weights=widths)
     keep = data != 0.0
-    row, cell = np.divmod(keys[first][keep], n)
+    row, cell = np.divmod(keys[keep], n)
     return row, cell, data[keep]
 
 

@@ -256,5 +256,5 @@ def load_field_csv(path) -> VectorField:
 def load_scalar_field_csv(path) -> ScalarField:
     f = load_field_csv(path)
     if f.dim_M != 1:
-        raise ValueError("scalar field file must carry exactly one value column")
+        raise ValueError(f"the scalar field {path} must carry exactly one value column, found dim_M = {f.dim_M}")
     return ScalarField(grid=f.grid, values=f.values[:, 0])

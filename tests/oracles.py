@@ -190,7 +190,8 @@ def lexsort_plane_crossings(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.n
     of the segments p[s] -> q[s], ordered by one np.lexsort on (seg, t).
 
     The enumeration and its float expressions are the library's; only the
-    ordering differs, so seg and t are meant to match it bit for bit.
+    ordering differs, so seg and t are meant to match the interior
+    breakpoints of ``geometry._breakpoints`` bit for bit.
     """
     d = q - p
     h = g.spacing

@@ -554,6 +554,15 @@ class TestMalformedInputsExit2:
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "AC bound", "overflow")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_acbound_majorant_with_two_value_columns_is_named(self, tmp_path, capsys):
+        g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
+        for name in ("f", "g"):
+            save_field_csv(VectorField(grid=g, values=np.ones((9, 2)), norm=NormTag.L2), tmp_path / f"{name}.csv")
+        save_polyline_csv(Polyline([[0.1, 0.1], [0.9, 0.9]]), tmp_path / "c.csv")
+        argv = ["acbound", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
+                "--curve", str(tmp_path / "c.csv")]
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, str(tmp_path / "g.csv"), "dim_M = 2")
+
     def test_weakcheck_candidate_on_another_box(self, tmp_path, capsys):
         # same shape, so only the sidecars' boxes tell the grids apart
         for name, box_max in (("f", 1.0), ("cand", 2.0)):

@@ -480,46 +480,52 @@ class TestCurveIntegrals:
         assert [curve_integral(rho, c) for c in curves] == curve_integrals(rho, curves).tolist()
 
 
+def _interior(seg: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoints strictly between a segment's ends: its plane crossings."""
+    inside = (t > 0.0) & (t < 1.0)
+    return seg[inside], t[inside]
+
+
 class TestSegmentCrossings:
-    # the crossing enumeration underlies every per-cell length and line
+    # the breakpoint list underlies every per-cell length and line
     # integral, so it gets direct hand-counted checks
 
     def test_horizontal_segment_crosses_vertical_planes_only(self):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
-        t = _plane_crossings(g, np.array([0.0, 0.3])[None, :], np.array([1.0, 0.3])[None, :])[1]
-        assert np.allclose(t, [0.25, 0.5, 0.75])
+        t = _breakpoints(g, np.array([0.0, 0.3])[None, :], np.array([1.0, 0.3])[None, :])[1]
+        assert np.allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_segment_inside_one_cell_has_no_crossings(self):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
-        t = _plane_crossings(g, np.array([0.05, 0.05])[None, :], np.array([0.2, 0.2])[None, :])[1]
-        assert t.size == 0
+        t = _breakpoints(g, np.array([0.05, 0.05])[None, :], np.array([0.2, 0.2])[None, :])[1]
+        assert np.array_equal(t, [0.0, 1.0])
 
     def test_diagonal_counts_both_axis_families(self):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 2])
-        t = _plane_crossings(g, np.array([0.0, 0.0])[None, :], np.array([1.0, 1.0])[None, :])[1]
+        t = _breakpoints(g, np.array([0.0, 0.0])[None, :], np.array([1.0, 1.0])[None, :])[1]
         # three vertical planes at x=1/4,1/2,3/4 and one horizontal at y=1/2
-        assert np.allclose(sorted(t), [0.25, 0.5, 0.5, 0.75])
+        assert np.allclose(t, [0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
 
     def test_endpoint_on_plane_not_counted(self):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])
-        t = _plane_crossings(g, np.array([0.25, 0.1])[None, :], np.array([0.5, 0.1])[None, :])[1]
-        assert t.size == 0
+        t = _breakpoints(g, np.array([0.25, 0.1])[None, :], np.array([0.5, 0.1])[None, :])[1]
+        assert np.array_equal(t, [0.0, 1.0])
 
     def test_reversed_direction_mirrors_parameters(self):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[8, 8])
         p, q = np.array([0.1, 0.7]), np.array([0.9, 0.2])
-        fwd = _plane_crossings(g, p[None, :], q[None, :])[1]
-        bwd = _plane_crossings(g, q[None, :], p[None, :])[1]
+        fwd = _breakpoints(g, p[None, :], q[None, :])[1]
+        bwd = _breakpoints(g, q[None, :], p[None, :])[1]
         assert np.allclose(np.sort(1.0 - bwd), fwd)
 
     @pytest.mark.parametrize(
@@ -537,26 +543,40 @@ class TestSegmentCrossings:
         ],
     )
     def test_order_matches_the_lexsort_oracle_bit_for_bit(self, box_min, box_max, res, segments):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=box_min, box_max=box_max, resolution=res)
         pq = np.array(segments, dtype=float)
-        seg, t = _plane_crossings(g, pq[:, 0], pq[:, 1])
+        seg, t = _interior(*_breakpoints(g, pq[:, 0], pq[:, 1]))
         want_seg, want_t = lexsort_plane_crossings(g, pq[:, 0], pq[:, 1])
         assert t.size > 0 and np.any(np.diff(t)[np.diff(seg) == 0] == 0.0)  # ties present
         assert np.array_equal(seg, want_seg) and np.array_equal(t, want_t)
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_random_segments_match_the_lexsort_oracle(self, rng, ndim):
-        from modlab.geometry import _plane_crossings
+        from modlab.geometry import _breakpoints
 
         g = Grid(box_min=[0.0] * ndim, box_max=[1.0] * ndim, resolution=rng.integers(3, 24, size=ndim))
         # half the endpoints snapped to cell planes, so that crossings tie
         p, q = (np.where(rng.random((300, ndim)) < 0.5, np.round(x * g.resolution) / g.resolution, x)
                 for x in rng.uniform(0.0, 1.0, size=(2, 300, ndim)))
-        seg, t = _plane_crossings(g, p, q)
+        seg, t = _interior(*_breakpoints(g, p, q))
         want_seg, want_t = lexsort_plane_crossings(g, p, q)
         assert np.array_equal(seg, want_seg) and np.array_equal(t, want_t)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_every_segment_runs_from_0_to_1(self, rng, ndim):
+        from modlab.geometry import _breakpoints
+
+        g = Grid(box_min=[-1.0] * ndim, box_max=[2.0] * ndim, resolution=rng.integers(3, 12, size=ndim))
+        p, q = rng.uniform(-1.0, 2.0, size=(2, 200, ndim))
+        q[:20] = p[:20]  # constant segments have their ends alone
+        seg, t = _breakpoints(g, p, q)
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        ends = np.append(starts[1:], seg.size) - 1
+        assert np.array_equal(seg[starts], np.arange(200)) and np.all(np.diff(seg) >= 0)
+        assert np.all(t[starts] == 0.0) and np.all(t[ends] == 1.0) and np.all(ends[:20] - starts[:20] == 1)
+        assert np.sum((t > 0.0) & (t < 1.0)) == seg.size - 400
 
 
 class TestGrid:

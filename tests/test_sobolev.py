@@ -143,6 +143,21 @@ class TestWeakDerivativeCheck:
         assert check["bound"] == pytest.approx(tol * (1.0 + abs(rhs)), rel=1e-12)
         assert check["margin"] == pytest.approx(check["bound"] - check["value"], rel=1e-12)
 
+    def test_one_evaluation_gives_the_bits_of_phi_and_dphi(self):
+        bump = TestFunction([0.4, 0.6], 0.3)
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
+        d = pts - bump.center
+        u = np.sum(d * d, axis=1) / bump.radius**2
+        inside = u < 1.0
+        assert inside.any() and not inside.all()
+        for axis in (0, 1):
+            phi, dphi = bump.phi_dphi(pts, axis)
+            # the partial derivative written out apart from the library
+            want = np.zeros(500)
+            want[inside] = (np.exp(1.0 - 1.0 / (1.0 - u[inside])) * (-2.0 * d[inside, axis] / bump.radius**2)
+                            / (1.0 - u[inside]) ** 2)
+            assert np.array_equal(phi, bump.phi(pts)) and np.array_equal(dphi, want)
+
     def test_wrong_candidate_fails(self):
         g = interval_grid(256)
         x = g.cell_centers()[:, 0]
