@@ -49,6 +49,8 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 # The R column and the quotient gap visit at most this many samples at a time.
 _BLOCK_SAMPLES = 2**16
+# One rung enumerates at most this many coordinates: some 15 s of quotient gap on 2 cores.
+_MAX_COORDS = 2**28
 
 # Slack factors of the stop bounds; _tail_bounds derives the roundoff.
 _EPS = np.finfo(float).eps
@@ -112,6 +114,12 @@ def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
     return gap
 
 
+def _require_enumerable(M, what: str):
+    if not M <= _MAX_COORDS:  # inf and NaN too
+        raise ValueError(f"{what} asks for {M:.4g} coordinates in one rung, over the cap of {_MAX_COORDS}")
+    return M
+
+
 def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     """Sup-norm distance between the quotients at steps h and hprime of the
     sin family truncated at M coordinates.
@@ -122,7 +130,7 @@ def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     For fixed M the gap vanishes with h (finite dimension has the
     Radon-Nikodym property).
     """
-    M = require_count(M, "M")
+    M = _require_enumerable(require_count(M, "M"), "M")
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
     return _quotient_gap(M, t, h, hprime)
@@ -239,12 +247,14 @@ def dichotomy_report(
     if not ladder:
         raise ValueError("h_ladder must hold at least one step")
     if fixed_M is not None:
-        fixed_M = require_count(fixed_M, "fixed_M")
+        fixed_M = _require_enumerable(require_count(fixed_M, "fixed_M"), "fixed_M")
     if any(not h > 0.0 for h in ladder):
         raise ValueError("every step h of h_ladder must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
-    # a strictly decreasing ladder gives nondecreasing truncations
+    # a strictly decreasing ladder gives nondecreasing truncations, the last the largest
+    if fixed_M is None:  # h / 2 may round to 0, and 10 / (h / 2) to inf
+        _require_enumerable(10.0 / (ladder[-1] / 2.0) if ladder[-1] / 2.0 > 0.0 else math.inf, f"the step h = {ladder[-1]!r}")
     Ms = [fixed_M if fixed_M is not None else math.ceil(10.0 / (h / 2.0)) for h in ladder]
     # the gaps check t against every step before any coordinate is sampled
     gaps = [_quotient_gap(M, t, h, h / 2.0) for h, M in zip(ladder, Ms)]

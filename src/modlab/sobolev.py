@@ -192,10 +192,9 @@ def weak_derivative_check(
     return Report(command="weak_derivative_check", checks=bounded_checks(names, residuals, bounds))
 
 
-def _interpolator(g: Grid, values: np.ndarray):
-    """Multilinear interpolant of a cell-centred (num_cells, C) array, a map
-    from (k, N) points to (k, C) values; columns are interpolated apart, so
-    C columns at once give the bits of C single ones.
+def _interpolate(g: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """A cell-centred (num_cells, C) array interpolated multilinearly at (k, N)
+    points, as a (k, C) array; C columns at once give the bits of C apart.
 
     Along an axis with centres c_0 < ... < c_{n-1}, a point x takes the
     interval [c_j, c_{j+1}] that holds it, clipped to the first or last, and
@@ -207,25 +206,19 @@ def _interpolator(g: Grid, values: np.ndarray):
     fill_value=None) uses, with the same arithmetic.
     """
     axes = [i for i in range(g.ndim) if g.resolution[i] > 1]
-    centres = [g.axis_centers(i) for i in axes]
     cube = values.reshape(*(g.shape[i] for i in axes), values.shape[-1])
-
-    def interp(points):
-        lower, upper = [], []
-        for c, x in zip(centres, points[:, axes].T):
-            j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
-            t = (x - c[j]) / (c[j + 1] - c[j])
-            lower.append((j, 1 - t))
-            upper.append((j + 1, t))
-        value = np.zeros((len(points), cube.shape[-1]))
-        for corner in itertools.product(*zip(lower, upper)):
-            weight = np.ones(len(points))
-            for _, w in corner:
-                weight = weight * w
-            value = value + cube[tuple(j for j, _ in corner)] * weight[:, None]
-        return value
-
-    return interp
+    ends = []  # per axis, the lower and the upper (index, weight)
+    for c, x in zip((g.axis_centers(i) for i in axes), points[:, axes].T):
+        j = np.clip(np.searchsorted(c, x, side="right") - 1, 0, len(c) - 2)
+        t = (x - c[j]) / (c[j + 1] - c[j])
+        ends.append([(j, 1 - t), (j + 1, t)])
+    value = np.zeros((len(points), cube.shape[-1]))
+    for corner in itertools.product(*ends):
+        weight = np.ones(len(points))
+        for _, w in corner:
+            weight = weight * w
+        value = value + cube[tuple(j for j, _ in corner)] * weight[:, None]
+    return value
 
 
 def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
@@ -234,12 +227,11 @@ def _sample_curve(f: VectorField, c: Polyline, num_params: int) -> tuple:
     num_params equispaced arc-length parameters, f interpolated at their
     points, which end the pieces, and the num_params - 1 consecutive pieces
     of c between them, packed by ``_cut_packed``; they stay in the box too."""
-    g = f.grid
-    _pack([c], g)
+    _pack([c], f.grid)
     num_params = require_count(num_params, "num_params", 2)
     params = np.linspace(0.0, c.length, num_params)
     points, verts, counts = _cut_packed(c, params)
-    return params, _interpolator(g, f.values)(points), verts, counts
+    return params, _interpolate(f.grid, f.values, points), verts, counts
 
 
 @functools.cache
@@ -288,7 +280,6 @@ def ftc_along_curve_check(
         raise ValueError(f"the gradient must have shape (num_cells, N, M) = {shape}, got {np.shape(G)}")
     if not np.all(np.isfinite(G)):
         raise ValueError("the gradient must be finite")
-    tag = f.norm
     # einsum ignores np.errstate; its sums overflow only where the squares
     # in gradient_length do, and invalid="raise" stops their NaNs first
     with overflow_as_value_error("the FTC check along the curve overflows float64", invalid="raise"):
@@ -296,16 +287,15 @@ def ftc_along_curve_check(
         piece, p, d, seg_len, t0, t1 = _split_segments(verts, counts, g.centre_planes)
         x, w = _gauss_legendre(g.ndim // 2 + 1)
         nodes = p[:, None, :] + (t0[:, None] + np.outer(t1 - t0, (1.0 + x) / 2))[:, :, None] * d[:, None, :]
-        grads = _interpolator(g, np.reshape(G, (g.num_cells, -1)))(nodes.reshape(-1, g.ndim))
-        grads = grads.reshape(*nodes.shape[:2], *shape[1:])
+        grads = _interpolate(g, np.reshape(G, (g.num_cells, -1)), nodes.reshape(-1, g.ndim)).reshape(*nodes.shape[:2], *shape[1:])
         tangent = d / seg_len[:, None]
         directional = sum(tangent[:, i, None, None] * grads[:, :, i] for i in range(g.ndim))
         integrals = np.zeros((num_params - 1, f.dim_M))
         np.add.at(integrals, piece, ((t1 - t0) * seg_len)[:, None] * np.einsum("j,kjm->km", w / 2, directional))
         prefix = np.concatenate([np.zeros((1, f.dim_M)), np.cumsum(integrals, axis=0)])
         a, b = _pairs(num_params, 1)
-        residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), tag)
-        worst = float(np.max(value_norm(directional, tag) - gradient_length(grads, tag), initial=0.0))
+        residuals = value_norm(values[b] - values[a] - (prefix[b] - prefix[a]), f.norm)
+        worst = float(np.max(value_norm(directional, f.norm) - gradient_length(grads, f.norm), initial=0.0))
     labels = [format(t, ".4g") for t in params.tolist()]
     names = [f"ftc[{labels[i]},{labels[j]}]" for i, j in zip(a.tolist(), b.tolist())]
     checks = bounded_checks(names, residuals, tol)

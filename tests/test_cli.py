@@ -16,6 +16,7 @@ from modlab import (
     save_family,
 )
 from modlab import cli as cli_mod
+from modlab import rnp_lab
 from modlab.cli import main, plot_files
 from modlab.vectorvalues import load_field_csv, save_field_csv
 from modlab.geometry import ScalarField, save_polyline_csv
@@ -638,13 +639,23 @@ class TestMalformedInputsExit2:
             (["--ladder", ","], "h_ladder"),
             (["--resolution", "0", "--ladder", "1e-1,1e-2"], "resolution"),
             (["--resolution", "-3", "--ladder", "1e-1,1e-2"], "resolution"),
+            # h / 2 rounded to 0, 10 / (h / 2) to inf, and the last two enumerated without end
+            (["--ladder", "5e-324"], "5e-324"),
+            (["--ladder", "1e-320"], "1e-320"),
+            (["--ladder", "1e-300"], "1e-300"),
+            (["--fixed-m", str(10**30)], "fixed_M"),
         ],
         ids=[
             "fixed-m-0", "negative-steps", "unparsable-ladder", "empty-ladder", "comma-only-ladder",
-            "resolution-0", "negative-resolution",
+            "resolution-0", "negative-resolution", "step-halving-to-0", "step-overflowing-m", "step-over-the-cap",
+            "fixed-m-over-the-cap",
         ],
     )
-    def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, args, named):
+    def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, monkeypatch, args, named):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rung was computed")
+
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", unreachable)
         argv = ["counterexample", "--resolution", "64"] + args
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, named)
 

@@ -26,7 +26,7 @@ from modlab import (
     save_family,
     save_polyline_csv,
 )
-from modlab.sobolev import _interpolator, _sample_curve
+from modlab.sobolev import _interpolate, _sample_curve
 from modlab.vectorvalues import NormTag, VectorField
 from oracles import dense_cell_length_rows, lexsort_plane_crossings, mask_restrict, regular_polygon_length
 
@@ -225,7 +225,7 @@ class TestCut:
         pieces = np.split(verts, np.cumsum(counts)[:-1])
         for piece, s, t in zip(pieces, params[:-1], params[1:], strict=True):
             assert np.array_equal(piece, mask_restrict(c, s, t).vertices)
-        assert np.array_equal(values, _interpolator(g, f.values)(c.points_at(params)))
+        assert np.array_equal(values, _interpolate(g, f.values, c.points_at(params)))
 
     def test_unsorted_or_out_of_range_parameters_rejected(self):
         c = Polyline([[0.0, 0.0], [1.0, 0.0]])

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 from pathlib import Path
 
@@ -334,29 +333,6 @@ class TestInteriorPoint:
         assert result.converged
         assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
         assert result.gap <= 1e-10 * (1.0 + result.value)
-
-
-GOLDEN = json.loads((Path(__file__).parent / "data" / "modulus_golden.json").read_text())
-_spec = importlib.util.spec_from_file_location(
-    "make_modulus_golden", Path(__file__).parent / "data" / "make_modulus_golden.py"
-)
-GOLDEN_SCRIPT = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GOLDEN_SCRIPT)
-
-
-class TestGoldenOutputs:
-    """Every output bit of twelve seeded solves, recorded in tests/data and
-    regenerated by tests/data/make_modulus_golden.py: random, parallel,
-    duplicate-curve (whose p = 1 solve takes the ridge path) and 3-D
-    families at p = 1, 1.5, 2 and 3. A change to the assembly or the solver
-    that moves any of them moves a report."""
-
-    @pytest.mark.parametrize(
-        "family", GOLDEN["families"], ids=[f"{f['kind']}-p{f['p']}-{i}" for i, f in enumerate(GOLDEN["families"])]
-    )
-    def test_outputs_are_bit_identical(self, family):
-        recorded = {key: family[key] for key in ("value", "dual_value", "gap", "iterations", "converged", "rho_sha256")}
-        assert GOLDEN_SCRIPT.outputs(family, GOLDEN["tol"]) == recorded
 
 
 class TestPairOperator:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,12 @@ class TestNonCauchyGap:
         # M = 0 once reached an empty loop and returned a gap of 0.0
         with pytest.raises(ValueError, match=r"^M must be an integer >= 1, got [^\n]+$"):
             noncauchy_gap(M, T_STAR, 1e-2, 5e-3)
+
+    def test_truncation_over_the_cap_refused(self, monkeypatch):
+        # M = 10**30 once enumerated coordinates without end
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", None)  # never called
+        with pytest.raises(ValueError, match=r"^M asks for 2.684e\+08 coordinates in one rung, over the cap of 268435456$"):
+            noncauchy_gap(2**28 + 1, T_STAR, 1e-2, 5e-3)
 
     def test_numpy_integer_truncation_accepted(self):
         assert noncauchy_gap(np.int64(40), T_STAR, 1e-2, 5e-3) == noncauchy_gap(40, T_STAR, 1e-2, 5e-3)
@@ -368,6 +375,21 @@ class TestDichotomyReport:
         monkeypatch.setattr(rnp_lab, "_quotient_gap", unreachable)
         with pytest.raises(ValueError, match=r"^fixed_M must be an integer >= 1, got [^\n]+$"):
             dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=fixed_M)
+
+    @pytest.mark.parametrize("ladder", [[1e-1, 1e-320], [1e-1, 5e-324], [1e-1, 1e-300], [1e-1, math.nextafter(20.0 / 2**28, 0.0)]])
+    def test_steps_over_the_coordinate_cap_refused_before_any_rung(self, monkeypatch, ladder):
+        # h / 2 = 0 once raised ZeroDivisionError, 10 / (h / 2) = inf an
+        # OverflowError, and M ~ 2e301 enumerated without end
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", None)  # never called
+        with pytest.raises(ValueError, match=rf"^the step h = {re.escape(repr(ladder[-1]))} asks for \S+ coordinates in one rung, over the cap of 268435456$"):
+            dichotomy_report(0.7, ladder)
+
+    def test_finest_step_under_the_cap_keeps_its_truncation(self, monkeypatch):
+        # ceil(10 / (h / 2)) = 2^28 exactly: the rule passes it and M is unchanged
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", lambda M, t, h, hprime: float(M))
+        monkeypatch.setattr(rnp_lab, "_sin_family_r_norms", lambda Ms, resolution, p: [(1.0, 1.5)] * len(Ms))
+        rows = dichotomy_report(0.7, [1e-1, 20.0 / 2**28]).series[0]["rows"]
+        assert [row[2] for row in rows] == [200.0, 2.0**28]
 
     def test_numpy_integer_fixed_truncation_accepted(self):
         rep = dichotomy_report(T_STAR, [1e-2, 1e-3], resolution=128, fixed_M=np.int64(3))
