@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ScheduleError, require_count, require_exponent, require_tolerance
+from .errors import ScheduleError, overflow_as_value_error, require_count, require_exponent, require_tolerance
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
 
@@ -181,8 +181,11 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     certificates are checked once the complementarity x.y falls below
     ``tol`` times the energy. After a failed factorization the diagonal is
     raised by ``RIDGE`` for the rest of the solve; a second failure ends it
-    with the current iterate. Returns the raw density, the dual bound at the
-    last multipliers, the number of steps and the diagnostics.
+    with the current iterate, and so does a step whose arithmetic divides by
+    zero or leaves float64's range, as it does once roundoff has set a
+    coordinate to zero at a tolerance below reach. Returns the raw density,
+    the dual bound at the last multipliers, the number of steps and the
+    diagnostics.
     """
     import scipy.sparse as sp
     from scipy.linalg import get_lapack_funcs
@@ -245,28 +248,35 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         if it == max_iter:
             message, hit = f"stopped at max_iter={max_iter}", True
             break
-        h = (p - 1.0) * g / rho  # hessian of the energy
-        d = 1.0 / (h + z / rho)
-        K = P @ d
-        diag = K[:: m + 1]
-        diag *= 1.0 + ridge
-        diag += s / lam
-        # the upper triangle of K read in Fortran order, factored in place
-        factor, info = potrf(K.reshape(m, m).T, lower=False, overwrite_a=True, clean=False)
-        if info < 0:
-            raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
-        if info > 0:
-            if ridge == 0.0:
-                ridge = RIDGE
-                continue
-            message = f"factorization failed: {info}-th leading minor of the array is not positive definite"
-            break
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                h = (p - 1.0) * g / rho  # hessian of the energy
+                d = 1.0 / (h + z / rho)
+                K = P @ d
+                diag = K[:: m + 1]
+                diag *= 1.0 + ridge
+                diag += s / lam
+                # the upper triangle of K read in Fortran order, factored in place
+                factor, info = potrf(K.reshape(m, m).T, lower=False, overwrite_a=True, clean=False)
+                if info < 0:
+                    raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+                if info > 0:
+                    if ridge == 0.0:
+                        ridge = RIDGE
+                        continue
+                    message = f"factorization failed: {info}-th leading minor of the array is not positive definite"
+                    break
 
-        direction(xy)  # predictor
-        mu = comp / x.size
-        mu_aff = float(np.dot(x + _step(x, dx) * dx, y + _step(y, dy) * dy)) / x.size
-        direction(xy + dx * dy - (mu_aff / mu) ** 3 * mu)  # corrector
-        v += 0.99 * _step(v, dv) * dv
+                direction(xy)  # predictor
+                mu = comp / x.size
+                mu_aff = float(np.dot(x + _step(x, dx) * dx, y + _step(y, dy) * dy)) / x.size
+                direction(xy + dx * dy - (mu_aff / mu) ** 3 * mu)  # corrector
+                step = 0.99 * _step(v, dv)
+        except FloatingPointError as exc:
+            # roundoff left a coordinate at zero, or a quotient past float64's range
+            message = f"step {it + 1} stopped in float64 arithmetic: {exc}"
+            break
+        v += step * dv
         it += 1
     rho_raw = np.zeros(A0.shape[1])
     rho_raw[used] = rho
@@ -294,8 +304,11 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
             iterations=0, converged=True, gap=0.0, dual_value=0.0,
             diagnostics={"solver": "none", "max_iter_hit": False},
         )
-    rho_raw, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
-    cert = _certify(prob.constraint_rows, prob.grid.cell_volume, prob.exponent, rho_raw, dual_value, tol)
+    p = prob.exponent
+    # rho^(p-1) and rho^p leave float64's range at a large enough p
+    with overflow_as_value_error(f"the energy rho^p at the exponent p = {p!r} overflows float64"):
+        rho_raw, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
+        cert = _certify(prob.constraint_rows, prob.grid.cell_volume, p, rho_raw, dual_value, tol)
     if cert is None:
         # a result that certifies nothing: zero density, infinite violation and gap
         return ModulusResult(

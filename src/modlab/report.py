@@ -12,11 +12,13 @@ except for the wall-time field; floats are emitted with 17 significant
 digits, and strings (keys too) as JSON string literals that escape every
 control character. The writer takes the JSON types only (dict, list, str,
 float, int, bool and None) and raises TypeError on any other.
+
+``hashlib``, and with it OpenSSL's libcrypto, loads on the first input
+digest (``sha256_digest``), so a process that digests no file never maps it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring  # json.dumps(s, ensure_ascii=False) without an encoder per call
 from pathlib import Path
@@ -118,6 +120,8 @@ def report_to_json(report: Report) -> str:
 
 
 def sha256_digest(path) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL, which only the CLI's input digests need
+
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()

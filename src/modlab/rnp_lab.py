@@ -101,12 +101,27 @@ def _quotient(M: int, t: float, h: float, first: int = 1) -> np.ndarray:
     return (np.sin(n * (t + h)) - np.sin(n * t)) / (n * h)
 
 
-def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
-    """max_n |q_n(h) - q_n(hprime)| over the first M coordinates, for
-    0 < hprime < h, taken block by block; t + hprime lies between t and
-    t + h, so checking the window of h covers both."""
+def _require_step(t: float, h: float, hprime: float) -> None:
+    """Reject a step pair whose quotients float64 cannot tell apart.
+
+    Besides t and t + h inside (0, 1), the computed points must keep
+    t < t + hprime < t + h: where hprime rounds to 0 or t + hprime onto t,
+    the quotient at hprime is 0/0 or 0, and where t + hprime rounds onto
+    t + h both quotients share one numerator, so the gap is an artefact.
+    """
     if not (0.0 < t < 1.0 and 0.0 < t + h < 1.0):
         raise ValueError("need t and t+h inside (0, 1)")
+    if not t < t + hprime < t + h:
+        raise ValueError(
+            f"the step h = {h!r} is below float64's resolution at t = {t!r}: "
+            f"t + hprime must lie strictly between t and t + h (hprime = {hprime!r})"
+        )
+
+
+def _quotient_gap(M: int, t: float, h: float, hprime: float) -> float:
+    """max_n |q_n(h) - q_n(hprime)| over the first M coordinates, for a
+    step pair that passed ``_require_step``, taken block by block; t + hprime
+    lies between t and t + h, so the window of h covers both."""
     gap = 0.0
     for first in range(1, M + 1, _BLOCK_SAMPLES):
         last = min(first + _BLOCK_SAMPLES - 1, M)
@@ -133,6 +148,7 @@ def noncauchy_gap(M: int, t: float, h: float, hprime: float) -> float:
     M = _require_enumerable(require_count(M, "M"), "M")
     if not (0.0 < hprime < h):
         raise ValueError("need 0 < hprime < h")
+    _require_step(t, h, hprime)
     return _quotient_gap(M, t, h, hprime)
 
 
@@ -256,7 +272,8 @@ def dichotomy_report(
     if fixed_M is None:  # h / 2 may round to 0, and 10 / (h / 2) to inf
         _require_enumerable(10.0 / (ladder[-1] / 2.0) if ladder[-1] / 2.0 > 0.0 else math.inf, f"the step h = {ladder[-1]!r}")
     Ms = [fixed_M if fixed_M is not None else math.ceil(10.0 / (h / 2.0)) for h in ladder]
-    # the gaps check t against every step before any coordinate is sampled
+    for h in ladder:  # before any coordinate is sampled
+        _require_step(t, h, h / 2.0)
     gaps = [_quotient_gap(M, t, h, h / 2.0) for h, M in zip(ladder, Ms)]
     lpvals, rvals = zip(*_sin_family_r_norms(Ms, resolution, p))
     rows = [[h, h / 2.0, float(M), gap, r, lp] for h, M, gap, r, lp in zip(ladder, Ms, gaps, rvals, lpvals)]

@@ -134,6 +134,11 @@ class TestModulusCommand:
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert meta["solver"] == "primal-dual-ipm" and meta["max_iter_hit"] is True
 
+    def test_an_exponent_overflowing_the_energy_exits_2(self, modulus_inputs, capsys):
+        # once 11 lines of numpy warnings, then "field values must be finite"
+        argv = ["modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json")]
+        assert_exit_2_without_report(argv + ["--p", "1e308"], modulus_inputs / "r.json", capsys, "p = 1e+308", "overflows float64")
+
     def test_report_meta_is_machine_independent(self, modulus_inputs, capsys):
         status = main([
             "modulus", "--family", str(modulus_inputs / "fam.json"), "--grid", str(modulus_inputs / "grid.json"),
@@ -644,11 +649,14 @@ class TestMalformedInputsExit2:
             (["--ladder", "1e-320"], "1e-320"),
             (["--ladder", "1e-300"], "1e-300"),
             (["--fixed-m", str(10**30)], "fixed_M"),
+            # under --fixed-m no cap catches them: both once reported "RNP-like"
+            (["--fixed-m", "10", "--ladder", "1e-1,5e-324"], "h = 5e-324"),
+            (["--fixed-m", "10", "--ladder", "1e-1,1e-320"], "h = 1e-320"),
         ],
         ids=[
             "fixed-m-0", "negative-steps", "unparsable-ladder", "empty-ladder", "comma-only-ladder",
             "resolution-0", "negative-resolution", "step-halving-to-0", "step-overflowing-m", "step-over-the-cap",
-            "fixed-m-over-the-cap",
+            "fixed-m-over-the-cap", "fixed-m-step-halving-to-0", "fixed-m-step-below-resolution",
         ],
     )
     def test_counterexample_bad_truncation_or_steps(self, tmp_path, capsys, monkeypatch, args, named):

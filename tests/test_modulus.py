@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,32 @@ class TestInteriorPoint:
         assert result.converged
         assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
         assert result.gap <= 1e-10 * (1.0 + result.value)
+
+
+    @pytest.mark.parametrize("p,tol", [(1.0, 2.3e-16), (2.0, 1e-320)], ids=["p1-tol-above-eps", "p2-subnormal-tol"])
+    def test_a_coordinate_at_zero_ends_the_solve_with_a_result(self, p, tol):
+        # 20 random curves on 8^2: a tolerance below reach once drove a
+        # coordinate to exactly 0, and min(dv / v) divided by it each step
+        # until max_iter
+        fam = CurveFamily(curves=random_curves(np.random.default_rng(0), 20))
+        prob = assemble_problem(fam, unit_grid(8), p)
+        result = solve_modulus(prob, tol=tol)
+        assert not result.diagnostics["max_iter_hit"] and result.iterations < 2000
+        assert re.fullmatch(
+            rf"step {result.iterations + 1} stopped in float64 arithmetic: divide by zero encountered in divide",
+            result.diagnostics["message"],
+        )
+        assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
+        assert result.gap <= 1e-8 * (1.0 + result.value)
+        assert np.all(prob.constraint_rows @ result.rho_star.values >= 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("p", [2000.0, 1e308])
+    def test_an_energy_past_float64_names_the_exponent(self, p):
+        # rho^(p - 1) once overflowed with numpy warnings, and the NaN density
+        # failed later as "field values must be finite"
+        fam = CurveFamily(curves=[Polyline([[0.1, 0.2], [0.9, 0.7]]), Polyline([[0.2, 0.1], [0.3, 0.9]])])
+        with pytest.raises(ValueError, match=rf"^the energy rho\^p at the exponent p = {re.escape(repr(p))} overflows float64$"):
+            solve_modulus(assemble_problem(fam, unit_grid(8), p))
 
 
 class TestPairOperator:

@@ -182,6 +182,16 @@ class TestNonCauchyGap:
         with pytest.raises(ValueError, match=r"^M asks for 2.684e\+08 coordinates in one rung, over the cap of 268435456$"):
             noncauchy_gap(2**28 + 1, T_STAR, 1e-2, 5e-3)
 
+    @pytest.mark.parametrize(
+        "t,h,hprime", [(0.7, 1e-320, 5e-321), (0.5, 2.0**-53, 5e-324), (0.5, 2.0**-53, 0.9 * 2.0**-53)],
+        ids=["t-plus-hprime-is-t", "hprime-below-the-spacing", "t-plus-hprime-is-t-plus-h"],
+    )
+    def test_steps_float64_cannot_resolve_refused(self, monkeypatch, t, h, hprime):
+        # the first once returned a gap of 0.0
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", None)  # never called
+        with pytest.raises(ValueError, match=rf"^the step h = {re.escape(repr(h))} is below float64's resolution at t = {t}: "):
+            noncauchy_gap(10, t, h, hprime)
+
     def test_numpy_integer_truncation_accepted(self):
         assert noncauchy_gap(np.int64(40), T_STAR, 1e-2, 5e-3) == noncauchy_gap(40, T_STAR, 1e-2, 5e-3)
 
@@ -383,6 +393,13 @@ class TestDichotomyReport:
         monkeypatch.setattr(rnp_lab, "_quotient_gap", None)  # never called
         with pytest.raises(ValueError, match=rf"^the step h = {re.escape(repr(ladder[-1]))} asks for \S+ coordinates in one rung, over the cap of 268435456$"):
             dichotomy_report(0.7, ladder)
+
+    @pytest.mark.parametrize("ladder", [[1e-1, 5e-324], [1e-1, 1e-320]], ids=["half-rounds-to-0", "t-plus-half-is-t"])
+    def test_fixed_m_steps_float64_cannot_resolve_refused_before_any_rung(self, monkeypatch, ladder):
+        # both once read "RNP-like: quotients converge", the first after a NaN warning
+        monkeypatch.setattr(rnp_lab, "_quotient_gap", None)  # never called
+        with pytest.raises(ValueError, match=rf"^the step h = {re.escape(repr(ladder[-1]))} is below float64's resolution"):
+            dichotomy_report(0.7, ladder, resolution=64, fixed_M=10)
 
     def test_finest_step_under_the_cap_keeps_its_truncation(self, monkeypatch):
         # ceil(10 / (h / 2)) = 2^28 exactly: the rule passes it and M is unchanged
