@@ -1,14 +1,15 @@
 """Exception types and the input rules, each decided here once: a JSON
 object holding named keys (``require_keys``), a count (``require_count``),
 a flat list of finite real numbers (``require_reals``), an array of real
-numbers (``require_real_array``), a tolerance (``require_tolerance``) and
-an exponent (``require_exponent``). A reader of a file wraps them in
-``named`` to put the file in the message."""
+numbers (``require_real_array``), a tolerance (``require_tolerance``), an
+exponent (``require_exponent``) and a CSV body (``read_csv``). A reader of
+a file wraps them in ``named`` to put the file in the message."""
 
 import math
 import numbers
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +69,72 @@ def require_exponent(p: float) -> None:
     """Reject an exponent that is not a finite p >= 1, NaN included."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"the exponent must be a finite p >= 1, got {p}")
+
+
+# ASCII controls but tab (read_text turns CR and CRLF into newlines)
+_CONTROLS = [chr(c) for c in (*range(9), *range(11, 32), 127)]
+# numpy's reader refuses a row holding any other of them, but strips these as whitespace
+_STRIPPED = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt(rows, dtype, usecols=None):
+    """``rows``, a list of lines, parsed by the one reader of every CSV body."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=dtype, usecols=usecols)
+
+
+def read_csv(path, header=False, width=None, index_columns=0, noun="value"):
+    """The rows of the CSV file ``path``, one per non-blank line after a header
+    line (with ``header``), as (the first ``index_columns`` columns as int64,
+    the others as finite float64, ``where``); ``where(r)`` names row r as
+    "line N of <path>", blank lines counted in N.
+
+    The grammar is what the writers produce: ASCII with no control character
+    but tab, comma-separated integers and floats as ``np.loadtxt`` reads
+    them, spaces and tabs around a token,
+    ``width`` columns a row (the first row's count if None; the first row is
+    tested before ``width`` sizes the row type). One ``np.loadtxt`` call reads
+    the body; only if it fails is the first line that the same reader refuses
+    sought, and the ValueError names the file, the line and the rule.
+    """
+    text = Path(path).read_text()
+    lines = text.split("\n")
+
+    def where(row):
+        return f"line {[n for n, ln in enumerate(lines, 1) if ln.strip()][header + row]} of {path}"
+
+    rows = list(filter(str.strip, lines))  # the non-blank lines
+    # C-level passes, no regex; the header, which the reader skips, is tested for every control
+    unread = rows[0] if header and rows else ""
+    if not text.isascii() or any(c in text for c in _STRIPPED) or any(c in unread for c in _CONTROLS):
+        n, c = next((n, c) for n, ln in enumerate(lines, 1) for c in ln if not c.isascii() or c in _CONTROLS)
+        raise ValueError(f"line {n} of {path}: character {c!r} is neither printable ASCII nor a tab")
+    body = rows[header:]
+    if not body:  # np.loadtxt would warn that it read no data
+        return np.zeros((0, index_columns), dtype=np.int64), np.zeros((0, 0)), where
+    first = body[0].count(",") + 1
+    width, need = (first, f" where the first row has {first}") if width is None else (
+        width, f"; every row needs {index_columns} index and {width - index_columns} {noun} columns")
+    try:
+        if first != width:  # before width, perhaps a sidecar's dim_M of 1e15, sizes the row type
+            raise ValueError
+        table = _loadtxt(body, [("i", np.int64, (index_columns,)), ("v", float, (width - index_columns,))])
+    except ValueError:
+        for r, ln in enumerate(body):
+            tokens = ln.split(",")
+            if len(tokens) != width:
+                raise ValueError(f"{where(r)} has {len(tokens)} columns{need}") from None
+            for k, token in enumerate(tokens):
+                index = k < index_columns
+                try:
+                    _loadtxt([ln], np.int64 if index else float, usecols=k)
+                except ValueError:
+                    rule = "index {!r} is not an integer that fits in int64" if index else noun + " {!r} is not a number"
+                    raise ValueError(f"{where(r)}: " + rule.format(token.strip())) from None
+        raise
+    if not np.isfinite(table["v"]).all():
+        r = int(np.argmin(np.isfinite(table["v"]).all(axis=1)))
+        raise ValueError(f"{where(r)} holds a {noun} that is not a finite number: {table['v'][r].tolist()}")
+    return table["i"], table["v"], where
 
 
 @contextmanager

@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateCurveError, DomainError, named, require_count, require_keys, require_real_array, require_reals
+from .errors import (DegenerateCurveError, DomainError, named, read_csv, require_count, require_keys,
+                     require_real_array, require_reals)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -430,27 +431,11 @@ def save_polyline_csv(c: Polyline, path) -> None:
 
 
 def load_polyline_csv(path) -> Polyline:
-    rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if rows and len(parts) != len(rows[0]):
-            raise ValueError(
-                f"line {number} of {path} has {len(parts)} columns where the first row has {len(rows[0])}"
-            )
-        try:
-            row = [float(x) for x in parts]
-            finite = all(map(math.isfinite, row))
-        except ValueError:
-            finite = False
-        if not finite:
-            raise ValueError(f"line {number} of {path} holds a coordinate that is not a finite number: {line!r}")
-        rows.append(row)
-    if not rows:
+    """Read a polyline CSV, one vertex per line, by ``errors.read_csv``."""
+    _, vertices, _ = read_csv(path, noun="coordinate")
+    if not len(vertices):
         raise ValueError(f"empty polyline file: {path}")
-    return Polyline(np.asarray(rows))
+    return Polyline(vertices)
 
 
 def save_family(fam: CurveFamily, manifest_path) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import named, overflow_as_value_error, require_count, require_exponent, require_keys, require_real_array
+from .errors import named, overflow_as_value_error, read_csv, require_count, require_exponent, require_keys, require_real_array
 from .geometry import Grid, ScalarField
 
 
@@ -144,110 +144,31 @@ def save_field_csv(f: VectorField | ScalarField, path) -> None:
         target.write_text(text)
 
 
-def _body_line_numbers(lines) -> list:
-    """1-based line numbers of the body rows: the non-blank lines after the header."""
-    return [n for n, ln in enumerate(lines, 1) if ln.strip()][1:]
-
-
-def _c_reader_rows(text, body, N, M):
-    """(indices, values) of the body from numpy's C reader, or None where it must not decide.
-
-    That reader misreads non-ASCII digits (it reads U+01FE then '7' as the
-    integer 4627) and strips U+001F as whitespace, where Python's int and
-    float refuse both, so it only sees ASCII text without U+001F; on such
-    text both accept the same tokens with the same values. The first row's
-    width is checked before it sizes the row type, so a sidecar's ``dim_M``
-    of 1e15 reaches the per-row loop's columns message, not a numpy error.
-    """
-    if not text.isascii() or "\x1f" in text or body[0].count(",") != N + M - 1:
-        return None
-    row = np.dtype([("i", np.int64, (N,)), ("v", np.float64, (M,))])
-    try:
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=row)
-    except ValueError:
-        return None
-    return table["i"], table["v"]
-
-
-def _python_rows(path, lines, N, M):
-    """(indices, values) of the body parsed row by row with Python's int and float.
-
-    Raises a ValueError naming the file, the 1-based line and the rule of the
-    first row that breaks one.
-    """
-    indices, row_values = [], []
-    numbers = _body_line_numbers(lines)
-    for number in numbers:
-        parts = lines[number - 1].split(",")
-        if len(parts) != N + M:
-            raise ValueError(
-                f"line {number} of {path} has {len(parts)} columns; every row needs {N} index and {M} value columns"
-            )
-        try:
-            indices.extend(map(int, parts[:N]))
-            row_values.extend(map(float, parts[N:]))
-        except ValueError:
-            for k, token in enumerate(parts):
-                try:
-                    (int if k < N else float)(token)
-                except ValueError:
-                    rule = "index {!r} is not an integer" if k < N else "value {!r} is not a number"
-                    raise ValueError(f"line {number} of {path}: " + rule.format(token.strip())) from None
-    try:
-        multi = np.array(indices, dtype=np.int64).reshape(-1, N)
-    except OverflowError:
-        k = next(k for k, i in enumerate(indices) if not -(2**63) <= i < 2**63)
-        raise ValueError(f"line {numbers[k // N]} of {path}: index {indices[k]} does not fit in int64") from None
-    return multi, np.array(row_values).reshape(-1, M)
-
-
 def load_field_csv(path) -> VectorField:
-    """Read a field CSV and its sidecar ``<path>.json``.
-
-    The body goes to numpy's C reader in one call. The per-row loop of
-    Python's int and float stays for the bodies that reader refuses: it is
-    the only path that reads the spellings Python accepts and the reader
-    does not (``1_000``, non-ASCII digits, an index beyond int64, which then
-    exits on the int64 rule), and the only one that can name the line of a
-    bad token. Every fault names the file, the 1-based line of the row (blank
-    lines counted) and the rule it breaks; the grid bounds, the one-row-per-
-    cell rule and finiteness are checked once over all rows.
-    """
+    """Read a field CSV, its body by ``errors.read_csv``, and its sidecar
+    ``<path>.json``. Every fault names the file, the line of the row and the
+    rule it breaks; the row count, the grid bounds and the one-row-per-cell
+    rule are each one test over all rows."""
     path = Path(path)
     with named(f"the sidecar of {path}"):
         record, M, tag = require_keys(json.loads(_sidecar_path(path).read_text()), ("grid", "dim_M", "norm_tag"))
         grid = Grid.from_json(record, "the grid record")
         M, tag = require_count(M, "dim_M", whole_floats=True), NormTag(tag)
-    text = path.read_text()
-    lines = text.splitlines()
-    body = [ln for ln in lines if ln.strip()][1:]  # header row
-    if len(body) != grid.num_cells:
-        raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
-    N = grid.ndim
-    multi, row_values = _c_reader_rows(text, body, N, M) or _python_rows(path, lines, N, M)
+    multi, row_values, where = read_csv(path, header=True, width=grid.ndim + M, index_columns=grid.ndim)
+    if len(multi) != grid.num_cells:
+        raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(multi)}")
 
-    def fault(row, rule):
-        return ValueError(f"line {_body_line_numbers(lines)[row]} of {path}: {rule}")
-
-    # each rule is one whole-array test; the faulty row is located only once
-    # a rule fails. initial=0 and the reshape keep them defined on a 0-D grid.
-    shape = np.array(grid.shape)
-    if multi.min(initial=0) < 0 or np.any(multi.max(axis=0, initial=0) >= shape):
-        row = int(np.argmax(np.any((multi < 0) | (multi >= shape), axis=1)))
-        cell = tuple(int(i) for i in multi[row])
-        raise fault(row, f"cell {cell} lies outside the grid of shape {grid.shape}")
-    flat = np.ravel_multi_index(multi.T, grid.shape).reshape(-1)
+    # read as unsigned, an index below 0 lies beyond 2^63, outside every grid
+    outside = multi.view(np.uint64) >= np.array(grid.shape, dtype=np.uint64)
+    if outside.any():
+        row = int(np.argmax(outside.any(axis=1)))
+        raise ValueError(f"{where(row)}: cell {tuple(multi[row].tolist())} lies outside the grid of shape {grid.shape}")
+    flat = np.ravel_multi_index(multi.T, grid.shape).reshape(-1)  # 1-D on a 0-D grid too
     # with one row per cell, a repeated index is also a missing one; name the
     # first row, in file order, whose cell an earlier row already holds
     if np.bincount(flat, minlength=grid.num_cells).max() > 1:
-        repeat = np.ones(flat.size, dtype=bool)
-        repeat[np.unique(flat, return_index=True)[1]] = False
-        row = int(np.argmax(repeat))
-        cell = tuple(int(i) for i in multi[row])
-        raise fault(row, f"cell {cell} appears twice; every cell needs exactly one row")
-    if not np.isfinite(row_values).all():
-        row = int(np.argmin(np.isfinite(row_values).all(axis=1)))
-        raise fault(row, f"values must be finite, found {row_values[row].tolist()}")
+        row = int(np.setdiff1d(np.arange(flat.size), np.unique(flat, return_index=True)[1])[0])
+        raise ValueError(f"{where(row)}: cell {tuple(multi[row].tolist())} appears twice; every cell needs exactly one row")
     values = np.empty((grid.num_cells, M))
     values[flat] = row_values
     return VectorField(grid=grid, values=values, norm=tag)

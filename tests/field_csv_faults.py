@@ -3,11 +3,11 @@
 Rows are lists of string tokens, so a test can break one before
 ``write_field`` joins them into a file with a header, scattered blank lines
 and a sidecar. ``token_rows`` draws the same kind of rows from a token
-grammar for hypothesis.
+grammar for hypothesis, and ``refuse_some`` puts tokens from REFUSED into
+them; ``polyline_rows`` draws vertex rows from the same grammar.
 """
 
 import json
-import re
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,14 +26,11 @@ def shuffled_rows(g, M, rng):
 
 
 def respelled(token, rng):
-    """``token``, or a spelling of it that Python's int and float read as the same number."""
-    kind = rng.integers(4)
+    """``token``, or a spelling of it that numpy's reader reads as the same number."""
+    kind = rng.integers(3)
     if kind == 1 and not token.startswith("-"):
         return "+" + token
     if kind == 2:
-        pair = re.search(r"\d\d", token)  # "_" may group two digits
-        return token if pair is None else token[: pair.start() + 1] + "_" + token[pair.start() + 1 :]
-    if kind == 3:
         return " " * rng.integers(1, 3) + token + " " * rng.integers(0, 3)
     return token
 
@@ -57,16 +54,16 @@ def write_field(path, g, M, rows, rng):
 FAULTS = [
     "short-row", "long-row", "float-index", "negative-index", "index-past-the-grid", "index-at-int64-max",
     "repeated-cell", "two-repeated-cells", "missing-row", "extra-row", "inf", "-inf", "nan", "NaN", "text-value",
+    "index-beyond-int64",
 ]
 
 
 def add_fault(fault, rows, g, rng):
     """Break the rows in one way; return the position of the row a message should name.
 
-    Each of FAULTS makes the per-row reader raise a ValueError; so does
-    "index-beyond-int64" in load_field_csv, where the per-row reader let a
-    TypeError escape. A repeated cell names the first row whose cell an
-    earlier row holds; a missing or extra row names none (None).
+    Each of FAULTS makes load_field_csv raise a ValueError. A repeated cell
+    names the first row whose cell an earlier row holds; a missing or extra
+    row names none (None).
     """
     N = g.ndim
     r, k = int(rng.integers(len(rows))), int(rng.integers(N))
@@ -113,49 +110,73 @@ def line_of(path, row):
     return path.read_text().split("\n").index(",".join(row)) + 1
 
 
-# Zeros of digit blocks Python's int and float read as decimal digits:
-# Arabic-Indic, extended Arabic-Indic, Devanagari and fullwidth.
-UNICODE_ZEROS = ["\u0660", "\u06f0", "\u0966", "\uff10"]
+# Tokens the reader refuses in some column, or that parse to a value a file
+# may not hold: a float index, text, "_" between digits, a non-ASCII digit
+# or letter, a comma that splits one token in two, a control character
+# that numpy's reader would strip as whitespace (U+001F, U+000B, U+000C) or
+# refuses itself (U+0001, U+007F), an empty token, an index beyond int64 or
+# below 0, and values that are not finite.
+REFUSED = ["7.0", "x", "1_0", "\u0661\u0660", "1,5", "\x1f1", "1\x1f", "\x0b1", "\x0c1", "\x011", "1\x7f", "\u01fe7",
+           "", " ", "99999999999999999999", "-1", "nan", "inf", "-Infinity", "1e400"]
+# The REFUSED tokens that a value column reads, and the values they read as.
+VALUE_READS = {"7.0": 7.0, "-1": -1.0, "99999999999999999999": 1e20}
 
-# Tokens Python's int or float refuses in some column, or that parse to a
-# value a field file may not hold: a float index, text, a comma that splits
-# one token in two, U+001F (which numpy's reader strips as whitespace),
-# U+01FE before a digit (which numpy's reader reads as a number), an empty
-# token, an index beyond int64 or below 0, and values that are not finite.
-REFUSED = ["7.0", "x", "1,5", "\x1f1", "1\x1f", "\u01fe7", "", " ", "99999999999999999999", "-1",
-           "nan", "inf", "-Infinity", "1e400"]
 
-
-def spellings(token, ascii_only):
-    """``token`` or a spelling of it that Python's int and float read as the same number.
-
-    Only ASCII spellings without "_" when ``ascii_only``, which numpy's reader reads too.
-    """
-    options = [
+def spellings(token):
+    """``token`` or a spelling of it that numpy's reader reads as the same number: a sign or padding."""
+    return st.one_of(
         st.just(token),
         st.sampled_from(["+", " ", "\t", " \t"]).map(lambda pre: token if token[0] in "+-" else pre + token),
         st.sampled_from([" ", "\t"]).map(lambda post: token + post),
-    ]
-    if not ascii_only:
-        options.append(st.just(re.sub(r"(\d)(\d)", r"\1_\2", token, count=1)))
-        options.append(st.sampled_from(UNICODE_ZEROS).map(
-            lambda zero: token.translate(str.maketrans("0123456789", "".join(chr(ord(zero) + d) for d in range(10))))
-        ))
-    return st.one_of(options)
+    )
+
+
+@st.composite
+def refuse_some(draw, rows, index_columns):
+    """Replace up to two tokens of ``rows`` in place by tokens of REFUSED.
+
+    Returns whether a token the reader must refuse landed, and the values at
+    the (row, column) positions where a value column reads what landed.
+    """
+    landed = {}
+    for _ in range(draw(st.integers(0, 2))):
+        r = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, len(rows[r]) - 1))
+        rows[r][k] = landed[r, k] = draw(st.sampled_from(REFUSED))
+    read = {key: VALUE_READS[t] for key, t in landed.items() if key[1] >= index_columns and t in VALUE_READS}
+    return len(read) < len(landed), read
+
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def token_rows(draw, g, M):
-    """One row per cell of ``g`` in a drawn order, every token respelled, then up to two replaced from REFUSED."""
+    """Rows of one cell of ``g`` each in a drawn order, every token respelled, then ``refuse_some``.
+
+    Returns the rows, the float64 values they hold in cell order (every
+    respelling keeps the value), and whether a refused token landed.
+    """
     index = np.unravel_index(np.arange(g.num_cells), g.shape)
-    ascii_only = draw(st.booleans())
+    values = np.zeros((g.num_cells, M))
+    cells = draw(st.permutations(range(g.num_cells)))
     rows = []
-    for c in draw(st.permutations(range(g.num_cells))):
-        indices = [draw(spellings(draw(st.sampled_from(["", "0", "00"])) + str(int(i[c])), ascii_only)) for i in index]
-        values = [draw(spellings(repr(draw(st.floats(allow_nan=False, allow_infinity=False))), ascii_only))
-                  for _ in range(M)]
-        rows.append(indices + values)
-    for _ in range(draw(st.integers(0, 2))):
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(REFUSED))
-    return rows
+    for c in cells:
+        values[c] = [draw(floats) for _ in range(M)]
+        indices = [draw(spellings(draw(st.sampled_from(["", "0", "00"])) + str(int(i[c])))) for i in index]
+        rows.append(indices + [draw(spellings(repr(x))) for x in values[c].tolist()])
+    refused, read = draw(refuse_some(rows, g.ndim))
+    for (r, k), x in read.items():
+        values[cells[r], k - g.ndim] = x
+    return rows, values, refused
+
+
+@st.composite
+def polyline_rows(draw, N):
+    """Two to six vertex rows of N coordinates in [0, 1], respelled, then ``refuse_some``.
+
+    Returns the rows and whether a refused token landed.
+    """
+    rows = [[draw(spellings(repr(draw(st.floats(0.0, 1.0))))) for _ in range(N)] for _ in range(draw(st.integers(2, 6)))]
+    refused, _ = draw(refuse_some(rows, 0))
+    return rows, refused

@@ -6,15 +6,12 @@ paths it is used to check.
 """
 
 import itertools
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
-from modlab.errors import require_count, require_keys
 from modlab.geometry import BOX_TOL, Grid, Polyline
-from modlab.vectorvalues import NormTag, VectorField, _sidecar_path
+from modlab.vectorvalues import NormTag, VectorField
 
 
 def kkt_single_row(a: np.ndarray, w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
@@ -296,33 +293,3 @@ def ftc_residuals(f, G, c, num_params: int) -> list:
             increment = f_interp(c.points_at([t]))[0] - f_interp(c.points_at([s]))[0]
             out.append(float(norm(increment - path)))
     return out
-
-
-def load_field_csv_rows(path) -> VectorField:
-    """The field-CSV reader as one numpy call per row, kept as the loader's oracle."""
-    path = Path(path)
-    record, M, tag = require_keys(json.loads(_sidecar_path(path).read_text()), ("grid", "dim_M", "norm_tag"))
-    grid, M, tag = Grid.from_json(record), require_count(M, "dim_M", whole_floats=True), NormTag(tag)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    body = lines[1:]  # header row
-    if len(body) != grid.num_cells:
-        raise ValueError(f"expected {grid.num_cells} rows in {path}, found {len(body)}")
-    width = grid.ndim + M
-    columns = f"every row of {path} needs {grid.ndim} index and {M} value columns"
-    # the first row bounds dim_M before it sizes the value array
-    if body[0].count(",") != width - 1:
-        raise ValueError(columns)
-    values = np.zeros((grid.num_cells, M))
-    seen = np.zeros(grid.num_cells, dtype=bool)
-    for ln in body:
-        parts = ln.split(",")
-        if len(parts) != width:
-            raise ValueError(columns)
-        multi = tuple(int(x) for x in parts[: grid.ndim])
-        flat = int(np.ravel_multi_index(multi, grid.shape))
-        # with one row per cell, a repeated index is also a missing one
-        if seen[flat]:
-            raise ValueError(f"cell {multi} appears twice in {path}; every cell needs exactly one row")
-        seen[flat] = True
-        values[flat] = [float(x) for x in parts[grid.ndim :]]
-    return VectorField(grid=grid, values=values, norm=tag)

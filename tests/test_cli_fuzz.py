@@ -5,11 +5,13 @@ Each test keeps every input but one well formed and draws the remaining one
 records, records missing one key, arbitrary small JSON values and raw
 bytes; a field CSV body is a valid file's rows, shuffled and respelled,
 with one or two drawn faults (and once with none), or rows drawn from the
-token grammar of ``field_csv_faults.token_rows``. ``main`` must not raise
+token grammar of ``field_csv_faults.token_rows``, and an ``acbound``
+curve body is drawn from the same grammar. ``main`` must not raise
 or warn, must return 0, 1 or 2, and on 2 must print one line that is more
 than a bare key and write no report. One property is an oracle, not only
 this contract: a valid grid record, sidecar or bump battery with one number
-respelled as another JSON type must exit 2 naming the file and the key.
+respelled as another JSON type must exit 2 naming the file and the key, and
+so must a curve body that breaks the grammar, naming the file and a line.
 Sizes stay small so that a well-formed draw runs in milliseconds.
 """
 
@@ -27,9 +29,9 @@ from hypothesis import strategies as st
 
 from modlab import CurveFamily, Grid, NormTag, Polyline, VectorField, save_family
 from modlab.cli import main
-from modlab.geometry import save_polyline_csv
+from modlab.geometry import ScalarField, save_polyline_csv
 from modlab.vectorvalues import save_field_csv
-from field_csv_faults import FAULTS, add_fault, respelled, shuffled_rows, token_rows, write_field
+from field_csv_faults import FAULTS, add_fault, polyline_rows, respelled, shuffled_rows, token_rows, write_field
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -115,6 +117,7 @@ def work(tmp_path_factory):
     x = fine.cell_centers()
     save_field_csv(VectorField(grid=fine, values=x[:, :1] ** 2, norm=NormTag.L2), d / "f.csv")
     save_field_csv(VectorField(grid=fine, values=2 * x[:, :1], norm=NormTag.L2), d / "cand.csv")
+    save_field_csv(ScalarField(grid=fine, values=np.ones(fine.num_cells)), d / "g.csv")
     coarse = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
     save_field_csv(VectorField(grid=coarse, values=np.sin(coarse.cell_centers()), norm=NormTag.L2), d / "v.csv")
     return d
@@ -179,7 +182,7 @@ field_grid = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[3, 3])
 @settings(FUZZ, max_examples=80)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    faults=st.lists(st.sampled_from(FAULTS + ["index-beyond-int64"]), min_size=1, max_size=2),
+    faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2),
 )
 @example(seed=0, faults=[])
 def test_field_csv_body(work, seed, faults):
@@ -192,10 +195,29 @@ def test_field_csv_body(work, seed, faults):
 
 
 @FUZZ
-@given(rows=token_rows(field_grid, 2))
-def test_field_csv_tokens(work, rows):
-    write_field(work / "t.csv", field_grid, 2, rows, np.random.default_rng(0))
+@given(drawn=token_rows(field_grid, 2))
+def test_field_csv_tokens(work, drawn):
+    write_field(work / "t.csv", field_grid, 2, drawn[0], np.random.default_rng(0))
     run_main(["norms", "--f", str(work / "t.csv")], work / "r.json")
+
+
+@settings(FUZZ, max_examples=80)
+@given(drawn=polyline_rows(2), ragged=st.sampled_from([None, "short", "long"]), data=st.data())
+def test_polyline_csv_body(work, drawn, ragged, data):
+    rows, refused = drawn
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    if ragged == "short":
+        row.pop()
+    elif ragged == "long":
+        row.append("0.5")
+    lines = [",".join(row) for row in rows]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", "  ", "\t"])))
+    write(work / "curve.csv", "\n".join(lines) + "\n")
+    argv = ["acbound", "--f", str(work / "f.csv"), "--g", str(work / "g.csv"), "--curve", str(work / "curve.csv")]
+    status, err = run_main(argv, work / "r.json")
+    if refused or ragged:
+        assert status == 2 and re.search(rf"line \d+ of {re.escape(str(work / 'curve.csv'))}", err), (lines, err)
 
 
 VALID = {

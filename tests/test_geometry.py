@@ -584,6 +584,13 @@ class TestGrid:
         g = Grid(box_min=[0.0, -1.0], box_max=[2.0, 1.0], resolution=[4, 8])
         assert g.cell_volume == pytest.approx((2.0 / 4) * (2.0 / 8))
 
+    def test_contains_slack_scales_with_the_box_width_on_a_translated_box(self):
+        # BOX_TOL * (1 + width) = 2e-12 on [10, 11]; one scaled by |box_max + box_min|
+        # would be 2.2e-11 and accept the outer points too
+        g = Grid(box_min=[10.0], box_max=[11.0], resolution=[4])
+        assert g.contains([[11.0 + 1.5e-12]]) and g.contains([[10.0 - 1.5e-12]])
+        assert not g.contains([[11.0 + 5e-12]]) and not g.contains([[10.0 - 5e-12]])
+
     def test_invalid_boxes(self):
         with pytest.raises(ValueError):
             Grid(box_min=[0.0], box_max=[0.0], resolution=[4])
@@ -697,10 +704,28 @@ class TestFamilyIO:
         c2 = load_polyline_csv(tmp_path / "c.csv")
         assert np.array_equal(c2.vertices, c.vertices)
 
+    def test_a_crlf_polyline_reads_to_the_same_bits(self, tmp_path):
+        c = Polyline([[0.1, 1 / 3], [0.5, 0.75], [2 / 3, 0.125]])
+        save_polyline_csv(c, tmp_path / "c.csv")
+        (tmp_path / "c.csv").write_bytes((tmp_path / "c.csv").read_bytes().replace(b"\n", b"\r\n"))
+        assert load_polyline_csv(tmp_path / "c.csv").vertices.tobytes() == c.vertices.tobytes()
+
     @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf", "1e999", "NaN"])
     def test_polyline_coordinate_that_is_not_finite_names_its_file_and_line(self, tmp_path, coordinate):
         (tmp_path / "c.csv").write_text(f"0.1,0.1\n\n0.5,{coordinate}\n0.7,0.7\n")
         with pytest.raises(ValueError, match=r"line 3 of .*c\.csv holds a coordinate that is not a finite number"):
+            load_polyline_csv(tmp_path / "c.csv")
+
+    @pytest.mark.parametrize("body,rule", [
+        ("0.1,0.1\n\n0.5,0.5,0.5\n", r"line 3 of .*c\.csv has 3 columns where the first row has 2"),
+        ("0.1,0.1\n0.5,x\n", r"line 2 of .*c\.csv: coordinate 'x' is not a number"),
+        ("0.1,0.1\n0.5,\x0c0.5\n", r"line 2 of .*c\.csv: character '\\x0c' is neither printable ASCII nor a tab"),
+        ("0.1,0.1\n0.5,\u0660\n", r"line 2 of .*c\.csv: character '\u0660' is neither printable ASCII nor a tab"),
+        ("\n \n\t\n", r"empty polyline file: .*c\.csv"),
+    ], ids=["ragged", "text", "form-feed", "arabic-indic-zero", "blank"])
+    def test_polyline_body_outside_the_grammar_names_its_file_and_line(self, tmp_path, body, rule):
+        (tmp_path / "c.csv").write_text(body)
+        with pytest.raises(ValueError, match=rule):
             load_polyline_csv(tmp_path / "c.csv")
 
     def test_family_manifest_round_trip(self, tmp_path):

@@ -17,6 +17,7 @@ from modlab import (
 )
 from modlab import rnp_lab
 from modlab.rnp_lab import (
+    VERDICT_INCONCLUSIVE,
     VERDICT_NON_CAUCHY,
     VERDICT_RNP_LIKE,
     _sin_family_r_norms,
@@ -353,6 +354,17 @@ class TestDichotomyReport:
         # the ladder once ran from strings parsed through float()
         with pytest.raises(ValueError, match="^h_ladder must hold finite numbers only"):
             dichotomy_report(T_STAR, ladder, resolution=64)
+
+    # the RNP-like verdict needs the last gap at most 0.1 times the first:
+    # these two ladders put the ratio at 0.102 and at 0.0969
+    @pytest.mark.parametrize("ladder,gaps,verdict", [
+        ([0.1, 0.01], [0.12235896063627538, 0.012486243798124352], VERDICT_INCONCLUSIVE),
+        ([0.1, 0.0095], [0.12235896063627538, 0.011861303058647327], VERDICT_RNP_LIKE),
+    ])
+    def test_rnp_like_threshold_is_a_tenth_of_the_first_gap(self, ladder, gaps, verdict):
+        rep = dichotomy_report(t=0.3, h_ladder=ladder, fixed_M=5, resolution=64)
+        assert [row[3] for row in rep.series[0]["rows"]] == pytest.approx(gaps, rel=1e-9)
+        assert rep.meta["verdict"] == verdict
 
     def test_growing_m_ladder_witnesses_failure(self):
         fixture = dichotomy_gap_floor()

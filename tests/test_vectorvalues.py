@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from modlab import Grid, NormTag, VectorField, lp_norm, value_norm
 from modlab import vectorvalues
+from modlab.cli import main
 from modlab.vectorvalues import load_field_csv, save_field_csv
 from field_csv_faults import FAULTS, add_fault, line_of, respelled, shuffled_rows, token_rows, write_field
-from oracles import dual_ball_extreme_points, load_field_csv_rows, sampled_dual_functionals
+from oracles import dual_ball_extreme_points, sampled_dual_functionals
 
 TAGS = [NormTag.L1, NormTag.L2, NormTag.LINF]
 
@@ -236,11 +238,11 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="appears twice"):
             load_field_csv(tmp_path / "f.csv")
 
-    def test_rules_are_checked_in_order_bounds_repeats_finiteness(self, tmp_path):
+    def test_rules_are_checked_in_order_finiteness_bounds_repeats(self, tmp_path):
         g = Grid(box_min=[0.0], box_max=[1.0], resolution=[4])
-        body = ["0,1", "1,nan", "1,2", "3,3"]
-        for rows, rule in [(body, "line 4 .* appears twice"), (body[:2] + ["2,2", "9,3"], "line 5 .* outside the grid"),
-                           (body[:2] + ["2,2", "3,3"], "line 3 .* must be finite")]:
+        body = ["0,1", "1,nan", "1,2", "9,3"]
+        for rows, rule in [(body, "line 3 .* not a finite number"), (body[:1] + ["1,2", "1,2", "9,3"], "line 5 .* outside the grid"),
+                           (body[:1] + ["1,2", "1,2", "3,3"], "line 4 .* appears twice")]:
             (tmp_path / "f.csv").write_text("i,v\n" + "\n".join(rows) + "\n")
             (tmp_path / "f.csv.json").write_text(json.dumps({"grid": g.to_json(), "dim_M": 1, "norm_tag": "l2"}))
             with pytest.raises(ValueError, match=rule):
@@ -275,8 +277,8 @@ LOADER_GRIDS = {
 }
 
 
-class TestFieldLoaderMatchesPerRowOracle:
-    """load_field_csv against the one-numpy-call-per-row reader it replaced."""
+class TestFieldLoader:
+    """load_field_csv on shuffled, respelled rows, whole or broken one way."""
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -285,17 +287,21 @@ class TestFieldLoaderMatchesPerRowOracle:
         g = LOADER_GRIDS[N]
         rows = [[respelled(t, rng) for t in row] for row in shuffled_rows(g, M, rng)]
         path = write_field(tmp_path / "f.csv", g, M, rows, rng)
-        new, old = load_field_csv(path), load_field_csv_rows(path)
-        assert new.values.tobytes() == old.values.tobytes()
-        assert new.norm is old.norm and np.array_equal(new.grid.resolution, old.grid.resolution)
+        # every token is ASCII, so Python's float reads each as numpy's reader does
+        expected = np.zeros((g.num_cells, M))
+        for row in rows:
+            expected[np.ravel_multi_index(tuple(int(t) for t in row[:N]), g.shape)] = [float(t) for t in row[N:]]
+        f = load_field_csv(path)
+        assert f.values.tobytes() == expected.tobytes()
+        assert f.norm is NormTag.L2 and np.array_equal(f.grid.resolution, g.resolution)
 
     RULES = {
         "short-row": "columns", "long-row": "columns", "float-index": "is not an integer",
         "negative-index": "outside the grid", "index-past-the-grid": "outside the grid",
         "index-at-int64-max": "outside the grid", "repeated-cell": "appears twice",
         "two-repeated-cells": "appears twice", "missing-row": "rows in", "extra-row": "rows in",
-        "inf": "must be finite", "-inf": "must be finite", "nan": "must be finite", "NaN": "must be finite",
-        "text-value": "is not a number",
+        "inf": "not a finite number", "-inf": "not a finite number", "nan": "not a finite number",
+        "NaN": "not a finite number", "text-value": "is not a number", "index-beyond-int64": "int64",
     }
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -307,27 +313,12 @@ class TestFieldLoaderMatchesPerRowOracle:
         rows = [[respelled(t, rng) for t in row] for row in shuffled_rows(g, M, rng)]
         named = add_fault(fault, rows, g, rng)
         path = write_field(tmp_path / "f.csv", g, M, rows, rng)
-        with pytest.raises(ValueError):
-            load_field_csv_rows(path)
         with pytest.raises(ValueError) as new:
             load_field_csv(path)
         message = str(new.value)
         assert str(path) in message and self.RULES[fault] in message, message
         if named is not None:
             assert message.startswith(f"line {line_of(path, rows[named])} of {path}"), message
-
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_an_index_beyond_int64_is_a_value_error_naming_the_file(self, tmp_path, N):
-        rng = np.random.default_rng(N)
-        g = LOADER_GRIDS[N]
-        rows = shuffled_rows(g, 2, rng)
-        named = add_fault("index-beyond-int64", rows, g, rng)
-        path = write_field(tmp_path / "f.csv", g, 2, rows, rng)
-        with pytest.raises(TypeError):  # the per-row reader let numpy's error escape
-            load_field_csv_rows(path)
-        with pytest.raises(ValueError, match="int64") as err:
-            load_field_csv(path)
-        assert str(err.value).startswith(f"line {line_of(path, rows[named])} of {path}")
 
 
 SMALL_GRIDS = [
@@ -337,56 +328,57 @@ SMALL_GRIDS = [
 ]
 
 
-def _load_or_none(load, path, errors):
-    try:
-        return load(path)
-    except errors:
-        return None
-
-
-class TestFieldLoaderPaths:
-    """numpy's C reader reads what save_field_csv writes; Python's loop reads only what that reader refuses."""
+class TestFieldLoaderGrammar:
+    """The one grammar: what save_field_csv writes reads to the same bits; ASCII tokens only."""
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("M", [1, 3])
-    def test_saved_files_never_reach_the_per_row_loop(self, tmp_path, monkeypatch, N, M):
-        def unreachable(*args):
-            raise AssertionError("the per-row loop ran")
-
-        monkeypatch.setattr(vectorvalues, "_python_rows", unreachable)
+    def test_saved_files_read_to_the_same_bits(self, tmp_path, N, M):
         g = LOADER_GRIDS[N]
         values = np.random.default_rng(N + M).standard_normal((g.num_cells, M)) * 10.0 ** np.arange(-300, 300, 600 / M)
         f = make_field(g, values)
         save_field_csv(f, tmp_path / "f.csv")
         assert load_field_csv(tmp_path / "f.csv").values.tobytes() == f.values.tobytes()
 
-    # Python's int reads the first two; it refuses the last two, which numpy's
-    # C reader would read as 10 and as 4640
-    @pytest.mark.parametrize("spelling", ["1_0", "\u0661\u0660", "\x1f10", "\u01fe0"])
-    def test_a_spelling_the_c_reader_refuses_goes_to_the_per_row_loop(self, tmp_path, monkeypatch, spelling):
-        calls = []
+    def test_a_crlf_file_reads_to_the_same_bits(self, tmp_path):
+        g = LOADER_GRIDS[2]
+        f = make_field(g, np.random.default_rng(5).standard_normal((g.num_cells, 2)))
+        save_field_csv(f, tmp_path / "f.csv")
+        text = (tmp_path / "f.csv").read_text()
+        (tmp_path / "f.csv").write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_field_csv(tmp_path / "f.csv").values.tobytes() == f.values.tobytes()
 
-        def spy(*args, real=vectorvalues._python_rows):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(vectorvalues, "_python_rows", spy)
+    # numpy's reader alone would read the middle three: it strips U+001F and
+    # U+000B as whitespace and reads U+01FE then "0" as the integer 4640;
+    # it refuses U+0001 itself
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661\u0660", "\x1f10", "\x0b10", "\u01fe0", "\x0110"])
+    def test_a_token_outside_the_grammar_names_its_line(self, tmp_path, capsys, spelling, column):
         g = Grid(box_min=[0.0], box_max=[1.0], resolution=[12])
-        save_field_csv(make_field(g, np.arange(12.0)), tmp_path / "f.csv")
-        lines = (tmp_path / "f.csv").read_text().splitlines()
+        path = tmp_path / "f.csv"
+        save_field_csv(make_field(g, np.arange(12.0)), path)
+        lines = path.read_text().splitlines()
         assert lines[11] == "10,10"
-        lines[11] = f"{spelling},10"
-        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
-        if spelling in ("\x1f10", "\u01fe0"):
-            with pytest.raises(ValueError, match="line 12 of .* is not an integer"):
-                load_field_csv(tmp_path / "f.csv")
-        else:
-            assert np.array_equal(load_field_csv(tmp_path / "f.csv").values[:, 0], np.arange(12.0))
-        assert len(calls) == 1
+        lines[11] = f"{spelling},10" if column == 0 else f"10,{spelling}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^line 12 of {re.escape(str(path))}"):
+            load_field_csv(path)
+        assert main(["norms", "--f", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"line 12 of {path}" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_control_character_in_the_header_names_line_one(self, tmp_path):
+        g = Grid(box_min=[0.0], box_max=[1.0], resolution=[4])
+        path = tmp_path / "f.csv"
+        save_field_csv(make_field(g, np.arange(4.0)), path)
+        path.write_text("\n" + path.read_text().replace("i1,v1", "i1,\x01v1"))
+        with pytest.raises(ValueError, match=f"^line 2 of {re.escape(str(path))}: character '\\\\x01'"):
+            load_field_csv(path)
 
     @pytest.mark.parametrize("dim_M", [3, 10**15])
     def test_a_sidecar_wider_than_the_rows_gives_the_columns_message(self, tmp_path, dim_M):
-        # the first row's width is checked before dim_M sizes the C reader's row type
+        # the first row's width is checked before dim_M sizes the reader's row type
         g = Grid(box_min=[0.0], box_max=[1.0], resolution=[4])
         save_field_csv(make_field(g, np.arange(4.0)), tmp_path / "f.csv")
         side = tmp_path / "f.csv.json"
@@ -397,14 +389,15 @@ class TestFieldLoaderPaths:
     @given(data=st.data())
     @settings(derandomize=True, max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-    def test_loader_and_per_row_oracle_agree_on_drawn_tokens(self, tmp_path, data):
+    def test_a_field_loads_exactly_when_no_refused_token_landed(self, tmp_path, data):
         g = data.draw(st.sampled_from(SMALL_GRIDS))
         M = data.draw(st.integers(1, 3))
-        rows = data.draw(token_rows(g, M))
+        rows, values, refused = data.draw(token_rows(g, M))
         path = write_field(tmp_path / "f.csv", g, M, rows, np.random.default_rng(0))
-        # the per-row oracle lets numpy's TypeError escape for an index beyond int64
-        old = _load_or_none(load_field_csv_rows, path, (ValueError, TypeError))
-        new = _load_or_none(load_field_csv, path, ValueError)
-        assert (new is None) == (old is None)
-        if new is not None:
-            assert new.values.tobytes() == old.values.tobytes()
+        if refused:
+            with pytest.raises(ValueError, match=f"^line [0-9]+ of {re.escape(str(path))}"):
+                load_field_csv(path)
+        else:
+            loaded = load_field_csv(path).values
+            for cell in range(g.num_cells):
+                assert loaded[cell].tobytes() == values[cell].tobytes(), (cell, rows)
