@@ -365,6 +365,7 @@ def _cell_length_entries(verts: np.ndarray, counts: np.ndarray, g: Grid) -> tupl
     curve, p, d, seg_len, a, b = _split_segments(verts, counts, g)
     widths = (b - a) * seg_len
     mids = p + (0.5 * (a + b))[:, None] * d
+    del p, d, seg_len, a, b  # free the pieces before np.unique sorts the keys
 
     # sum each (row, cell) and drop cells with zero total: bincount adds
     # each key's pieces in piece order

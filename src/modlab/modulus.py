@@ -34,6 +34,10 @@ if TYPE_CHECKING:
 # solves short of a 1e-10 gap.
 RIDGE = 1e-14
 
+# Pairs one block of ``_pair_index``'s build starts at most: its temporaries
+# stay in cache and are a small fraction of the operator it writes.
+_PAIR_BLOCK = 2**13
+
 
 @dataclass
 class ModulusProblem:
@@ -142,6 +146,13 @@ def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
     pairs with itself and with each entry below it in its column, so the
     pairs' first factors are C's data and rows each repeated that many
     times, and only their second factors need a gather.
+
+    The build writes P's data and row indices into arrays of P's final
+    size, one block of C's entries at a time, each block starting at most
+    ``_PAIR_BLOCK`` pairs (or one entry's pairs, if more). So it holds P,
+    one block's temporaries and a few arrays with one entry per entry of
+    C. The indices are int32 while the m^2 rows and P's entry count fit in
+    it, int64 otherwise, and j m + i is computed in that dtype.
     """
     import scipy.sparse as sp
 
@@ -149,12 +160,25 @@ def _pair_index(C: sp.csc_matrix) -> sp.csc_matrix:
     r, v = C.indices, C.data
     k = np.diff(C.indptr)
     later = np.repeat(C.indptr[1:], k) - np.arange(r.size)  # entries at or below each one in its column
-    indptr = np.concatenate([[0], np.cumsum(k * (k + 1) // 2)])
-    # second[j] = e + (j - start of e's pairs), for the entry e that pair j starts from
-    second = np.repeat(np.arange(r.size) - (np.cumsum(later) - later), later) + np.arange(indptr[-1])
-    return sp.csc_matrix(
-        (np.repeat(v, later) * v[second], r[second] * m + np.repeat(r, later), indptr), shape=(m * m, C.shape[1])
-    )
+    starts = np.concatenate([[0], np.cumsum(later)])  # entry e's pairs are starts[e]:starts[e + 1]
+    nnz = int(starts[-1])
+    index = np.int32 if max(m * m, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = starts[C.indptr].astype(index)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    e0 = 0
+    while e0 < r.size:
+        e1 = max(int(np.searchsorted(starts, starts[e0] + _PAIR_BLOCK, side="right")) - 1, e0 + 1)
+        pairs, count = slice(starts[e0], starts[e1]), later[e0:e1]
+        # second[j] = e + (j - start of e's pairs), for the entry e that pair j starts from
+        second = np.repeat(np.arange(e0, e1) - (starts[e0:e1] - starts[e0]), count)
+        second += np.arange(starts[e1] - starts[e0])
+        np.multiply(np.repeat(v[e0:e1], count), v[second], out=data[pairs])
+        rows = indices[pairs]
+        rows[:] = r[second]
+        rows *= m
+        rows += np.repeat(r[e0:e1], count)
+        e0 = e1
+    return sp.csc_matrix((data, indices, indptr), shape=(m * m, C.shape[1]))
 
 
 def _step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -177,15 +201,16 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     factorization of an m x m matrix, m the number of curves. That matrix's
     A D A^T part is one sparse product P @ d, d the diagonal of D and P
     the pair operator of ``_pair_index``, built once per solve; LAPACK's
-    potrf factors it in place and potrs solves with the factor. The
-    certificates are checked once the complementarity x.y falls below
-    ``tol`` times the energy. After a failed factorization the diagonal is
-    raised by ``RIDGE`` for the rest of the solve; a second failure ends it
-    with the current iterate, and so does a step whose arithmetic divides by
-    zero or leaves float64's range, as it does once roundoff has set a
-    coordinate to zero at a tolerance below reach. Returns the raw density,
-    the dual bound at the last multipliers, the number of steps and the
-    diagnostics.
+    potrf factors it in place and potrs solves with the factor. The last
+    step's matrix is freed before the next is built, so a step holds P, one
+    m x m matrix and arrays of size m + n. The certificates are checked
+    once the complementarity x.y falls below ``tol`` times the energy.
+    After a failed factorization the diagonal is raised by ``RIDGE`` for the
+    rest of the solve; a second failure ends it with the current iterate,
+    and so does a step whose arithmetic divides by zero or leaves float64's
+    range, as it does once roundoff has set a coordinate to zero at a
+    tolerance below reach. Returns the raw density, the dual bound at the
+    last multipliers, the number of steps and the diagnostics.
     """
     import scipy.sparse as sp
     from scipy.linalg import get_lapack_funcs
@@ -252,6 +277,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 h = (p - 1.0) * g / rho  # hessian of the energy
                 d = 1.0 / (h + z / rho)
+                K = diag = factor = None  # free the last step's matrix before P @ d builds this one
                 K = P @ d
                 diag = K[:: m + 1]
                 diag *= 1.0 + ridge

@@ -224,6 +224,26 @@ def bincount_normal_matrix(C, d: np.ndarray) -> np.ndarray:
     return np.bincount(r[second] * m + r[first], v[first] * v[second] * d[col], minlength=m * m)
 
 
+def enumerated_pair_operator(C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, row indices and data of the pair operator of the CSC matrix C,
+    one column at a time.
+
+    Column c's pairs are its entries' upper triangle in np.triu_indices
+    order; pair (a, b) of rows i <= j sits at row j m + i, computed in
+    Python integers, with value C[i, c] C[j, c].
+    """
+    m = C.shape[0]
+    indptr, rows, data = [0], [], []
+    for c in range(C.shape[1]):
+        r = [int(i) for i in C.indices[C.indptr[c] : C.indptr[c + 1]]]
+        v = C.data[C.indptr[c] : C.indptr[c + 1]]
+        a, b = np.triu_indices(len(r))
+        rows += [r[j] * m + r[i] for i, j in zip(a, b)]
+        data.append(v[a] * v[b])
+        indptr.append(indptr[-1] + a.size)
+    return np.array(indptr), np.array(rows, dtype=np.int64), np.concatenate([[], *data])
+
+
 def mask_restrict(c: Polyline, s: float, t: float) -> Polyline:
     """Subcurve of ``c`` between arc-length parameters s <= t, one pair at a
     time: the points at s and t around the vertices whose arc position lies

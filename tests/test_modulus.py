@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from modlab import (
 from modlab import modulus
 from modlab.acceptance import random_polyline
 from modlab.modulus import ModulusProblem, chebyshev_bound_from_norm
-from oracles import bincount_normal_matrix, kkt_single_row
+from oracles import bincount_normal_matrix, enumerated_pair_operator, kkt_single_row
 
 
 def unit_grid(res):
@@ -32,6 +34,16 @@ def unit_grid(res):
 
 def random_curves(rng, count, lo=0.05, hi=0.95):
     return [Polyline(rng.uniform(lo, hi, size=(rng.integers(2, 5), 2))) for _ in range(count)]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAssemble:
@@ -361,32 +373,87 @@ class TestInteriorPoint:
         with pytest.raises(ValueError, match=rf"^the energy rho\^p at the exponent p = {re.escape(repr(p))} overflows float64$"):
             solve_modulus(assemble_problem(fam, unit_grid(8), p))
 
+    def test_a_solve_holds_one_normal_matrix(self):
+        # 625 segments, one in each cell of 25^2: P has one entry per curve,
+        # and the m x m normal matrix (3.1 MB) is most of what a step holds
+        res = 25
+        h = 1.0 / res
+        starts = (np.indices((res, res)).reshape(2, -1).T + 0.2) * h
+        lengths = np.random.default_rng(3).uniform(0.1, 0.6, size=res * res) * h
+        curves = [Polyline([a, a + [b, 0.5 * h]]) for a, b in zip(starts, lengths)]
+        prob = assemble_problem(CurveFamily(curves=curves), unit_grid(res), 2.0)
+        solve_modulus(prob)  # scipy.linalg loads on the first solve
+        result, peak = traced_peak(solve_modulus, prob)
+        assert result.converged
+        assert peak < 1.5 * prob.num_curves**2 * 8
+
+
 
 class TestPairOperator:
     """P @ d is C diag(d) C^T's upper triangle, summed in the bincount's order."""
 
-    @pytest.mark.parametrize("kind", ["random", "identical", "disjoint", "3d"])
-    def test_product_matches_the_bincount_oracle_bit_for_bit(self, rng, kind):
+    @staticmethod
+    def family(rng, kind):
         if kind == "3d":
             g = Grid([0.0] * 3, [1.0] * 3, [6, 5, 4])
-            curves = [Polyline(rng.uniform(0.0, 1.0, size=(rng.integers(2, 5), 3))) for _ in range(30)]
-        else:
-            g = unit_grid(12)
-            curves = {
-                "random": random_curves(rng, 40),
-                "identical": [Polyline([[0.1, 0.2], [0.5, 0.8], [0.9, 0.3]])] * 5,
-                "disjoint": [Polyline([[0.1, 0.1], [0.3, 0.4]]), Polyline([[0.6, 0.9], [0.9, 0.6]])],
-            }[kind]
+            return [Polyline(rng.uniform(0.0, 1.0, size=(rng.integers(2, 5), 3))) for _ in range(30)], g
+        if kind == "column-over-a-block":
+            # k curves inside one cell: that column's k (k + 1) / 2 pairs exceed a block
+            k = math.isqrt(2 * modulus._PAIR_BLOCK) + 1
+            return [Polyline([[0.26, 0.26], [0.26 + u, 0.32]]) for u in rng.uniform(0.0, 0.07, k)], unit_grid(12)
+        if kind == "block-ends-mid-column":
+            # 10 curves across the same row of cells, 55 pairs per column; the
+            # whole columns a block holds leave room for part of the next one
+            assert modulus._PAIR_BLOCK % 55 >= 10
+            cells = modulus._PAIR_BLOCK // 55 + 2
+            g = Grid([0.0, 0.0], [1.0, 1.0], [cells, 4])
+            ends = rng.uniform(0.0, 1.0 / cells, size=(10, 2))
+            return [Polyline([[a, y], [1.0 - b, y]]) for (a, b), y in zip(ends, np.linspace(0.3, 0.45, 10))], g
+        return {
+            "random": random_curves(rng, 40),
+            "identical": [Polyline([[0.1, 0.2], [0.5, 0.8], [0.9, 0.3]])] * 5,
+            "disjoint": [Polyline([[0.1, 0.1], [0.3, 0.4]]), Polyline([[0.6, 0.9], [0.9, 0.6]])],
+        }[kind], unit_grid(12)
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "identical", "disjoint", "3d", "column-over-a-block", "block-ends-mid-column"]
+    )
+    def test_product_matches_the_bincount_oracle_bit_for_bit(self, rng, kind):
+        curves, g = self.family(rng, kind)
         C = assemble_problem(CurveFamily(curves=curves), g, 2.0).constraint_rows.tocsc()
         m, k = C.shape[0], np.diff(C.indptr)
         P = modulus._pair_index(C)
         assert P.shape == (m * m, C.shape[1]) and P.nnz == int(np.sum(k * (k + 1) // 2))
+        indptr, indices, data = enumerated_pair_operator(C)
+        assert np.array_equal(P.indptr, indptr) and np.array_equal(P.indices, indices)
+        assert np.array_equal(P.data, data)
         for _ in range(3):
             d = rng.uniform(1e-3, 1e3, size=C.shape[1])
             K = P @ d
             assert np.array_equal(K, bincount_normal_matrix(C, d))
             dense = (C @ sp.diags(d) @ C.T).toarray()
             assert np.allclose(K.reshape(m, m).T, np.triu(dense), rtol=1e-12, atol=0.0)
+
+    def test_rows_past_int32_do_not_wrap(self):
+        # m = 46342 curves put the last row, (m - 1) m + m - 1, past 2^31; only P
+        # is built here, never the 17 GB product
+        m = 46342
+        C = sp.csc_matrix(
+            (np.array([2.0, 3.0]), np.array([0, m - 1], dtype=np.int32), np.array([0, 2], dtype=np.int32)),
+            shape=(m, 1),
+        )
+        P = modulus._pair_index(C)
+        assert P.indices.tolist() == [0, 2147534622, 2147580963] == enumerated_pair_operator(C)[1].tolist()
+        assert P.data.tolist() == [4.0, 6.0, 9.0] and P.indptr.tolist() == [0, 3]
+
+    def test_build_holds_little_beyond_the_operator(self):
+        # 400 curves on 48^2: P spans about 27 blocks
+        rng = np.random.default_rng(7)
+        curves = random_curves(rng, 400)
+        C = assemble_problem(CurveFamily(curves=curves), unit_grid(48), 1.0).constraint_rows.tocsc()
+        P, peak = traced_peak(modulus._pair_index, C)
+        assert P.nnz > 20 * modulus._PAIR_BLOCK
+        assert peak <= 1.5 * (P.data.nbytes + P.indices.nbytes + P.indptr.nbytes)
 
 
 class TestAnalyticParallelSegments:
