@@ -40,57 +40,65 @@ def unit_square_grid(res: int) -> Grid:
 
 def horizontal_segment_family(res: int, count: int) -> CurveFamily:
     """Unit-length horizontal segments at the first ``count`` cell-row centers."""
-    curves = []
-    h = 1.0 / res
-    for j in range(count):
-        y = (j + 0.5) * h
-        curves.append(Polyline([[0.0, y], [1.0, y]]))
-    return CurveFamily(curves=curves)
+    h = 1.0 / res  # (j + 0.5) * h, not (j + 0.5) / res: the two differ in the last bit
+    return CurveFamily(curves=[Polyline([[0.0, (j + 0.5) * h], [1.0, (j + 0.5) * h]]) for j in range(count)])
 
 
 def random_polyline(rng, num_vertices: int = 3, lo: float = 0.05, hi: float = 0.95) -> Polyline:
     return Polyline(rng.uniform(lo, hi, size=(num_vertices, 2)))
 
 
+def _random_curves(rng, fewer_than: int, lo: float = 0.05, hi: float = 0.95) -> list:
+    """1 to ``fewer_than`` - 1 random polylines of 2 to 4 vertices each, the
+    count drawn first and then each curve's vertex count and vertices."""
+    return [random_polyline(rng, rng.integers(2, 5), lo, hi) for _ in range(rng.integers(1, fewer_than))]
+
+
+def _modulus(curves: list, g: Grid, p: float, tol: float = 1e-8) -> float:
+    """The solved p-modulus of the family ``curves`` on ``g``."""
+    return solve_modulus(assemble_problem(CurveFamily(curves=curves), g, p), tol=tol).value
+
+
+def _flag(name: str, holds: bool) -> dict:
+    """The check that ``holds`` is true, recorded as the value 1.0 >= 1.0."""
+    return bounded_check(name, float(holds), 1.0, lower=True)
+
+
+def _runtime(name: str, seconds: float, bound: float) -> dict:
+    """The check that a stage took strictly less than ``bound`` seconds."""
+    return bounded_check(name, seconds, bound, passed=seconds < bound)
+
+
 # ---------------------------------------------------------------------------
 # 1. Segment-family modulus against the analytic parallel-segment value.
 
 def criterion_segment_families() -> Report:
-    checks = []
-    series_rows = []
-
     def solved_value(res: int, count: int, p: float):
-        g = unit_square_grid(res)
-        fam = horizontal_segment_family(res, count)
         t0 = time.perf_counter()
-        result = solve_modulus(assemble_problem(fam, g, p), tol=1e-9)
-        elapsed = time.perf_counter() - t0
-        return result, elapsed
+        value = _modulus(horizontal_segment_family(res, count).curves, unit_square_grid(res), p, tol=1e-9)
+        return value, time.perf_counter() - t0
 
     exact = analytic_parallel_segments(1.0, 1.0, 2.0)
-    res64, t64 = solved_value(64, 64, 2.0)
-    err64 = abs(res64.value - exact) / exact
-    checks.append(bounded_check("full_square_p2_res64_within_5pct", err64, 0.05))
-    checks.append(bounded_check("full_square_res64_runtime_s", t64, 30.0, passed=t64 < 30.0))
-    series_rows.append([64.0, res64.value])
-
-    res128, t128 = solved_value(128, 128, 2.0)
-    err128 = abs(res128.value - exact) / exact
-    checks.append(bounded_check("refinement_res128_error_not_worse", err128, err64 + 1e-6))
-    checks.append(bounded_check("full_square_res128_runtime_s", t128, 30.0, passed=t128 < 30.0))
-    series_rows.append([128.0, res128.value])
+    v64, t64 = solved_value(64, 64, 2.0)
+    v128, t128 = solved_value(128, 128, 2.0)
+    err64 = abs(v64 - exact) / exact
+    checks = [
+        bounded_check("full_square_p2_res64_within_5pct", err64, 0.05),
+        _runtime("full_square_res64_runtime_s", t64, 30.0),
+        bounded_check("refinement_res128_error_not_worse", abs(v128 - exact) / exact, err64 + 1e-6),
+        _runtime("full_square_res128_runtime_s", t128, 30.0),
+    ]
 
     half = analytic_parallel_segments(0.5, 1.0, 2.0)
     for p in (1.5, 2.0, 3.0):
-        res_h, t_h = solved_value(64, 32, p)
-        err = abs(res_h.value - half) / half
-        checks.append(bounded_check(f"half_square_p{p}_within_5pct", err, 0.05))
-        checks.append(bounded_check(f"half_square_p{p}_runtime_s", t_h, 30.0, passed=t_h < 30.0))
+        v_h, t_h = solved_value(64, 32, p)
+        checks.append(bounded_check(f"half_square_p{p}_within_5pct", abs(v_h - half) / half, 0.05))
+        checks.append(_runtime(f"half_square_p{p}_runtime_s", t_h, 30.0))
 
     return Report(
         command="criterion_1_segment_families",
         checks=checks,
-        series=[{"name": "modulus_refinement", "columns": ["resolution", "value"], "rows": series_rows}],
+        series=[{"name": "modulus_refinement", "columns": ["resolution", "value"], "rows": [[64.0, v64], [128.0, v128]]}],
         meta={"analytic_full": exact, "analytic_half": half},
     )
 
@@ -102,34 +110,29 @@ def criterion_outer_measure() -> Report:
     g = unit_square_grid(32)
     p = 2.0
     rng = np.random.default_rng(20260809)
-    checks = []
-
-    empty = solve_modulus(assemble_problem(CurveFamily(curves=[], label="empty"), g, p))
-    checks.append(bounded_check("empty_family_modulus_zero", empty.value, 0.0, passed=empty.value == 0.0))
+    empty = _modulus([], g, p)
+    checks = [bounded_check("empty_family_modulus_zero", empty, 0.0, passed=empty == 0.0)]
 
     worst_mono = math.inf
     worst_subadd = math.inf
     for _ in range(50):
-        base = [random_polyline(rng, rng.integers(2, 5)) for _ in range(rng.integers(1, 4))]
-        extra = [random_polyline(rng, rng.integers(2, 5)) for _ in range(rng.integers(1, 3))]
-        other = [random_polyline(rng, rng.integers(2, 5)) for _ in range(rng.integers(1, 4))]
-        v_base = solve_modulus(assemble_problem(CurveFamily(curves=base), g, p)).value
-        v_super = solve_modulus(assemble_problem(CurveFamily(curves=base + extra), g, p)).value
-        v_other = solve_modulus(assemble_problem(CurveFamily(curves=other), g, p)).value
-        v_union = solve_modulus(assemble_problem(CurveFamily(curves=base + other), g, p)).value
-        worst_mono = min(worst_mono, v_super - v_base)
-        worst_subadd = min(worst_subadd, v_base + v_other - v_union)
+        base = _random_curves(rng, 4)
+        extra = _random_curves(rng, 3)
+        other = _random_curves(rng, 4)
+        v_base = _modulus(base, g, p)
+        v_other = _modulus(other, g, p)
+        worst_mono = min(worst_mono, _modulus(base + extra, g, p) - v_base)
+        worst_subadd = min(worst_subadd, v_base + v_other - _modulus(base + other, g, p))
     checks.append(bounded_check("monotonicity_margin", worst_mono, -1e-4, lower=True))
     checks.append(bounded_check("subadditivity_margin", worst_subadd, -1e-4, lower=True))
 
     worst_rel = 0.0
     for _ in range(10):
-        left = [random_polyline(rng, rng.integers(2, 5), 0.03, 0.45) for _ in range(rng.integers(1, 4))]
-        right = [random_polyline(rng, rng.integers(2, 5), 0.55, 0.97) for _ in range(rng.integers(1, 4))]
-        v_l = solve_modulus(assemble_problem(CurveFamily(curves=left), g, p)).value
-        v_r = solve_modulus(assemble_problem(CurveFamily(curves=right), g, p)).value
-        v_u = solve_modulus(assemble_problem(CurveFamily(curves=left + right), g, p)).value
-        worst_rel = max(worst_rel, abs(v_u - (v_l + v_r)) / (v_l + v_r))
+        left = _random_curves(rng, 4, 0.03, 0.45)
+        right = _random_curves(rng, 4, 0.55, 0.97)
+        v_l = _modulus(left, g, p)
+        v_r = _modulus(right, g, p)
+        worst_rel = max(worst_rel, abs(_modulus(left + right, g, p) - (v_l + v_r)) / (v_l + v_r))
     checks.append(bounded_check("disjoint_additivity_rel_error", worst_rel, 1e-3))
 
     return Report(command="criterion_2_outer_measure", checks=checks)
@@ -159,8 +162,7 @@ def criterion_chebyshev_bounds() -> Report:
         h = _smooth_positive_field(g, rng)
         curves = [random_polyline(rng, rng.integers(2, 5)) for _ in range(5)]
         prob = assemble_problem(CurveFamily(curves=curves), g, p)
-        integrals = prob.constraint_rows @ h.values
-        eps = float(np.min(integrals))  # every curve satisfies int_c h >= eps
+        eps = float(np.min(prob.constraint_rows @ h.values))  # every curve satisfies int_c h >= eps
         bound = chebyshev_modulus_bound(h, eps, p)
         value = solve_modulus(prob, tol=1e-10).value
         worst_excess = max(worst_excess, value - bound)
@@ -177,14 +179,11 @@ def criterion_chebyshev_bounds() -> Report:
     h2 = ScalarField(grid=g2, values=vals.ravel())
     measure_E = res * g2.cell_volume
     bound2 = chebyshev_modulus_bound(h2, 1.0, 2.0)
-    analytic2 = measure_E / delta**2
     y = (row + 0.5) / res
-    fam2 = CurveFamily(
-        curves=[Polyline([[0.05 + 0.08 * j, y], [0.05 + 0.08 * j + 0.3, y]]) for j in range(8)],
-        label="strip",
-    )
-    value2 = solve_modulus(assemble_problem(fam2, g2, 2.0), tol=1e-10).value
-    checks.append(bounded_check("strip_bound_matches_measure_formula", abs(bound2 - analytic2), 1e-12))
+    # 0.05 + 0.08 * j + 0.3, not 0.35 + 0.08 * j: the two differ in the last bit for j = 6, 7
+    strip = [Polyline([[0.05 + 0.08 * j, y], [0.05 + 0.08 * j + 0.3, y]]) for j in range(8)]
+    value2 = _modulus(strip, g2, 2.0, tol=1e-10)
+    checks.append(bounded_check("strip_bound_matches_measure_formula", abs(bound2 - measure_E / delta**2), 1e-12))
     checks.append(bounded_check("strip_value_le_bound", value2, bound2))
     return Report(command="criterion_3_chebyshev", checks=checks)
 
@@ -261,11 +260,8 @@ def criterion_norm_equivalence() -> Report:
 
     # the identity map with sup-norm values: ratio strictly inside (1, sqrt 2)
     g64 = unit_square_grid(64)
-    centers = g64.cell_centers()
-    ident = VectorField(grid=g64, values=centers.copy(), norm=NormTag.LINF)
-    w = w_norm(ident, 2.0)
-    r = r_norm(ident, 2.0)
-    ratio = w / r
+    ident = VectorField(grid=g64, values=g64.cell_centers().copy(), norm=NormTag.LINF)
+    ratio = w_norm(ident, 2.0) / r_norm(ident, 2.0)
     checks.append(bounded_check("identity_linf_ratio_above_1", ratio, 1.0, lower=True, passed=ratio > 1.0))
     checks.append(bounded_check("identity_linf_ratio_below_sqrt2", ratio, math.sqrt(2.0), passed=ratio < math.sqrt(2.0)))
     return Report(command="criterion_5_norm_equivalence", checks=checks, meta={"identity_ratio": ratio})
@@ -274,47 +270,31 @@ def criterion_norm_equivalence() -> Report:
 # ---------------------------------------------------------------------------
 # 6. Fundamental-theorem and absolute-continuity bounds along curves.
 
-def criterion_ftc_ac() -> Report:
-    checks = []
-
-    res = 256
-    g = unit_square_grid(res)
+def _sin_cos_field(g: Grid) -> VectorField:
+    """The smooth field (sin x, cos y) at the cell centres of ``g``."""
     centers = g.cell_centers()
-    f = VectorField(
-        grid=g,
-        values=np.stack([np.sin(centers[:, 0]), np.cos(centers[:, 1])], axis=-1),
-        norm=NormTag.L2,
-    )
-    G = finite_diff_gradient(f)
-    diag = Polyline([[0.02, 0.02], [0.98, 0.98]])
-    ftc = ftc_along_curve_check(f, G, diag, tol=1e-3)
+    return VectorField(grid=g, values=np.stack([np.sin(centers[:, 0]), np.cos(centers[:, 1])], axis=-1), norm=NormTag.L2)
+
+
+def criterion_ftc_ac() -> Report:
+    f = _sin_cos_field(unit_square_grid(256))
+    ftc = ftc_along_curve_check(f, finite_diff_gradient(f), Polyline([[0.02, 0.02], [0.98, 0.98]]), tol=1e-3)
     worst = max(c["value"] for c in ftc.checks if c["name"].startswith("ftc"))
     # the verdict also carries the report's chain-rule check
-    checks.append(bounded_check("ftc_smooth_residual", worst, 1e-3, passed=ftc.passed))
+    checks = [bounded_check("ftc_smooth_residual", worst, 1e-3, passed=ftc.passed)]
 
-    res2 = 128
-    g2 = unit_square_grid(res2)
-    centers2 = g2.cell_centers()
-    f2 = VectorField(
-        grid=g2,
-        values=np.stack([np.sin(centers2[:, 0]), np.cos(centers2[:, 1])], axis=-1),
-        norm=NormTag.L2,
-    )
+    g2 = unit_square_grid(128)
+    f2 = _sin_cos_field(g2)
     ones = ScalarField(grid=g2, values=np.ones(g2.num_cells))
     rng = np.random.default_rng(7)
-    all_pass = True
-    for _ in range(100):
-        c = random_polyline(rng, rng.integers(2, 5))
-        rep = ac_bound_check(f2, ones, c, tol=1e-3, num_params=6)
-        all_pass = all_pass and rep.passed
-    checks.append(bounded_check("ac_lipschitz_100_random_polylines", float(all_pass), 1.0, lower=True))
+    reps = [ac_bound_check(f2, ones, random_polyline(rng, rng.integers(2, 5)), tol=1e-3, num_params=6) for _ in range(100)]
+    checks.append(_flag("ac_lipschitz_100_random_polylines", all(rep.passed for rep in reps)))
 
     jump_vals = np.zeros((g2.num_cells, 2))
-    jump_vals[centers2[:, 0] >= 0.5, 0] = 1.0
+    jump_vals[g2.cell_centers()[:, 0] >= 0.5, 0] = 1.0
     f_jump = VectorField(grid=g2, values=jump_vals, norm=NormTag.L2)
-    straddle = Polyline([[0.3, 0.5], [0.7, 0.5]])
-    rep_jump = ac_bound_check(f_jump, ones, straddle, tol=1e-6, num_params=12)
-    checks.append(bounded_check("ac_discontinuous_fixture_fails", float(not rep_jump.passed), 1.0, lower=True))
+    rep_jump = ac_bound_check(f_jump, ones, Polyline([[0.3, 0.5], [0.7, 0.5]]), tol=1e-6, num_params=12)
+    checks.append(_flag("ac_discontinuous_fixture_fails", not rep_jump.passed))
     return Report(command="criterion_6_ftc_ac", checks=checks)
 
 
@@ -324,21 +304,15 @@ def criterion_ftc_ac() -> Report:
 def criterion_rnp_dichotomy() -> Report:
     fixture = dichotomy_gap_floor()
     t0 = time.perf_counter()
-    rep = dichotomy_report(
-        t=fixture["t"],
-        h_ladder=fixture["ladder"],
-        p=2.0,
-        resolution=512,
-        gap_floor=fixture["c0"],
-    )
+    rep = dichotomy_report(t=fixture["t"], h_ladder=fixture["ladder"], p=2.0, resolution=512, gap_floor=fixture["c0"])
     g_small = noncauchy_gap(1, fixture["t"], 1e-6, 5e-7)
     g_big = noncauchy_gap(1, fixture["t"], 1e-3, 5e-4)
     elapsed = time.perf_counter() - t0
 
     checks = list(rep.checks)
-    checks.append(bounded_check("verdict_non_cauchy", float(rep.meta["verdict"] == VERDICT_NON_CAUCHY), 1.0, lower=True))
+    checks.append(_flag("verdict_non_cauchy", rep.meta["verdict"] == VERDICT_NON_CAUCHY))
     checks.append(bounded_check("fixed_M1_control_gap_decays", g_small, 10.0 * g_big))
-    checks.append(bounded_check("runtime_s", elapsed, 10.0, passed=elapsed < 10.0))
+    checks.append(_runtime("runtime_s", elapsed, 10.0))
     return Report(command="criterion_7_rnp_dichotomy", checks=checks, series=rep.series, meta=rep.meta)
 
 
@@ -352,7 +326,7 @@ def criterion_fuglede() -> Report:
     decreasing = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     total = float(sum(bounds))
     checks = [
-        bounded_check("bounds_strictly_decreasing", float(decreasing), 1.0, lower=True),
+        _flag("bounds_strictly_decreasing", decreasing),
         # Known red: the selection rule pins n_1 = 2 for this sequence, so
         # the leading bound is (1/4)^2 / (1/2)^2 = 0.25 and the sum is
         # 4/15 ~ 0.2667; the 1e-2 target is unreachable. Kept as stated.

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ScheduleError, overflow_as_value_error, require_count, require_exponent, require_tolerance
+from .errors import ScheduleError, overflow_as_value_error, require_count, require_exponent, require_reals, require_tolerance
 from .geometry import CurveFamily, Grid, ScalarField, cell_length_rows
 from .vectorvalues import scalar_lp_norm
 
@@ -356,6 +356,8 @@ def analytic_parallel_segments(measure_E: float, seg_length: float, p: float) ->
     (N-1)-measure |E| the modulus equals |E| / L^p; in particular it vanishes
     exactly when E is null.
     """
+    (measure_E,) = require_reals([measure_E], "the measure")
+    (seg_length,) = require_reals([seg_length], "the segment length")
     if seg_length <= 0.0:
         raise ValueError("segment length must be positive")
     if measure_E < 0.0:
@@ -368,6 +370,7 @@ def chebyshev_bound_from_norm(norm_p: float, eps: float, p: float) -> float:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     require_exponent(p)
+    (norm_p,) = require_reals([norm_p], "the norm")
     if norm_p < 0.0:
         raise ValueError("norm must be nonnegative")
     return (norm_p / eps) ** p
@@ -399,7 +402,7 @@ def fuglede_schedule(norms, p: float, eps: float) -> list[tuple[int, float]]:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     require_exponent(p)
-    norms = [float(x) for x in norms]
+    norms = [float(x) for x in require_reals(norms, "norms")]
     if any(x < 0.0 for x in norms):
         raise ValueError("norms must be nonnegative")
     out: list[tuple[int, float]] = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import overflow_as_value_error, require_exponent
+from .errors import overflow_as_value_error, require_check_tolerance, require_exponent
 from .geometry import Polyline, ScalarField, _pack, _packed_integrals
 from .report import Report, bounded_check, bounded_checks
 from .sobolev import _pairs, _sample_curve, finite_diff_gradient, w_norm
@@ -225,6 +225,7 @@ def norm_equivalence_check(f: VectorField, p: float, tol: float = 1e-9) -> Repor
     ||f||_p as ``lp``.
     """
     require_exponent(p)
+    require_check_tolerance(tol)
     J = finite_diff_gradient(f)
     gstar = upper_gradient_star(f, J).gstar
     lp = lp_norm(f, p)
@@ -259,6 +260,7 @@ def ac_bound_check(
     increments of f are dominated by the integral of the fixed majorant g.
     Raises ValueError when an intermediate overflows float64.
     """
+    require_check_tolerance(tol)
     if np.any(g.values < 0.0):
         raise ValueError("the majorant g must be nonnegative")
     # f and g are finite; an inf from the integrals, which overflow

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import overflow_as_value_error, require_count, require_exponent, require_reals
+from .errors import overflow_as_value_error, require_check_tolerance, require_count, require_exponent, require_reals
 from .geometry import Grid, Polyline, ScalarField, _cut_packed, _pack, _split_segments
 from .report import Report, bounded_check, bounded_checks
 from .vectorvalues import NormTag, VectorField, lp_norm, scalar_lp_norm, value_norm
@@ -56,11 +56,7 @@ class TestFunction:
         return np.sum(d * d, axis=-1) / self.radius**2
 
     def phi(self, points: np.ndarray) -> np.ndarray:
-        u = self._u(points)
-        out = np.zeros(u.shape)
-        m = u < 1.0
-        out[m] = np.exp(1.0 - 1.0 / (1.0 - u[m]))
-        return out
+        return self.phi_dphi(points, 0)[0]  # phi is the same for every axis
 
     def dphi(self, points: np.ndarray, axis: int) -> np.ndarray:
         return self.phi_dphi(points, axis)[1]
@@ -163,6 +159,7 @@ def weak_derivative_check(
     and the check passes when every residual norm is <= tol * (1 + scale).
     An empty battery is rejected: it would pass with no check at all.
     """
+    require_check_tolerance(tol)
     g = f.grid
     if not all(np.array_equal(getattr(cand.grid, k), getattr(g, k)) for k in ("box_min", "box_max", "resolution")):
         raise ValueError("the candidate's grid (box_min, box_max, resolution) must equal the field's")
@@ -274,6 +271,7 @@ def ftc_along_curve_check(
     quadrature nodes, which holds for the interpolated values exactly.
     Raises ValueError when an intermediate overflows float64.
     """
+    require_check_tolerance(tol)
     g = f.grid
     shape = (g.num_cells, g.ndim, f.dim_M)
     if np.shape(G) != shape:

@@ -471,6 +471,16 @@ class TestAnalyticParallelSegments:
         with pytest.raises(ValueError):
             analytic_parallel_segments(1.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "measure,length,named",
+        [(math.nan, 1.0, "the measure"), (True, 1.0, "the measure"), ("1", 1.0, "the measure"),
+         (1.0, math.nan, "the segment length"), (1.0, math.inf, "the segment length")],
+    )
+    def test_measure_and_length_must_be_finite_numbers(self, measure, length, named):
+        # a NaN measure or length would give NaN, and an infinite length 0
+        with pytest.raises(ValueError, match=f"^{named} must hold finite numbers only"):
+            analytic_parallel_segments(measure, length, 2.0)
+
 
 class TestChebyshevBound:
     def test_zero_density_zero_bound(self, unit_square_16):
@@ -497,6 +507,12 @@ class TestChebyshevBound:
         bound = chebyshev_modulus_bound(h, eps, 2.0)
         value = solve_modulus(prob, tol=1e-10).value
         assert value <= bound + 1e-9
+
+    @pytest.mark.parametrize("norm", [math.nan, math.inf, True, "0.5"])
+    def test_norm_must_be_a_finite_number(self, norm):
+        # a NaN norm would give a NaN bound
+        with pytest.raises(ValueError, match="^the norm must hold finite numbers only"):
+            chebyshev_bound_from_norm(norm, 0.5, 2.0)
 
     def test_invalid_eps(self, unit_square_16):
         h = ScalarField(grid=unit_square_16, values=np.ones(unit_square_16.num_cells))
@@ -525,6 +541,12 @@ class TestFugledeSchedule:
         # bound_k = (2^-2k)^p / eps^p, strictly decreasing
         assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[0] == pytest.approx((0.25**2) / 0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "0.1", None])
+    def test_norms_must_be_finite_numbers(self, bad):
+        # a NaN or inf would be skipped as a norm never small enough, and True read as 1.0
+        with pytest.raises(ValueError, match="^norms must hold finite numbers only"):
+            fuglede_schedule([bad, 0.2, 0.01], 2.0, 0.5)
 
     def test_constant_sequence_errors(self):
         with pytest.raises(ScheduleError):

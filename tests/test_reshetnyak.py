@@ -353,6 +353,14 @@ def test_norms_reject_an_exponent_that_is_not_a_finite_p_at_least_one(p):
 
 
 class TestNormEquivalence:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # an infinite slack would pass both inequalities for any field, a NaN one fail both
+        f = identity_field(8, NormTag.L2)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            norm_equivalence_check(f, 2.0, tol=tol)
+        assert len(norm_equivalence_check(f, 2.0, tol=0.0).checks) == 2
+
     def test_identity_linf_ratio_strictly_inside(self):
         report = norm_equivalence_check(identity_field(32, NormTag.LINF), 2.0)
         assert report.passed
@@ -434,6 +442,18 @@ class TestNormEquivalence:
 
 
 class TestAcBound:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # increments of about 100 under a zero majorant: tol = inf would pass
+        # all 78 pairs, and tol = nan fail all of them with NaN bounds
+        g = square_grid(8)
+        f = VectorField(grid=g, values=100.0 * g.cell_centers(), norm=NormTag.L2)
+        zero = ScalarField(grid=g, values=np.zeros(g.num_cells))
+        c = Polyline([[0.1, 0.1], [0.9, 0.8]])
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            ac_bound_check(f, zero, c, tol=tol)
+        assert not ac_bound_check(f, zero, c, tol=0.0).passed
+
     def test_lipschitz_field_with_unit_majorant(self, rng):
         g = square_grid(64)
         centers = g.cell_centers()

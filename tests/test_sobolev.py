@@ -150,13 +150,17 @@ class TestWeakDerivativeCheck:
         u = np.sum(d * d, axis=1) / bump.radius**2
         inside = u < 1.0
         assert inside.any() and not inside.all()
+        # the bump and its partial derivatives written out apart from the library
+        want_phi = np.zeros(500)
+        want_phi[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside]))
+        assert np.array_equal(bump.phi(pts), want_phi)
         for axis in (0, 1):
             phi, dphi = bump.phi_dphi(pts, axis)
-            # the partial derivative written out apart from the library
             want = np.zeros(500)
             want[inside] = (np.exp(1.0 - 1.0 / (1.0 - u[inside])) * (-2.0 * d[inside, axis] / bump.radius**2)
                             / (1.0 - u[inside]) ** 2)
-            assert np.array_equal(phi, bump.phi(pts)) and np.array_equal(dphi, want)
+            assert np.array_equal(phi, want_phi) and np.array_equal(dphi, want)
+            assert np.array_equal(bump.dphi(pts, axis), want)
 
     def test_wrong_candidate_fails(self):
         g = interval_grid(256)
@@ -196,6 +200,17 @@ class TestWeakDerivativeCheck:
         for c, r in [(0.5, 0.3), (0.4375, 0.25), (0.55, 0.35)]:
             rep = weak_derivative_check(f, cand, 0, [TestFunction([c], r)], tol=1.0)
             assert rep.checks[0]["value"] <= 1e-10
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # tol = inf would pass the zero candidate for 100 x, and tol = nan fail every bump
+        g = square_grid(8)
+        f = VectorField(grid=g, values=100.0 * g.cell_centers(), norm=NormTag.L2)
+        zero = VectorField(grid=g, values=np.zeros((g.num_cells, 2)), norm=NormTag.L2)
+        bumps = [TestFunction([0.5, 0.5], 0.3)]
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            weak_derivative_check(f, zero, 0, bumps, tol=tol)
+        assert not weak_derivative_check(f, zero, 0, bumps, tol=0.0).passed
 
     def test_empty_battery_rejected(self):
         # with no bump there is no check, and the zero candidate would pass for x^2
@@ -434,6 +449,17 @@ class TestFtcAlongCurve:
         assert _gauss_legendre(n)[0] is x
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.0
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # tol = inf would pass a zero gradient for 100 x, and tol = nan fail every pair
+        g = square_grid(8)
+        f = VectorField(grid=g, values=100.0 * g.cell_centers(), norm=NormTag.L2)
+        zero = np.zeros((g.num_cells, 2, 2))
+        c = Polyline([[0.1, 0.1], [0.9, 0.8]])
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            ftc_along_curve_check(f, zero, c, tol=tol)
+        assert not ftc_along_curve_check(f, zero, c, tol=0.0).passed
 
     @pytest.mark.parametrize("num_params", [0, 1])
     def test_fewer_than_two_parameters_rejected(self, num_params):
