@@ -12,9 +12,7 @@ has the property) makes the same gap vanish.
 import math
 
 from modlab import dichotomy_report, lipschitz_certificate, noncauchy_gap, sin_family
-from modlab.rnp_lab import dichotomy_gap_floor
-
-t_star = 1.0 / math.sqrt(2.0)
+from modlab.rnp_lab import GAP_FLOOR, T_STAR
 
 print("== the family is 1-Lipschitz at every truncation ==")
 for M in (1, 8, 64):
@@ -23,22 +21,21 @@ for M in (1, 8, 64):
 
 print()
 print("== quotient gaps: truncation scaled with the step ==")
-fixture = dichotomy_gap_floor()
 for h in (1e-1, 1e-2, 1e-3):
     hp = h / 2.0
     M = math.ceil(10.0 / hp)
-    gap = noncauchy_gap(M, t_star, h, hp)
-    print(f"  h={h:g}: M={M} gap={gap:.4f} (floor recorded before the build: {fixture['c0']})")
+    gap = noncauchy_gap(M, T_STAR, h, hp)
+    print(f"  h={h:g}: M={M} gap={gap:.4f} (floor recorded before the build: {GAP_FLOOR})")
 
 print()
 print("== quotient gaps: truncation frozen at M = 1 ==")
 for h in (1e-3, 1e-4, 1e-5, 1e-6):
-    gap = noncauchy_gap(1, t_star, h, h / 2.0)
+    gap = noncauchy_gap(1, T_STAR, h, h / 2.0)
     print(f"  h={h:g}: gap={gap:.2e} (vanishes linearly: one dimension has the property)")
 
 print()
 print("== the full ladder report ==")
-report = dichotomy_report(t_star, [1e-1, 1e-2, 1e-3], resolution=256, gap_floor=fixture["c0"])
+report = dichotomy_report(T_STAR, [1e-1, 1e-2, 1e-3], resolution=256, gap_floor=GAP_FLOOR)
 print(f"  columns: {report.series[0]['columns']}")
 for row in report.series[0]["rows"]:
     print(f"  h={row[0]:<8g} M={int(row[2]):<7d} gap={row[3]:.4f} r_norm={row[4]:.6f}")

@@ -25,8 +25,10 @@ from .modulus import (
 from .report import Report, bounded_check
 from .reshetnyak import ac_bound_check, norm_equivalence_check, r_norm
 from .rnp_lab import (
+    GAP_FLOOR,
+    LADDER,
+    T_STAR,
     VERDICT_NON_CAUCHY,
-    dichotomy_gap_floor,
     dichotomy_report,
     noncauchy_gap,
 )
@@ -302,11 +304,10 @@ def criterion_ftc_ac() -> Report:
 # 7. The RNP dichotomy ladder.
 
 def criterion_rnp_dichotomy() -> Report:
-    fixture = dichotomy_gap_floor()
     t0 = time.perf_counter()
-    rep = dichotomy_report(t=fixture["t"], h_ladder=fixture["ladder"], p=2.0, resolution=512, gap_floor=fixture["c0"])
-    g_small = noncauchy_gap(1, fixture["t"], 1e-6, 5e-7)
-    g_big = noncauchy_gap(1, fixture["t"], 1e-3, 5e-4)
+    rep = dichotomy_report(t=T_STAR, h_ladder=LADDER, p=2.0, resolution=512, gap_floor=GAP_FLOOR)
+    g_small = noncauchy_gap(1, T_STAR, 1e-6, 5e-7)
+    g_big = noncauchy_gap(1, T_STAR, 1e-3, 5e-4)
     elapsed = time.perf_counter() - t0
 
     checks = list(rep.checks)

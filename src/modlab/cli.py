@@ -24,13 +24,12 @@ import time
 from functools import cache, partial
 from pathlib import Path
 
-from . import acceptance
 from .errors import named, require_count, require_exponent, require_keys, require_tolerance
 from .geometry import Grid, load_family, load_polyline_csv
 from .modulus import assemble_problem, solve_modulus
 from .report import Report, bounded_check, format_float, report_to_json, sha256_digest
 from .reshetnyak import ac_bound_check, norm_equivalence_check
-from .rnp_lab import dichotomy_gap_floor, dichotomy_report
+from .rnp_lab import GAP_FLOOR, LADDER, T_STAR, dichotomy_report
 from .sobolev import TestFunction, weak_derivative_check
 from .vectorvalues import field_csv_files, load_field_csv, load_scalar_field_csv
 
@@ -194,11 +193,12 @@ def _cmd_counterexample(args, files: dict) -> Report:
         p=args.p,
         resolution=args.resolution,
         fixed_M=args.fixed_m,
-        gap_floor=dichotomy_gap_floor()["c0"] if args.fixed_m is None else None,
+        gap_floor=GAP_FLOOR if args.fixed_m is None else None,
     )
 
 
 def _cmd_suite(args, files: dict) -> Report:
+    from . import acceptance  # the battery loads only for the command that runs it
     reports = acceptance.run_all()
     checks = [dict(c, name=f"{rep.command}.{c['name']}") for rep in reports for c in rep.checks]
     series = [s for rep in reports for s in rep.series]
@@ -239,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-3)
 
     sp = command("counterexample", _cmd_counterexample, "RNP dichotomy ladder report")
-    sp.add_argument("--t", type=float, default=0.7071067811865476)
-    sp.add_argument("--ladder", default="1e-1,1e-2,1e-3,1e-4")
+    sp.add_argument("--t", type=float, default=T_STAR)
+    sp.add_argument("--ladder", default=",".join(map(repr, LADDER)))
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--resolution", type=int, default=512)
     sp.add_argument("--fixed-m", type=int, default=None)

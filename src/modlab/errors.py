@@ -3,8 +3,9 @@ object holding named keys (``require_keys``), a count (``require_count``),
 a flat list of finite real numbers (``require_reals``), an array of real
 numbers (``require_real_array``), a finite tolerance, > 0 for a solver
 (``require_tolerance``) and >= 0 for a check (``require_check_tolerance``),
-an exponent (``require_exponent``) and a CSV body (``read_csv``). A reader
-of a file wraps them in ``named`` to put the file in the message."""
+an exponent (``require_exponent``) and a CSV body (``read_csv``); no
+number rule takes a bool. A reader of a file wraps them in ``named`` to put
+the file in the message."""
 
 import math
 import numbers
@@ -62,20 +63,20 @@ def require_real_array(values, name: str) -> np.ndarray:
 
 def require_tolerance(tol: float) -> None:
     """Reject a tolerance that is not finite and positive, NaN included."""
-    if not 0.0 < tol < math.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def require_check_tolerance(tol: float) -> None:
     """Reject a check's slack that is not finite and >= 0, NaN included: an
     infinite slack passes every check, and a NaN one fails every check."""
-    if not 0.0 <= tol < math.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def require_exponent(p: float) -> None:
     """Reject an exponent that is not a finite p >= 1, NaN included."""
-    if not 1.0 <= p < math.inf:
+    if isinstance(p, (bool, np.bool_)) or not 1.0 <= p < math.inf:
         raise ValueError(f"the exponent must be a finite p >= 1, got {p}")
 
 

@@ -34,6 +34,12 @@ if TYPE_CHECKING:
 # solves short of a 1e-10 gap.
 RIDGE = 1e-14
 
+# Stall rule: within 10^3 of the certificate gate, a step whose complementarity fell by less
+# than STALL_FACTOR (converging solves: at most 0.73) arms it. Armed, every step is certified,
+# and the best certificate returns after STALL_PATIENCE steps without a smaller gap.
+STALL_FACTOR = 0.9
+STALL_PATIENCE = 30
+
 # Pairs one block of ``_pair_index``'s build starts at most: its temporaries
 # stay in cache and are a small fraction of the operator it writes.
 _PAIR_BLOCK = 2**13
@@ -203,14 +209,15 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     the pair operator of ``_pair_index``, built once per solve; LAPACK's
     potrf factors it in place and potrs solves with the factor. The last
     step's matrix is freed before the next is built, so a step holds P, one
-    m x m matrix and arrays of size m + n. The certificates are checked
-    once the complementarity x.y falls below ``tol`` times the energy.
-    After a failed factorization the diagonal is raised by ``RIDGE`` for the
-    rest of the solve; a second failure ends it with the current iterate,
-    and so does a step whose arithmetic divides by zero or leaves float64's
-    range, as it does once roundoff has set a coordinate to zero at a
-    tolerance below reach. Returns the raw density, the dual bound at the
-    last multipliers, the number of steps and the diagnostics.
+    m x m matrix and arrays of size m + n. The certificates are checked once
+    the complementarity x.y falls below ``tol`` times the energy, and on
+    every step once the stall rule has armed. After a failed factorization
+    the diagonal is raised by ``RIDGE`` for the rest of the solve; a second
+    failure ends it with the current iterate, and so does a step whose
+    arithmetic divides by zero or leaves float64's range, as it does once
+    roundoff has set a coordinate to zero at a tolerance below reach. Returns
+    the raw density and the dual bound of the best certificate's iterate (the
+    last unless armed), the steps and the diagnostics.
     """
     import scipy.sparse as sp
     from scipy.linalg import get_lapack_funcs
@@ -225,6 +232,11 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     column = np.empty(A0.shape[1], dtype=np.intp)
     column[used] = np.arange(n)
     A = sp.csr_matrix((A0.data, column[A0.indices], A0.indptr), shape=(m, n))
+
+    def raw(r):  # the density on every cell, as solve_modulus certifies it
+        out = np.zeros(A0.shape[1])
+        out[used] = r
+        return out
     # A^T as a CSC view: its product adds each cell's terms in row order, as
     # the CSR transpose of A.tocsc() does, and is faster with few rows
     At = A.T
@@ -258,6 +270,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         dz[:] = rd + h * drho - atdl
 
     it, ridge, hit = 0, 0.0, False
+    prev, armed, best, stale = np.inf, False, None, 0  # best: (gap, raw density, dual bound, step)
     while True:
         g = pw * rho ** (p - 1.0)  # gradient of the energy
         atl = At @ lam
@@ -265,10 +278,19 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         rp = A @ rho - s - 1.0
         xy = x * y
         comp = float(np.sum(xy))
-        if comp <= tol * float(rho @ g) / p:
-            cert = _certify(A, w, p, rho, _dual_bound(lam, atl, w, p), tol)
+        gate = tol * float(rho @ g) / p
+        armed = armed or STALL_FACTOR * prev < comp <= 1e3 * gate
+        if comp <= gate or armed:
+            dual = _dual_bound(lam, atl, w, p)
+            # armed, a step certifies the density it would return, bit for bit
+            cert = _certify(A0, w, p, raw(rho), dual, tol) if armed else _certify(A, w, p, rho, dual, tol)
             if cert is not None and cert[-1]:
-                message = "certificates met"
+                message, best = "certificates met", None
+                break
+            if armed and cert is not None and (best is None or cert[3] < best[0]):
+                best, stale = (cert[3], raw(rho), dual, it), 0
+            elif best is not None and (stale := stale + 1) >= STALL_PATIENCE:
+                message = f"certified gap stalled at {best[0]:.3g} since step {best[3]}"
                 break
         if it == max_iter:
             message, hit = f"stopped at max_iter={max_iter}", True
@@ -303,23 +325,26 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
             message = f"step {it + 1} stopped in float64 arithmetic: {exc}"
             break
         v += step * dv
+        prev = comp
         it += 1
-    rho_raw = np.zeros(A0.shape[1])
-    rho_raw[used] = rho
-    diagnostics = {"message": message, "solver": "primal-dual-ipm", "max_iter_hit": hit}
-    return rho_raw, _dual_bound(lam, atl, w, p), it, diagnostics
+    rho_raw, dual, cert_step = raw(rho), _dual_bound(lam, atl, w, p), it
+    if best is not None:  # an armed solve returns its best certificate's iterate
+        _, rho_raw, dual, cert_step = best
+    diagnostics = {"message": message, "solver": "primal-dual-ipm", "max_iter_hit": hit, "certificate_step": cert_step}
+    return rho_raw, dual, it, diagnostics
 
 
 def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000) -> ModulusResult:
     """Solve one modulus program with feasibility and duality-gap certificates.
 
     The returned density is feasible (constraints rescaled to hold exactly),
-    and ``gap`` bounds the objective's distance to the optimum by weak
-    duality; ``converged`` records whether both certificates meet ``tol``.
-    A modulus program is never infeasible: large densities are admissible.
-    Every p >= 1 is solved by the same primal-dual interior-point method.
-    ``max_iter`` caps its steps; ``diagnostics`` names the ``solver`` that
-    ran and says whether it stopped at ``max_iter`` (``max_iter_hit``).
+    and ``gap`` bounds the objective's distance to the optimum by weak duality;
+    ``converged`` records whether both certificates meet ``tol``. A modulus
+    program is never infeasible: large densities are admissible. Every p >= 1
+    is solved by the same primal-dual interior-point method. ``max_iter`` caps
+    its steps; ``diagnostics`` names the ``solver`` that ran, whether it
+    stopped at ``max_iter`` (``max_iter_hit``) and the step the certificate is
+    from (``certificate_step``).
     """
     require_tolerance(tol)
     max_iter = require_count(max_iter, "max_iter", 0)
@@ -369,6 +394,7 @@ def analytic_parallel_segments(measure_E: float, seg_length: float, p: float) ->
 def chebyshev_bound_from_norm(norm_p: float, eps: float, p: float) -> float:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    require_reals([eps], "eps")  # an infinite eps makes every bound 0, and True reads as 1
     require_exponent(p)
     (norm_p,) = require_reals([norm_p], "the norm")
     if norm_p < 0.0:
@@ -401,24 +427,18 @@ def fuglede_schedule(norms, p: float, eps: float) -> list[tuple[int, float]]:
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    require_reals([eps], "eps")
     require_exponent(p)
     norms = [float(x) for x in require_reals(norms, "norms")]
     if any(x < 0.0 for x in norms):
         raise ValueError("norms must be nonnegative")
     out: list[tuple[int, float]] = []
-    start = 0  # 0-based scan position into norms
-    k = 1
-    while start < len(norms):
-        threshold = 4.0**-k
-        hit = next((i for i in range(start, len(norms)) if norms[i] <= threshold), None)
-        if hit is None:
-            raise ScheduleError(
-                f"no index from n={start + 1} on has norm <= 4^-{k}; "
-                "sequence does not certify convergence"
-            )
-        out.append((hit + 1, chebyshev_bound_from_norm(norms[hit], eps, p)))
-        start = hit + 1
-        k += 1
-    if not out:
+    for i, x in enumerate(norms):  # the k-th pick is the first index after the last one with a norm <= 4^-k
+        if x <= 4.0 ** -(len(out) + 1):
+            out.append((i + 1, chebyshev_bound_from_norm(x, eps, p)))
+    if not norms:
         raise ScheduleError("empty norm sequence")
+    start = out[-1][0] if out else 0  # 0-based index after the last pick
+    if start < len(norms):
+        raise ScheduleError(f"no index from n={start + 1} on has norm <= 4^-{len(out) + 1}; sequence does not certify convergence")
     return out

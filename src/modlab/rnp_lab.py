@@ -24,14 +24,14 @@ and the stencils are cos(.) sinc(nh) inside and cos(.) sinc(nh/2) at the
 two end cells, so the maxima are final after the first block up to
 resolution 512 and after about 128 coordinates above it. Both norms are
 then bit-identical to those of the whole sampled family, and a ladder
-holds one block at a time whatever M is.
+holds one block at a time whatever M is. The witness that the battery and
+``modlab counterexample`` run is stated once, here: the point ``T_STAR``,
+the step ladder ``LADDER`` and the gap floor ``GAP_FLOOR``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from importlib import resources
 
 import numpy as np
 
@@ -45,6 +45,12 @@ from .vectorvalues import NormTag, VectorField, scalar_lp_norm
 VERDICT_NON_CAUCHY = "R-side bounded, W-side quotients non-Cauchy"
 VERDICT_RNP_LIKE = "RNP-like: quotients converge"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# The witness: its point, its steps and c0, a floor under the gaps that a brute-force sweep
+# over n <= M measured on this ladder before the build: 0.7106, 0.7244, 0.7245 and 0.7246.
+T_STAR = 0.7071067811865476
+LADDER = (0.1, 0.01, 0.001, 0.0001)
+GAP_FLOOR = 0.7
 
 
 # The R column and the quotient gap visit at most this many samples at a time.
@@ -231,13 +237,6 @@ def _sin_family_r_norms(Ms, resolution: int, p: float) -> list[tuple[float, floa
         lp = scalar_lp_norm(ScalarField(grid=grid, values=fmax), p)
         norms.append((lp, lp + scalar_lp_norm(ScalarField(grid=grid, values=gmax), p)))
     return norms
-
-
-def dichotomy_gap_floor() -> dict:
-    """Bundled fixture: per-rung gaps measured by the brute-force coordinate
-    sweep before the build, and the recorded floor c0."""
-    text = resources.files("modlab").joinpath("fixtures/dichotomy_c0.json").read_text()
-    return json.loads(text)
 
 
 def dichotomy_report(

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import modlab.acceptance
 from modlab import (
     CurveFamily,
     Grid,
@@ -271,9 +272,9 @@ class TestSuiteCommand:
         def fake_one_fail():
             return [Report(command="c", checks=[{"name": "x", "value": 2.0, "bound": 1.0, "margin": None, "pass": False}])]
 
-        monkeypatch.setattr(cli_mod.acceptance, "run_all", fake_all_pass)
+        monkeypatch.setattr(modlab.acceptance, "run_all", fake_all_pass)
         assert main(["suite", "--out", str(tmp_path / "s1.json")]) == 0
-        monkeypatch.setattr(cli_mod.acceptance, "run_all", fake_one_fail)
+        monkeypatch.setattr(modlab.acceptance, "run_all", fake_one_fail)
         assert main(["suite", "--out", str(tmp_path / "s2.json")]) == 1
         assert json.loads((tmp_path / "s2.json").read_text())["passed"] is False
 
@@ -445,7 +446,7 @@ def no_computation(monkeypatch):
 
     for name in ("solve_modulus", "dichotomy_report"):
         monkeypatch.setattr(cli_mod, name, unreachable)
-    monkeypatch.setattr(cli_mod.acceptance, "run_all", unreachable)
+    monkeypatch.setattr(modlab.acceptance, "run_all", unreachable)
 
 
 class TestMalformedInputsExit2:
@@ -580,6 +581,11 @@ class TestMalformedInputsExit2:
             "--axis", "0", "--bumps", str(tmp_path / "bumps.json"),
         ]
         assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "candidate's grid")
+
+    def test_weakcheck_axis_out_of_range(self, tmp_path, capsys):
+        argv, _ = _weakcheck_argv(lambda x: 2.0 * x, 0)(tmp_path)
+        argv[argv.index("--axis") + 1] = "5"
+        assert_exit_2_without_report(argv, tmp_path / "r.json", capsys, "axis out of range")
 
     def test_field_row_missing_a_value(self, tmp_path, capsys):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 1.0], resolution=[4, 4])

@@ -59,6 +59,33 @@ class TestConstructorsRefuseNonNumbers:
         with pytest.raises(ValueError, match="^values must hold"):
             ScalarField(Grid([0.0, 0.0], [1.0, 1.0], [2, 2]), values)
 
+    def test_a_flat_vertex_list_is_one_vertex(self):
+        assert Polyline([0.25, 0.5]).vertices.tolist() == [[0.25, 0.5]]
+
+    @pytest.mark.parametrize(
+        "vertices,rule",
+        [(np.zeros((0, 2)), r"vertices must be a nonempty \(k, N\) array"),
+         (np.zeros((2, 2, 2)), r"vertices must be a nonempty \(k, N\) array"),
+         (np.array([[0.1, 0.2], [np.nan, 0.7]]), "vertices must be finite"),
+         (np.array([[0.1, 0.2], [0.9, -np.inf]]), "vertices must be finite")],
+        ids=["empty", "3-d", "nan", "inf"],
+    )
+    def test_polyline_array_of_the_wrong_shape_or_not_finite(self, vertices, rule):
+        # a float array passes the number rule in O(1), so shape and finiteness are tested after it
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            Polyline(vertices)
+
+    @pytest.mark.parametrize(
+        "values,rule",
+        [(np.ones(3), "values must carry one entry per grid cell"), (np.ones(5), "values must carry one entry per grid cell"),
+         (np.array([1.0, np.nan, 1.0, 1.0]), "field values must be finite"),
+         (np.array([1.0, 1.0, np.inf, 1.0]), "field values must be finite")],
+        ids=["short", "long", "nan", "inf"],
+    )
+    def test_scalar_field_of_the_wrong_length_or_not_finite(self, values, rule):
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            ScalarField(Grid([0.0, 0.0], [1.0, 1.0], [2, 2]), values)
+
     def test_numbers_of_every_kind_are_kept(self):
         vertices = [[np.float32(0.25), 0], [1, np.int64(1)]]
         assert Polyline(vertices).vertices.tolist() == [[0.25, 0.0], [1.0, 1.0]]

@@ -3,7 +3,8 @@ checks loads no scipy module at all, from the library or through the command
 line; a modulus solve loads scipy.sparse and scipy.linalg, and never
 scipy.optimize. Nor do the import, the library checks and the file-less
 counterexample command load hashlib, and with it OpenSSL; the first command
-with a file input does, for its input digest.
+with a file input does, for its input digest. No command but suite loads
+the acceptance battery.
 
 Each case runs in a fresh interpreter, since this test process has loaded
 scipy already (the oracles use scipy's interpolator)."""
@@ -96,12 +97,13 @@ commands = {
     "acbound": ["--f", str(d / "f.csv"), "--g", str(d / "g.csv"), "--curve", str(d / "c.csv")],
     "weakcheck": ["--f", str(d / "f.csv"), "--cand", str(d / "cand.csv"), "--bumps", str(d / "bumps.json"), "--axis", "0"],
 }
-seen = {"import_any": scipy_modules(), "hashlib": hashing}
+seen = {"import_any": scipy_modules(), "hashlib": hashing, "battery": {"import": "modlab.acceptance" in sys.modules}}
 hashing["import"] = hashlib_modules()
 for name, argv in commands.items():
     seen[name] = main([name, *argv, "--out", str(d / f"{name}.json")])
     seen[name + "_any"] = scipy_modules()
     hashing[name] = hashlib_modules()
+    seen["battery"][name] = "modlab.acceptance" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -135,6 +137,8 @@ def test_scipy_optimize_never_loads(p):
 def test_cli_checks_load_no_scipy(tmp_path):
     seen = _run(CLI_SCRIPT, str(tmp_path))
     assert seen.pop("import_any") == []
+    # only the suite command loads the acceptance battery
+    assert seen.pop("battery") == dict.fromkeys(("import", "counterexample", "norms", "acbound", "weakcheck"), False)
     hashing = seen.pop("hashlib")
     _assert_hashlib_unloaded(hashing, "import", "counterexample")
     assert hashing["norms"] == ["hashlib", "_hashlib"]  # the first input digest

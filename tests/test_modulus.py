@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [float("nan"), float("inf")])
     def test_bounds_reject_a_p_that_is_not_finite(self, p):
         for bound in (lambda: analytic_parallel_segments(1.0, 1.0, p), lambda: fuglede_schedule([0.1], p, 0.5)):
+            with pytest.raises(ValueError, match="finite p >= 1"):
+                bound()
+
+    @pytest.mark.parametrize("p", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_a_bool_exponent_rejected(self, rng, p):
+        # the rule only compared, so True passed as p = 1
+        for bound in (lambda: analytic_parallel_segments(1.0, 1.0, p), lambda: fuglede_schedule([0.1], p, 0.5),
+                      lambda: assemble_problem(CurveFamily(curves=random_curves(rng, 1)), unit_grid(8), p)):
             with pytest.raises(ValueError, match="finite p >= 1"):
                 bound()
 
@@ -191,6 +200,14 @@ class TestSolve:
     def test_tolerance_not_finite_and_positive_rejected(self, monkeypatch, tol):
         # tol=inf used to report an uncertified density as converged after 0 steps
         prob = assemble_problem(CurveFamily([Polyline([[0.1, 0.2], [0.9, 0.7]]), Polyline([[0.2, 0.9], [0.8, 0.1]])]), unit_grid(16), 2.0)
+        monkeypatch.setattr(modulus, "_interior_point", None)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_modulus(prob, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_a_bool_tolerance_rejected(self, monkeypatch, tol):
+        # True once passed as tol = 1, and one step "certified" a gap of 0.0109
+        prob = assemble_problem(CurveFamily([Polyline([[0.1, 0.2], [0.9, 0.7]])]), unit_grid(4), 2.0)
         monkeypatch.setattr(modulus, "_interior_point", None)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             solve_modulus(prob, tol=tol)
@@ -348,19 +365,21 @@ class TestInteriorPoint:
         assert result.gap <= 1e-10 * (1.0 + result.value)
 
 
-    @pytest.mark.parametrize("p,tol", [(1.0, 2.3e-16), (2.0, 1e-320)], ids=["p1-tol-above-eps", "p2-subnormal-tol"])
-    def test_a_coordinate_at_zero_ends_the_solve_with_a_result(self, p, tol):
+    @pytest.mark.parametrize(
+        "p,tol,message",
+        [(1.0, 2.3e-16, r"certified gap stalled at \S+ since step \d+"),
+         (2.0, 1e-320, r"step {} stopped in float64 arithmetic: divide by zero encountered in divide")],
+        ids=["p1-tol-above-eps", "p2-subnormal-tol"],
+    )
+    def test_a_coordinate_at_zero_ends_the_solve_with_a_result(self, p, tol, message):
         # 20 random curves on 8^2: a tolerance below reach once drove a
         # coordinate to exactly 0, and min(dv / v) divided by it each step
-        # until max_iter
+        # until max_iter; at p = 1 the stall rule now ends the solve first
         fam = CurveFamily(curves=random_curves(np.random.default_rng(0), 20))
         prob = assemble_problem(fam, unit_grid(8), p)
         result = solve_modulus(prob, tol=tol)
         assert not result.diagnostics["max_iter_hit"] and result.iterations < 2000
-        assert re.fullmatch(
-            rf"step {result.iterations + 1} stopped in float64 arithmetic: divide by zero encountered in divide",
-            result.diagnostics["message"],
-        )
+        assert re.fullmatch(message.format(result.iterations + 1), result.diagnostics["message"])
         assert result.dual_value <= result.value + ROUNDOFF * (1.0 + result.value)
         assert result.gap <= 1e-8 * (1.0 + result.value)
         assert np.all(prob.constraint_rows @ result.rho_star.values >= 1.0 - 1e-12)
@@ -386,6 +405,53 @@ class TestInteriorPoint:
         result, peak = traced_peak(solve_modulus, prob)
         assert result.converged
         assert peak < 1.5 * prob.num_curves**2 * 8
+
+    @staticmethod
+    def radial_segments(n, half_turn):
+        """4n segments of length 0.45 from just off the centre of the unit square,
+        at angles 2 pi k / 4n, or 2 pi (k + 1/2) / 4n with ``half_turn``."""
+        K = 4 * n
+        c = np.array([0.5, 0.5]) + 1e-7 * np.array([1.0, math.sqrt(2.0)])
+        angles = 2.0 * np.pi * (np.arange(K) + (0.5 if half_turn else 0.0)) / K
+        return CurveFamily(curves=[Polyline([c, c + 0.45 * np.array([np.cos(a), np.sin(a)])]) for a in angles])
+
+    def test_a_stalled_gap_returns_the_best_certificate(self, monkeypatch):
+        # no iterate meets 1e-11 here: the complementarity plateaus above the
+        # gate, and the solve once ran all 2000 steps and returned its last
+        # iterate, whatever its gap
+        gaps = []
+        real = modulus._certify
+
+        def recorded(*args):
+            cert = real(*args)
+            gaps.append(cert[3])
+            return cert
+
+        monkeypatch.setattr(modulus, "_certify", recorded)
+        result = solve_modulus(assemble_problem(self.radial_segments(32, False), unit_grid(32), 1.0), tol=1e-11)
+        step = result.diagnostics["certificate_step"]
+        assert not result.converged and result.iterations <= 100
+        assert result.iterations == step + modulus.STALL_PATIENCE
+        assert result.diagnostics["message"] == f"certified gap stalled at {result.gap:.3g} since step {step}"
+        assert result.gap == min(gaps) and result.gap > 1e-11 * (1.0 + result.value)
+
+    def test_a_certificate_below_the_gate_is_returned(self):
+        # the gate never opened, and the solve ran all 2000 steps although
+        # its 13th iterate met the tolerance
+        result = solve_modulus(assemble_problem(self.radial_segments(32, True), unit_grid(32), 1.0), tol=1e-10)
+        assert result.converged and result.diagnostics["message"] == "certificates met"
+        assert result.iterations < 100 and result.diagnostics["certificate_step"] == result.iterations
+        assert result.gap <= 1e-10 * (1.0 + result.value)
+
+    def test_a_tolerance_below_reach_names_the_stall(self):
+        # ran all 2000 steps; its best certificate is about 1.3 times what tol asks for
+        fam = CurveFamily(curves=random_curves(np.random.default_rng(1), 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_modulus(assemble_problem(fam, unit_grid(8), 1.0), tol=2.3e-16)
+        assert not result.converged and not result.diagnostics["max_iter_hit"]
+        assert result.iterations < 300
+        assert result.diagnostics["message"].startswith("certified gap stalled at ")
 
 
 
@@ -471,6 +537,10 @@ class TestAnalyticParallelSegments:
         with pytest.raises(ValueError):
             analytic_parallel_segments(1.0, 0.0, 2.0)
 
+    def test_negative_measure_rejected(self):
+        with pytest.raises(ValueError, match="^measure must be nonnegative$"):
+            analytic_parallel_segments(-0.5, 1.0, 2.0)
+
     @pytest.mark.parametrize(
         "measure,length,named",
         [(math.nan, 1.0, "the measure"), (True, 1.0, "the measure"), ("1", 1.0, "the measure"),
@@ -514,6 +584,28 @@ class TestChebyshevBound:
         with pytest.raises(ValueError, match="^the norm must hold finite numbers only"):
             chebyshev_bound_from_norm(norm, 0.5, 2.0)
 
+    def test_negative_norm_rejected(self):
+        with pytest.raises(ValueError, match="^norm must be nonnegative$"):
+            chebyshev_bound_from_norm(-0.5, 0.5, 2.0)
+
+    def test_negative_density_rejected(self, unit_square_16):
+        values = np.ones(unit_square_16.num_cells)
+        values[7] = -1e-3
+        with pytest.raises(ValueError, match="^h must be nonnegative$"):
+            chebyshev_modulus_bound(ScalarField(grid=unit_square_16, values=values), 0.5, 2.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, True, np.True_], ids=["inf", "bool", "numpy-bool"])
+    def test_eps_must_be_finite_and_not_a_bool(self, unit_square_16, eps):
+        # an infinite eps made every bound 0, "certifying" a null family, and True read as 1
+        h = ScalarField(grid=unit_square_16, values=np.ones(unit_square_16.num_cells))
+        for bound in (
+            lambda: chebyshev_bound_from_norm(0.5, eps, 2.0),
+            lambda: chebyshev_modulus_bound(h, eps, 2.0),
+            lambda: fuglede_schedule([0.2, 0.01], 2.0, eps),
+        ):
+            with pytest.raises(ValueError, match="^eps must hold finite numbers only"):
+                bound()
+
     def test_invalid_eps(self, unit_square_16):
         h = ScalarField(grid=unit_square_16, values=np.ones(unit_square_16.num_cells))
         with pytest.raises(ValueError):
@@ -556,6 +648,20 @@ class TestFugledeSchedule:
         norms = [0.9, 0.2, 0.9, 0.9, 0.9, 0.9]
         with pytest.raises(ScheduleError):
             fuglede_schedule(norms, p=2.0, eps=0.5)
+
+    def test_negative_norm_rejected(self):
+        with pytest.raises(ValueError, match="^norms must be nonnegative$"):
+            fuglede_schedule([0.2, -0.01], 2.0, 0.5)
+
+    def test_empty_sequence_raises(self):
+        with pytest.raises(ScheduleError, match="^empty norm sequence$"):
+            fuglede_schedule([], 2.0, 0.5)
+
+    @pytest.mark.parametrize("norms,n,k", [([0.9, 0.2, 0.9, 0.9], 3, 2), ([0.3], 1, 1), ([0.2, 0.05, 0.01, 0.5], 4, 4)])
+    def test_error_names_where_the_scan_stopped(self, norms, n, k):
+        # n is the first index after the last pick, and 4^-k the threshold none from it on meets
+        with pytest.raises(ScheduleError, match=rf"^no index from n={n} on has norm <= 4\^-{k}; sequence does not certify convergence$"):
+            fuglede_schedule(norms, 2.0, 0.5)
 
     def test_bound_uses_actual_norm(self):
         norms = [0.2, 0.01]

@@ -176,7 +176,7 @@ class TestClosedFormSpectralNorm:
         assert ub.exact and ub.dual_set_descriptor == "spectral"
         assert np.all(np.abs(ub.gstar.values - oracle) <= 1e-14 * oracle)
 
-    @pytest.mark.parametrize("grid, M", [(square_grid(3), 2), (square_grid(3), 5), (cube_grid(3), 2)])
+    @pytest.mark.parametrize("grid, M", [(square_grid(3), 2), (square_grid(3), 5), (cube_grid(3), 2), (cube_grid(3), 3)])
     def test_entries_near_1e160_raise_the_gstar_error(self, grid, M):
         values = np.outer(np.arange(grid.num_cells) * 1e160, np.ones(M))
         f = VectorField(grid=grid, values=values, norm=NormTag.L2)
@@ -360,6 +360,16 @@ class TestNormEquivalence:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
             norm_equivalence_check(f, 2.0, tol=tol)
         assert len(norm_equivalence_check(f, 2.0, tol=0.0).checks) == 2
+
+    @pytest.mark.parametrize("tol", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_a_bool_tolerance_rejected(self, tol):
+        # True read as a slack of 1, here and in the AC check
+        f = identity_field(8, NormTag.L2)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            norm_equivalence_check(f, 2.0, tol=tol)
+        ones = ScalarField(grid=f.grid, values=np.ones(f.grid.num_cells))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            ac_bound_check(f, ones, Polyline([[0.1, 0.1], [0.9, 0.8]]), tol=tol)
 
     def test_identity_linf_ratio_strictly_inside(self):
         report = norm_equivalence_check(identity_field(32, NormTag.LINF), 2.0)

@@ -17,17 +17,17 @@ from modlab import (
 )
 from modlab import rnp_lab
 from modlab.rnp_lab import (
+    GAP_FLOOR,
+    LADDER,
+    T_STAR,
     VERDICT_INCONCLUSIVE,
     VERDICT_NON_CAUCHY,
     VERDICT_RNP_LIKE,
     _sin_family_r_norms,
-    dichotomy_gap_floor,
 )
 from modlab.reshetnyak import r_norm, upper_gradient_star
 from modlab.vectorvalues import lp_norm
 from oracles import brute_force_quotient_gap, midpoint_quadrature
-
-T_STAR = 1.0 / math.sqrt(2.0)
 
 
 def sampled_ranges(monkeypatch, fn, *args, **kwargs):
@@ -209,7 +209,7 @@ class TestNonCauchyGap:
             mine = noncauchy_gap(M, T_STAR, h, hp)
             oracle = brute_force_quotient_gap(T_STAR, h, hp, M)
             assert mine == pytest.approx(oracle, rel=1e-12)
-            assert mine >= dichotomy_gap_floor()["c0"]
+            assert mine >= GAP_FLOOR
 
 
 class TestSinFamilyRNorm:
@@ -367,8 +367,7 @@ class TestDichotomyReport:
         assert rep.meta["verdict"] == verdict
 
     def test_growing_m_ladder_witnesses_failure(self):
-        fixture = dichotomy_gap_floor()
-        rep = dichotomy_report(T_STAR, [1e-1, 1e-2], resolution=128, gap_floor=fixture["c0"])
+        rep = dichotomy_report(T_STAR, [1e-1, 1e-2], resolution=128, gap_floor=GAP_FLOOR)
         assert rep.meta["verdict"] == VERDICT_NON_CAUCHY
         assert rep.passed
         rows = rep.series[0]["rows"]
@@ -463,10 +462,10 @@ class TestDichotomyReport:
             dichotomy_report(T_STAR, [1e-2, 1e-2], resolution=128)
 
     def test_fixture_records_match_oracle_recomputation(self):
-        fixture = dichotomy_gap_floor()
-        # spot-check the first recorded rung against the plain-math sweep
-        h = fixture["ladder"][0]
-        M = fixture["rung_M"][0]
-        gap = brute_force_quotient_gap(fixture["t"], h, h / 2.0, M)
-        assert gap == pytest.approx(fixture["measured_gaps"][0], rel=1e-12)
-        assert fixture["c0"] <= min(fixture["measured_gaps"])
+        # the gaps the brute-force sweep measured on LADDER before the build;
+        # spot-check the first rung, M = ceil(10 / (h / 2)), against the plain-math sweep
+        measured_gaps = [0.7106453225522193, 0.7244265216489709, 0.7245481381058524, 0.7246099580811368]
+        h = LADDER[0]
+        gap = brute_force_quotient_gap(T_STAR, h, h / 2.0, 200)
+        assert gap == pytest.approx(measured_gaps[0], rel=1e-12)
+        assert GAP_FLOOR <= min(measured_gaps)

@@ -212,6 +212,15 @@ class TestWeakDerivativeCheck:
             weak_derivative_check(f, zero, 0, bumps, tol=tol)
         assert not weak_derivative_check(f, zero, 0, bumps, tol=0.0).passed
 
+    @pytest.mark.parametrize("tol", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_a_bool_tolerance_rejected(self, tol):
+        g = square_grid(8)
+        f = VectorField(grid=g, values=g.cell_centers(), norm=NormTag.L2)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            weak_derivative_check(f, f, 0, [TestFunction([0.5, 0.5], 0.3)], tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            ftc_along_curve_check(f, finite_diff_gradient(f), Polyline([[0.1, 0.1], [0.9, 0.8]]), tol=tol)
+
     def test_empty_battery_rejected(self):
         # with no bump there is no check, and the zero candidate would pass for x^2
         g = interval_grid(64)
@@ -249,6 +258,21 @@ class TestWeakDerivativeCheck:
         cand = VectorField(grid=other, values=np.zeros((other.num_cells, 1)), norm=NormTag.L2)
         with pytest.raises(ValueError, match="candidate's grid"):
             weak_derivative_check(f, cand, 0, [TestFunction([0.5], 0.2)], tol=1e-3)
+
+    @pytest.mark.parametrize("tag,M", [(NormTag.LINF, 1), (NormTag.L2, 2)], ids=["norm-tag", "dimension"])
+    def test_candidate_of_another_kind_rejected(self, tag, M):
+        g = interval_grid(64)
+        f = VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2)
+        cand = VectorField(grid=g, values=np.zeros((64, M)), norm=tag)
+        with pytest.raises(ValueError, match="^candidate must match the field's norm tag and dimension$"):
+            weak_derivative_check(f, cand, 0, [TestFunction([0.5], 0.2)], tol=1e-3)
+
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_axis_out_of_range_rejected(self, axis):
+        g = interval_grid(64)
+        f = VectorField(grid=g, values=np.zeros((64, 1)), norm=NormTag.L2)
+        with pytest.raises(ValueError, match="^axis out of range$"):
+            weak_derivative_check(f, f, axis, [TestFunction([0.5], 0.2)], tol=1e-3)
 
     def test_2d_identity(self):
         g = square_grid(64)

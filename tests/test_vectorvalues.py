@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modlab import Grid, NormTag, VectorField, lp_norm, value_norm
-from modlab import vectorvalues
+from modlab import errors, vectorvalues
 from modlab.cli import main
 from modlab.vectorvalues import load_field_csv, save_field_csv
 from field_csv_faults import FAULTS, add_fault, line_of, respelled, shuffled_rows, token_rows, write_field
@@ -136,6 +136,19 @@ class TestVectorFieldValues:
         with pytest.raises(ValueError, match="^values must hold"):
             VectorField(grid=Grid(box_min=[0.0], box_max=[1.0], resolution=[2]), values=values, norm=NormTag.L2)
 
+    @pytest.mark.parametrize(
+        "values,rule",
+        [(np.ones((3, 2)), r"values must have shape \(num_cells, M\)"),
+         (np.ones((2, 2, 1)), r"values must have shape \(num_cells, M\)"),
+         (np.ones((2, 0)), "value dimension M must be >= 1"),
+         (np.array([[1.0, np.nan], [2.0, 3.0]]), "field values must be finite"),
+         (np.array([[1.0, 0.0], [np.inf, 3.0]]), "field values must be finite")],
+        ids=["rows", "3-d", "M-0", "nan", "inf"],
+    )
+    def test_wrong_shape_or_values_not_finite_refused(self, values, rule):
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            VectorField(grid=Grid(box_min=[0.0], box_max=[1.0], resolution=[2]), values=values, norm=NormTag.L2)
+
 
 class TestLpNorm:
     def test_constant_on_unit_volume(self):
@@ -217,6 +230,15 @@ class TestDualBallExtremePoints:
 
 
 class TestFieldIO:
+    def test_reader_error_is_raised_as_is_when_no_token_is_at_fault(self, tmp_path):
+        # more index columns than the row holds: every token parses, yet the row
+        # type cannot be built; no loader asks for that, so no line is named
+        path = tmp_path / "short.csv"
+        path.write_text("1\n")
+        with pytest.raises(ValueError) as raised:
+            errors.read_csv(path, index_columns=2)
+        assert "line" not in str(raised.value)
+
     def test_round_trip(self, tmp_path, rng):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 2.0], resolution=[3, 4])
         f = make_field(g, rng.normal(size=(12, 2)), NormTag.LINF)
