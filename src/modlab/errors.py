@@ -121,6 +121,8 @@ def read_csv(path, header=False, width=None, index_columns=0, noun="value"):
     if not body:  # np.loadtxt would warn that it read no data
         return np.zeros((0, index_columns), dtype=np.int64), np.zeros((0, 0)), where
     first = body[0].count(",") + 1
+    if first < index_columns:  # np.loadtxt would refuse the row type and name no line
+        raise ValueError(f"{where(0)} has {first} columns; every row needs {index_columns} index columns at least")
     width, need = (first, f" where the first row has {first}") if width is None else (
         width, f"; every row needs {index_columns} index and {width - index_columns} {noun} columns")
     try:

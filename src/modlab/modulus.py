@@ -209,15 +209,16 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     the pair operator of ``_pair_index``, built once per solve; LAPACK's
     potrf factors it in place and potrs solves with the factor. The last
     step's matrix is freed before the next is built, so a step holds P, one
-    m x m matrix and arrays of size m + n. The certificates are checked once
-    the complementarity x.y falls below ``tol`` times the energy, and on
-    every step once the stall rule has armed. After a failed factorization
-    the diagonal is raised by ``RIDGE`` for the rest of the solve; a second
-    failure ends it with the current iterate, and so does a step whose
-    arithmetic divides by zero or leaves float64's range, as it does once
-    roundoff has set a coordinate to zero at a tolerance below reach. Returns
-    the raw density and the dual bound of the best certificate's iterate (the
-    last unless armed), the steps and the diagnostics.
+    m x m matrix and arrays of size m + n. Once the complementarity x.y falls
+    below ``tol`` times the energy, and on every step once the stall rule has
+    armed, ``_certify`` certifies the iterate on the whole grid. After a
+    failed factorization the diagonal is raised by ``RIDGE`` for the rest of
+    the solve; a second failure ends it, and so does a step whose arithmetic
+    divides by zero or leaves float64's range, as it does once roundoff has
+    set a coordinate to zero at a tolerance below reach. Returns a certificate
+    (None at a zero margin), its dual bound, the steps and the diagnostics:
+    the certificate that met ``tol``, else the best one an armed solve kept,
+    else the last iterate's, made once after the loop.
     """
     import scipy.sparse as sp
     from scipy.linalg import get_lapack_funcs
@@ -233,7 +234,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
     column[used] = np.arange(n)
     A = sp.csr_matrix((A0.data, column[A0.indices], A0.indptr), shape=(m, n))
 
-    def raw(r):  # the density on every cell, as solve_modulus certifies it
+    def raw(r):  # the density on every cell, which every certificate is made from
         out = np.zeros(A0.shape[1])
         out[used] = r
         return out
@@ -270,7 +271,7 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         dz[:] = rd + h * drho - atdl
 
     it, ridge, hit = 0, 0.0, False
-    prev, armed, best, stale = np.inf, False, None, 0  # best: (gap, raw density, dual bound, step)
+    prev, armed, best, stale = np.inf, False, None, 0  # best: (certificate, dual bound, step)
     while True:
         g = pw * rho ** (p - 1.0)  # gradient of the energy
         atl = At @ lam
@@ -282,15 +283,14 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         armed = armed or STALL_FACTOR * prev < comp <= 1e3 * gate
         if comp <= gate or armed:
             dual = _dual_bound(lam, atl, w, p)
-            # armed, a step certifies the density it would return, bit for bit
-            cert = _certify(A0, w, p, raw(rho), dual, tol) if armed else _certify(A, w, p, rho, dual, tol)
+            cert = _certify(A0, w, p, raw(rho), dual, tol)
             if cert is not None and cert[-1]:
-                message, best = "certificates met", None
+                message, best = "certificates met", (cert, dual, it)
                 break
-            if armed and cert is not None and (best is None or cert[3] < best[0]):
-                best, stale = (cert[3], raw(rho), dual, it), 0
+            if armed and cert is not None and (best is None or cert[3] < best[0][3]):
+                best, stale = (cert, dual, it), 0
             elif best is not None and (stale := stale + 1) >= STALL_PATIENCE:
-                message = f"certified gap stalled at {best[0]:.3g} since step {best[3]}"
+                message = f"certified gap stalled at {best[0][3]:.3g} since step {best[2]}"
                 break
         if it == max_iter:
             message, hit = f"stopped at max_iter={max_iter}", True
@@ -327,11 +327,11 @@ def _interior_point(prob: ModulusProblem, tol: float, max_iter: int):
         v += step * dv
         prev = comp
         it += 1
-    rho_raw, dual, cert_step = raw(rho), _dual_bound(lam, atl, w, p), it
-    if best is not None:  # an armed solve returns its best certificate's iterate
-        _, rho_raw, dual, cert_step = best
-    diagnostics = {"message": message, "solver": "primal-dual-ipm", "max_iter_hit": hit, "certificate_step": cert_step}
-    return rho_raw, dual, it, diagnostics
+    if best is None:  # a stop with no certificate kept: the last iterate's
+        dual = _dual_bound(lam, atl, w, p)
+        best = _certify(A0, w, p, raw(rho), dual, tol), dual, it
+    diagnostics = {"message": message, "solver": "primal-dual-ipm", "max_iter_hit": hit, "certificate_step": best[2]}
+    return best[0], best[1], it, diagnostics
 
 
 def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000) -> ModulusResult:
@@ -341,10 +341,10 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
     and ``gap`` bounds the objective's distance to the optimum by weak duality;
     ``converged`` records whether both certificates meet ``tol``. A modulus
     program is never infeasible: large densities are admissible. Every p >= 1
-    is solved by the same primal-dual interior-point method. ``max_iter`` caps
-    its steps; ``diagnostics`` names the ``solver`` that ran, whether it
-    stopped at ``max_iter`` (``max_iter_hit``) and the step the certificate is
-    from (``certificate_step``).
+    is solved by one primal-dual interior-point method, whose one certificate
+    is returned as computed. ``max_iter`` caps its steps; ``diagnostics``
+    names the ``solver`` that ran, whether it stopped at ``max_iter``
+    (``max_iter_hit``) and the certificate's step (``certificate_step``).
     """
     require_tolerance(tol)
     max_iter = require_count(max_iter, "max_iter", 0)
@@ -355,11 +355,9 @@ def solve_modulus(prob: ModulusProblem, tol: float = 1e-8, max_iter: int = 2000)
             iterations=0, converged=True, gap=0.0, dual_value=0.0,
             diagnostics={"solver": "none", "max_iter_hit": False},
         )
-    p = prob.exponent
     # rho^(p-1) and rho^p leave float64's range at a large enough p
-    with overflow_as_value_error(f"the energy rho^p at the exponent p = {p!r} overflows float64"):
-        rho_raw, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
-        cert = _certify(prob.constraint_rows, prob.grid.cell_volume, p, rho_raw, dual_value, tol)
+    with overflow_as_value_error(f"the energy rho^p at the exponent p = {prob.exponent!r} overflows float64"):
+        cert, dual_value, iterations, diagnostics = _interior_point(prob, tol, max_iter)
     if cert is None:
         # a result that certifies nothing: zero density, infinite violation and gap
         return ModulusResult(

@@ -9,6 +9,9 @@ contradicts the schedule's own selection rule (the leading bound is already
 as written and marked strict-xfail rather than weakened.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from modlab import acceptance
@@ -54,6 +57,14 @@ EXTRA = {
 
 def test_the_battery_is_the_pinned_list():
     assert len(acceptance.CRITERIA) == len(PINNED)
+
+
+def test_criterion_2_draws_from_the_default_box():
+    # the box [0.05, 0.95] of criterion 2's curves: either end moved by a
+    # factor of 1.001 moves criterion 2's values, and no check notices
+    curves = acceptance._random_curves(np.random.default_rng(20260809), 4)
+    digest = hashlib.sha256(np.vstack([c.vertices for c in curves]).tobytes()).hexdigest()
+    assert digest == "a5e95c69acd623a9eaf6c3053182bd7ca06066ede975f156e72aca48bd8c230c"
 
 
 @pytest.mark.parametrize(

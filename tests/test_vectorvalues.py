@@ -230,14 +230,14 @@ class TestDualBallExtremePoints:
 
 
 class TestFieldIO:
-    def test_reader_error_is_raised_as_is_when_no_token_is_at_fault(self, tmp_path):
-        # more index columns than the row holds: every token parses, yet the row
-        # type cannot be built; no loader asks for that, so no line is named
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_a_row_narrower_than_its_index_columns_is_named(self, tmp_path, width):
+        # every token parses, yet the row type cannot be built: numpy's own
+        # "invalid shape in fixed-type tuple" named no file and no line
         path = tmp_path / "short.csv"
-        path.write_text("1\n")
-        with pytest.raises(ValueError) as raised:
-            errors.read_csv(path, index_columns=2)
-        assert "line" not in str(raised.value)
+        path.write_text("\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match=rf"^line 2 of {re.escape(str(path))} has 2 columns; every row needs 3 index columns at least$"):
+            errors.read_csv(path, width=width, index_columns=3)
 
     def test_round_trip(self, tmp_path, rng):
         g = Grid(box_min=[0.0, 0.0], box_max=[1.0, 2.0], resolution=[3, 4])
